@@ -14,6 +14,7 @@ k steps approximates the sum exponential.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -62,7 +63,8 @@ class Circuit:
     """Ordered gate list over n qubits; leftmost gate is applied first.
 
     ``params`` holds the current binding of parameter names to angles
-    (radians).  Circuits are immutable; ``bind`` returns a rebound copy.
+    (radians); every angle must be finite.  Circuits are immutable;
+    ``bind`` returns a rebound copy.
     """
 
     n: int
@@ -76,6 +78,9 @@ class Circuit:
                 if not 1 <= q <= self.n:
                     raise ValueError(f"gate qubit {q} out of range 1..{self.n}")
         object.__setattr__(self, "params", dict(self.params))
+        for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
 
     @property
     def param_names(self) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ from pisu import (
     circuit_to_json,
     circuit_unitary,
     dense_exponential,
+    enumerate_basis,
     synth_generator,
 )
 from pisu.cli import main
@@ -202,6 +203,25 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "basis")[0] == 2  # missing required flag
     assert run_cli(capsys)[0] == 2
+
+
+def test_synth_non_finite_theta_exits_two(capsys):
+    for theta in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, "synth", "--qubits", "3", "--type", "x:1", f"--theta={theta}")
+        assert code == 2
+        assert out == ""
+        assert "parameter 'theta' must be a finite angle" in err
+
+
+def test_verify_rejects_malformed_qubit_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(circuit_to_json(synth_generator(enumerate_basis(2)[0], 0.3)))
+    for raw in ("abc", "0", "-1"):
+        monkeypatch.setenv("PISU_MAX_QUBITS", raw)
+        code, out, err = run_cli(capsys, "verify", "--circuit", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: PISU_MAX_QUBITS must be a positive integer, got {raw!r}\n"
 
 
 def test_help_exits_zero(capsys):

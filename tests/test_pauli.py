@@ -12,6 +12,7 @@ from pisu import (
     commutator,
     commutes,
     letter_matrix,
+    max_qubits,
     multiply,
     string_matrix,
 )
@@ -68,6 +69,24 @@ def test_string_matrix_respects_qubit_cap(monkeypatch):
     with pytest.raises(QubitLimitError):
         string_matrix(PauliString.from_letters("XXXX"))
     string_matrix(PauliString.from_letters("XXX"))  # at the cap is fine
+
+
+def test_max_qubits_reads_the_environment_each_call(monkeypatch):
+    monkeypatch.delenv("PISU_MAX_QUBITS", raising=False)
+    assert max_qubits() == 12
+    monkeypatch.setenv("PISU_MAX_QUBITS", "5")
+    assert max_qubits() == 5
+    monkeypatch.setenv("PISU_MAX_QUBITS", "14")
+    assert max_qubits() == 14
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-3"])
+def test_max_qubits_rejects_malformed_values(monkeypatch, raw):
+    monkeypatch.setenv("PISU_MAX_QUBITS", raw)
+    with pytest.raises(ValueError, match=f"PISU_MAX_QUBITS must be a positive integer, got {raw!r}"):
+        max_qubits()
+    with pytest.raises(ValueError, match="PISU_MAX_QUBITS"):
+        string_matrix(PauliString.from_letters("X"))
 
 
 def test_multiply_single_qubit_identities():

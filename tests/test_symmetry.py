@@ -1,5 +1,7 @@
 """SWAP machinery, basis enumeration, projection, and Lie-closure checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from pisu import (
     transpositions,
     verify_closure,
 )
+from pisu.pauli import _bracket_masks
+from pisu.symmetry import _closure_residual, _orbit_masks
 
 import oracles
 
@@ -254,3 +258,43 @@ def test_generator_repr_and_sum():
     gen = enumerate_basis(2)[0]
     assert "XX" in repr(gen)
     assert gen.as_sum.num_terms() == 1
+
+
+def _kernel_terms(g1, g2):
+    x, z, re, im = _bracket_masks(*_orbit_masks(g1), *_orbit_masks(g2), g1.n)
+    return {(int(a), int(b)): complex(r, i) for a, b, r, i in zip(x, z, re, im)}
+
+
+def test_bracket_kernel_matches_commutator():
+    for n in (1, 2, 3, 4):
+        basis = enumerate_basis(n)
+        for g1, g2 in itertools.combinations(basis, 2):
+            expected = commutator(g1.as_sum, g2.as_sum).terms
+            assert _kernel_terms(g1, g2) == expected, (n, g1.label, g2.label)
+
+
+def test_closure_matches_object_oracle():
+    for n in (1, 2, 3, 4, 5):
+        report = verify_closure(n)
+        assert (report.pairs, report.max_residual) == oracles.closure_by_objects(
+            n, enumerate_basis(n)
+        )
+
+
+def test_closure_detects_a_missing_generator():
+    for n in (3, 4):
+        basis = enumerate_basis(n)
+        for drop in range(len(basis)):
+            reduced = basis[:drop] + basis[drop + 1 :]
+            pairs, worst = _closure_residual(n, reduced)
+            expected_pairs, expected = oracles.closure_by_objects(n, reduced)
+            assert pairs == expected_pairs
+            assert worst > 0.0, (n, basis[drop].label)
+            assert abs(worst - expected) < 1e-12
+
+
+def test_closure_six_qubits():
+    report = verify_closure(6)
+    assert report.pairs == 3403
+    assert report.max_residual == 0.0 and type(report.max_residual) is float
+    assert report.passed

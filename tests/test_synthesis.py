@@ -61,6 +61,17 @@ def test_circuit_validation_and_binding():
         c.bind({"nope": 1.0})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_circuit_rejects_non_finite_angles(bad):
+    gates = (Gate("RX", (1,), "a"),)
+    with pytest.raises(ValueError, match="'a' must be a finite angle"):
+        Circuit(1, gates, {"a": bad})
+    with pytest.raises(ValueError, match="'a' must be a finite angle"):
+        Circuit(1, gates, {"a": 0.5}).bind({"a": bad})
+    with pytest.raises(ValueError, match="'theta' must be a finite angle"):
+        synth_string(PauliString.from_letters("XZ"), bad)
+
+
 def test_circuit_concat_conflicts():
     a = Circuit(1, (Gate("RX", (1,), "t"),), {"t": 0.5})
     b = Circuit(1, (Gate("RX", (1,), "t"),), {"t": 0.6})
