@@ -157,10 +157,10 @@ def _cmd_ansatz(args) -> int:
         defects = []
         for a in range(1, blocks + 1):
             for b in range(a + 1, blocks + 1):
-                s = np.eye(2**bs.n, dtype=complex)
-                for i, j in bs.exchange_pairs(a, b):
-                    s = s @ symmetry.swap_matrix(i, j, bs.n)
-                defects.append(symmetry.invariance_defect(u, s))
+                perm = list(range(bs.n))
+                for i, j in bs.exchange_pairs(a, b):  # disjoint qubit pairs
+                    perm[i - 1], perm[j - 1] = j - 1, i - 1
+                defects.append(symmetry.permutation_defect(u, perm))
         worst = max(defects)
         report = {
             "mode": "blocks",

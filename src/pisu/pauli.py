@@ -261,11 +261,22 @@ class PauliSum:
         return float(np.sqrt(sum(abs(v) ** 2 for v in self.terms.values())))
 
     def matrix(self) -> np.ndarray:
+        """Dense 2^n x 2^n realization, equal to the sum of ``string_matrix`` terms.
+
+        A string maps column ``c`` to row ``c ^ x`` with the value
+        ``coeff * i^{#Y} * (-1)^{popcount(c & z)}``, where the masks are
+        bit-reversed because qubit 1 is the most significant bit.  Terms are
+        added in ``strings()`` order, so every entry is summed as before.
+        """
         check_qubit_cap(self.n)
         dim = 2**self.n
         out = np.zeros((dim, dim), dtype=complex)
+        cols = np.arange(dim)
         for s in self.strings():
-            out += string_matrix(s)
+            x = _index_mask(s.x, self.n)
+            z = _index_mask(s.z, self.n)
+            signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+            out[cols ^ x, cols] += s.coeff * _I_POW[_y_count(s.x, s.z) % 4] * signs
         return out
 
     def to_json(self) -> str:
@@ -293,6 +304,11 @@ class PauliSum:
     def __str__(self) -> str:
         parts = [f"({s.coeff.real:+g}{s.coeff.imag:+g}j) {s.paper_notation()}" for s in self.strings()]
         return " + ".join(parts) if parts else "0"
+
+
+def _index_mask(mask: int, n: int) -> int:
+    """A qubit mask (bit q-1 for qubit q) as a basis-state index mask (bit n-q)."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
 def _pruned(acc: dict, epsilon: float) -> dict:

@@ -1,13 +1,17 @@
 """Dense unitary evaluation of circuits and tolerance-aware comparisons.
 
-Gates are applied by index-sliced tensor contraction rather than by building
-a full 2^n x 2^n embedding per gate, so whole-basis verification stays fast
-up to the qubit cap.
+The unitary is kept as one C-contiguous ``(2,)*n + (2^n,)`` tensor and each
+gate is applied to its qubit axes in place of a full 2^n x 2^n embedding:
+CNOT swaps two index slices, S and S-dagger scale one slice by +-i, and H and
+the rotations are one batched 2x2 matmul.  Slice permutations and scalings by
++-i only move or re-sign entries, so whole-basis verification stays exact and
+fast up to the qubit cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -49,7 +53,7 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _gate_angle(gate: Gate, params: dict) -> float | None:
+def _gate_angle(gate: Gate, params: Mapping[str, float]) -> float | None:
     if gate.param is None:
         return None
     if gate.param not in params:
@@ -61,21 +65,33 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of gate matrices; the leftmost gate acts first.
 
     Row indices are tensor-structured with qubit 1 as the most significant
-    bit, and each gate is contracted into its qubit axes directly.
+    bit.  CNOT exchanges the ``[ctrl=1, tgt=0]`` and ``[ctrl=1, tgt=1]``
+    slices and S/Sdg multiply the ``[q=1]`` slice by +-i, both in place; the
+    other kinds are a 2x2 matmul over the qubit's axis, batched over the
+    more significant qubits.
     """
     check_qubit_cap(c.n)
     dim = 2**c.n
     t = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
+    whole = (slice(None),) * c.n
     for gate in c.gates:
-        m = gate_matrix(gate.kind, _gate_angle(gate, c.params))
+        q = gate.qubits[0] - 1
         if gate.kind == "CNOT":
-            ctrl, tgt = gate.qubits[0] - 1, gate.qubits[1] - 1
-            t = np.tensordot(m.reshape(2, 2, 2, 2), t, axes=([2, 3], [ctrl, tgt]))
-            t = np.moveaxis(t, [0, 1], [ctrl, tgt])
+            tgt = gate.qubits[1] - 1
+            flip = list(whole)
+            flip[q] = 1
+            flip[tgt] = 0
+            low = tuple(flip)
+            flip[tgt] = 1
+            high = tuple(flip)
+            kept = t[low].copy()
+            t[low] = t[high]
+            t[high] = kept
+        elif gate.kind in ("S", "Sdg"):
+            t[whole[:q] + (1,)] *= 1j if gate.kind == "S" else -1j
         else:
-            q = gate.qubits[0] - 1
-            t = np.tensordot(m, t, axes=([1], [q]))
-            t = np.moveaxis(t, 0, q)
+            m = gate_matrix(gate.kind, _gate_angle(gate, c.params))
+            t = np.matmul(m, t.reshape(2**q, 2, -1)).reshape(t.shape)
     return t.reshape(dim, dim)
 
 

@@ -7,7 +7,9 @@ verified by projecting every pairwise commutator back onto the basis, which
 is exact because distinct Pauli strings are orthogonal under the trace inner
 product.  The check runs in integer arithmetic on (x, z) mask arrays: bracket
 coefficients are Gaussian integers and each squared residual is a rational,
-so a closed algebra reports a residual of exactly zero.
+so a closed algebra reports a residual of exactly zero.  Invariance of a
+dense unitary under a qubit permutation is measured by permuting the axes of
+its ``(2,)*2n`` tensor, which moves entries exactly as a SWAP product would.
 """
 
 from __future__ import annotations
@@ -231,9 +233,7 @@ def scaling_table(max_n: int) -> list[tuple[int, int, int]]:
 
 def is_invariant_under(u: np.ndarray, s: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff max |S U S^dag - U| < tol."""
-    if u.shape != s.shape or u.shape[0] != u.shape[1]:
-        raise ValueError(f"shape mismatch: {u.shape} vs {s.shape}")
-    return bool(np.abs(s @ u @ s.conj().T - u).max() < tol)
+    return invariance_defect(u, s) < tol
 
 
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
@@ -241,6 +241,25 @@ def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     if u.shape != s.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {s.shape}")
     return float(np.abs(s @ u @ s.conj().T - u).max())
+
+
+def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
+    """max |P U P^dag - U| for the qubit permutation P given by ``perm``.
+
+    ``perm`` lists 0-based qubit indices, a permutation of ``range(n)``; P
+    moves tensor factor ``perm[k]`` to position ``k``.  Conjugating by a
+    permutation matrix only moves entries, so P U P^dag is ``u`` with its
+    ``(2,)*2n`` row and column axes transposed by ``perm``, and the result
+    equals ``invariance_defect(u, P)`` exactly.
+    """
+    n = len(perm)
+    if u.shape != (2**n, 2**n):
+        raise ValueError(f"matrix shape {u.shape} does not match n={n}")
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{list(perm)} is not a permutation of range({n})")
+    t = u.reshape((2,) * (2 * n))
+    axes = [*perm, *(n + k for k in perm)]
+    return float(np.abs(t.transpose(axes) - t).max())
 
 
 def is_swap_invariant(u: np.ndarray, n: int, tol: float = 1e-10) -> bool:
@@ -254,7 +273,9 @@ def swap_invariance_defect(u: np.ndarray, n: int) -> float:
         raise ValueError(f"matrix shape {u.shape} does not match n={n}")
     worst = 0.0
     for i, j in transpositions(n):
-        worst = max(worst, invariance_defect(u, swap_matrix(i, j, n)))
+        perm = list(range(n))
+        perm[i - 1], perm[j - 1] = j - 1, i - 1
+        worst = max(worst, permutation_defect(u, perm))
     return worst
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,13 +64,13 @@ class Circuit:
     """Ordered gate list over n qubits; leftmost gate is applied first.
 
     ``params`` holds the current binding of parameter names to angles
-    (radians); every angle must be finite.  Circuits are immutable;
-    ``bind`` returns a rebound copy.
+    (radians) as a read-only mapping; every angle must be finite.  Circuits
+    are immutable and hashable; ``bind`` returns a rebound copy.
     """
 
     n: int
     gates: tuple[Gate, ...] = ()
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -77,10 +78,17 @@ class Circuit:
             for q in g.qubits:
                 if not 1 <= q <= self.n:
                     raise ValueError(f"gate qubit {q} out of range 1..{self.n}")
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         for name, value in self.params.items():
             if not math.isfinite(value):
                 raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gates, tuple(sorted(self.params.items()))))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; rebuild from a plain dict
+        return (Circuit, (self.n, self.gates, dict(self.params)))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -176,6 +184,14 @@ def synth_string(
         ladder_order: visitation order of the remaining support qubits for
             the CNOT fan; any permutation yields the same unitary.
     """
+    gates = _string_gates(s, pivot, param_name, ladder_order)
+    return Circuit(s.n, tuple(gates), {param_name: float(theta)})
+
+
+def _string_gates(
+    s: PauliString, pivot: int | None, param_name: str, ladder_order: Sequence[int] | None = None
+) -> list[Gate]:
+    """The gates of ``synth_string``, validated the same way."""
     if s.coeff != 1:
         raise ValueError(f"string coefficient must be 1, got {s.coeff}")
     support = s.support()
@@ -204,14 +220,13 @@ def synth_string(
             closing.append(Gate(last, (q,)))
 
     fan = [Gate("CNOT", (pivot, t)) for t in targets]
-    gates = (
+    return (
         opening
         + fan
         + [Gate("RX", (pivot,), param_name)]
         + list(reversed(fan))
         + list(reversed(closing))
     )
-    return Circuit(s.n, tuple(gates), {param_name: float(theta)})
 
 
 def commuting_orbit(g: SymmetrizedGenerator) -> bool:
@@ -262,25 +277,17 @@ def synth_generator(
                 f"orbit of {g.label} does not pairwise commute; "
                 f"exact-product order would matter"
             )
-        circuit = Circuit(g.n)
-        for s in g.orbit:
-            circuit = circuit.concat(
-                synth_string(s, theta, _string_pivot(s, plan.pivot), param_name=param_name)
-            )
-        return circuit
-
-    # first-order product formula: k passes over the orbit at theta / k
-    step_angle = float(theta) / plan.steps
-    step_name = f"{param_name}_step"
-    circuit = Circuit(g.n)
-    for _ in range(plan.steps):
-        for s in g.orbit:
-            circuit = circuit.concat(
-                synth_string(
-                    s, step_angle, _string_pivot(s, plan.pivot), param_name=step_name
-                )
-            )
-    return circuit
+        steps, angle, name = 1, float(theta), param_name
+    else:
+        # first-order product formula: k passes over the orbit at theta / k
+        steps, angle, name = plan.steps, float(theta) / plan.steps, f"{param_name}_step"
+    # one gate list for the whole circuit: Circuit validates and copies it once
+    one_pass = [
+        gate
+        for s in g.orbit
+        for gate in _string_gates(s, _string_pivot(s, plan.pivot), name)
+    ]
+    return Circuit(g.n, tuple(one_pass) * steps, {name: angle})
 
 
 def dense_exponential(g: SymmetrizedGenerator, theta: float) -> np.ndarray:

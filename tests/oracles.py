@@ -5,6 +5,11 @@ under test: full Kronecker embeddings instead of sliced application,
 scipy's Pade-based expm instead of eigendecomposition, and hand-frozen
 gate matrices instead of the package's tables.  ``closure_by_objects`` is
 the object-level bracket-and-project loop that the closure kernel replaces.
+``tensordot_circuit_unitary``, ``kron_pauli_sum_matrix`` and
+``dense_swap_invariance_defect`` are the dense-arithmetic versions of
+``circuit_unitary``, ``PauliSum.matrix`` and ``swap_invariance_defect`` that
+the index-permutation kernels replace; the kernels must equal them bit for
+bit.
 """
 
 import functools
@@ -13,7 +18,15 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
-from pisu import commutator, project_onto_basis
+from pisu import (
+    commutator,
+    gate_matrix,
+    invariance_defect,
+    project_onto_basis,
+    string_matrix,
+    swap_matrix,
+    transpositions,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -110,3 +123,37 @@ def closure_by_objects(n, basis):
         _, residual = project_onto_basis(commutator(g1.as_sum, g2.as_sum), basis)
         worst = max(worst, residual)
     return pairs, worst
+
+
+def tensordot_circuit_unitary(c):
+    """circuit_unitary by one tensordot plus moveaxis per gate."""
+    dim = 2**c.n
+    t = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
+    for gate in c.gates:
+        m = gate_matrix(gate.kind, None if gate.param is None else c.params[gate.param])
+        if gate.kind == "CNOT":
+            ctrl, tgt = gate.qubits[0] - 1, gate.qubits[1] - 1
+            t = np.tensordot(m.reshape(2, 2, 2, 2), t, axes=([2, 3], [ctrl, tgt]))
+            t = np.moveaxis(t, [0, 1], [ctrl, tgt])
+        else:
+            q = gate.qubits[0] - 1
+            t = np.tensordot(m, t, axes=([1], [q]))
+            t = np.moveaxis(t, 0, q)
+    return t.reshape(dim, dim)
+
+
+def kron_pauli_sum_matrix(v):
+    """PauliSum.matrix as the sum of every term's Kronecker realization."""
+    dim = 2**v.n
+    out = np.zeros((dim, dim), dtype=complex)
+    for s in v.strings():
+        out += string_matrix(s)
+    return out
+
+
+def dense_swap_invariance_defect(u, n):
+    """swap_invariance_defect by conjugating with every dense transposition SWAP."""
+    worst = 0.0
+    for i, j in transpositions(n):
+        worst = max(worst, invariance_defect(u, swap_matrix(i, j, n)))
+    return worst

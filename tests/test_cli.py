@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, round trips, byte stability."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -226,3 +227,36 @@ def test_verify_rejects_malformed_qubit_cap(tmp_path, capsys, monkeypatch):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+# sha256 of stdout, pinned from pisu 0.1.0 before the dense kernels became
+# index permutations; the defects are printed at full repr precision, so
+# these also pin the simulator and the defect computation bit for bit
+DENSE_GOLDENS = (
+    (("ansatz", "--qubits", "4", "--mode", "full"), None, 0,
+     "8304e7ef63bb9e89ec2e0704dd79e59bcda03d96f430d3541dd056340b1f1be8"),
+    (("ansatz", "--qubits", "4", "--mode", "full", "--out", "qasm"), None, 0,
+     "757dde5cec1aafaead038d5ed848d8474f1c07eef1075f90a7d6b160f3e1d5b6"),
+    (("ansatz", "--qubits", "3", "--mode", "blocks:2"), None, 0,
+     "abe34d97797b2caf9d64bf0c4a5d91c508b249ed3281260d704b8086b24e9f56"),
+    (("synth", "--qubits", "4", "--type", "x:1,y:1,z:1", "--theta", "0.4",
+      "--mode", "trotter:2", "--out", "json"), "c.json", 0,
+     "47f1e05655e6a6f519ecb74c34383cefd4bbfc2528cbccf0f62d248ab348e405"),
+    (("synth", "--qubits", "4", "--type", "x:1,y:1,z:1", "--theta", "0.4",
+      "--mode", "trotter:2", "--out", "qasm"), "c.qasm", 0,
+     "3722fc99a72845aebdfb9a6ecea8663642a86c9115cd096e41d4659ad9159e19"),
+    (("verify", "--circuit", "{dir}/c.json"), None, 1,
+     "e4fd4432ecefff07aa77599b16dfa61eed2e8e39f2f1296596888a104a5860ca"),
+    (("verify", "--circuit", "{dir}/c.qasm"), None, 1,
+     "e4fd4432ecefff07aa77599b16dfa61eed2e8e39f2f1296596888a104a5860ca"),
+)
+
+
+def test_dense_commands_golden_stdout(tmp_path, capsys):
+    for argv, save_as, want_code, want_digest in DENSE_GOLDENS:
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        if save_as is not None:
+            (tmp_path / save_as).write_text(out)
+        assert code == want_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want_digest, argv

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisu import (
     PauliString,
@@ -260,3 +262,46 @@ def test_string_accessors():
     assert s.letter(1) == "X" and s.letter(2) == "I" and s.letter(3) == "Z"
     with pytest.raises(ValueError):
         s.letter(4)
+
+
+def _same_bits(a, b):
+    """Equal entries and equal signs of zero, so nothing downstream can tell them apart."""
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(p(a)), np.signbit(p(b))) for p in (np.real, np.imag)
+    )
+
+
+def test_sum_matrix_bit_identical_to_kronecker_on_every_generator():
+    from pisu import enumerate_basis
+
+    for n in range(1, 6):
+        for gen in enumerate_basis(n):
+            assert _same_bits(gen.matrix(), oracles.kron_pauli_sum_matrix(gen.as_sum)), gen
+
+
+def test_sum_matrix_bit_identical_at_verify_width():
+    from pisu import SymmetrizedGenerator, TypeVector
+
+    # the two generators whose exponentials the benchmark's verify workload checks
+    for tv in (TypeVector(2, 0, 0, 7), TypeVector(0, 0, 3, 6)):
+        gen = SymmetrizedGenerator(tv, tv.label)
+        assert _same_bits(gen.matrix(), oracles.kron_pauli_sum_matrix(gen.as_sum)), tv
+
+
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, 2**n - 1)
+    parts = st.floats(-4.0, 4.0, allow_nan=False)
+    strings = [
+        PauliString(n, draw(masks), draw(masks), complex(draw(parts), draw(parts)))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    return PauliSum.from_strings(strings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums())
+def test_random_sum_matrix_bit_identical_to_kronecker(v):
+    # several terms may share an x mask, so entries are real sums in strings() order
+    assert _same_bits(v.matrix(), oracles.kron_pauli_sum_matrix(v))

@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisu import (
     Circuit,
     Gate,
+    SymmetrizationChoice,
     UnboundParameterError,
+    base_variational_circuit,
     circuit_unitary,
     equal_up_to_global_phase,
     gate_matrix,
+    symmetrize_by_extension,
+    symmetrize_fully,
     unitarity_defect,
 )
+from pisu.synthesis import GATE_KINDS
 
 import oracles
 
@@ -152,3 +159,68 @@ def test_moderate_width_circuit():
     u = circuit_unitary(synth_string(PauliString.from_letters(word), theta))
     want = np.cos(theta / 2) * np.eye(2**10) - 1j * np.sin(theta / 2) * oracles.word_matrix(word)
     assert np.abs(u - want).max() < 1e-10
+
+
+# circuit_unitary permutes and re-signs slices in place and batches 2x2
+# matmuls; the old tensordot + moveaxis evaluation must agree bit for bit
+
+
+def _one_gate(kind, n, qubit, other, angle):
+    if kind == "CNOT":
+        return Circuit(n, (Gate(kind, (qubit, other)),))
+    if kind in ("RX", "RY", "RZ"):
+        return Circuit(n, (Gate(kind, (qubit,), "a"),), {"a": angle})
+    return Circuit(n, (Gate(kind, (qubit,)),))
+
+
+def test_every_gate_kind_on_every_qubit_bit_identical():
+    rng = np.random.default_rng(53)
+    for n in range(1, 7):
+        for kind in GATE_KINDS:
+            for qubit in range(1, n + 1):
+                for other in range(1, n + 1):
+                    if (kind == "CNOT") == (other == qubit):
+                        continue
+                    # one gate on the identity, then on a dense random unitary
+                    c = _one_gate(kind, n, qubit, other, float(rng.uniform(-7, 7)))
+                    assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+                    mixed = _random_circuit(rng, n, 12) + c
+                    assert np.array_equal(
+                        circuit_unitary(mixed), oracles.tensordot_circuit_unitary(mixed)
+                    ), (kind, n, qubit, other)
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 6))
+    gates = []
+    params = {}
+    for k in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from([k for k in GATE_KINDS if n > 1 or k != "CNOT"]))
+        qubit = draw(st.integers(1, n))
+        if kind == "CNOT":
+            target = draw(st.integers(1, n).filter(lambda q: q != qubit))
+            gates.append(Gate(kind, (qubit, target)))
+        elif kind in ("RX", "RY", "RZ"):
+            params[f"p{k}"] = draw(st.floats(-20.0, 20.0, allow_nan=False))
+            gates.append(Gate(kind, (qubit,), f"p{k}"))
+        else:
+            gates.append(Gate(kind, (qubit,)))
+    return Circuit(n, tuple(gates), params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_random_circuits_bit_identical_to_tensordot(c):
+    assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+
+
+def test_verify_sized_circuits_bit_identical_to_tensordot():
+    # the n=9 circuits of the benchmark's verify workload: a fully
+    # symmetrized ansatz and a three-block coupled extension
+    full = symmetrize_fully(base_variational_circuit(9, seed=11), angle=1.3)
+    blocks = symmetrize_by_extension(
+        base_variational_circuit(3, seed=12), 3, SymmetrizationChoice("couple", "couple")
+    )
+    for c in (full, blocks):
+        assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))

@@ -15,11 +15,14 @@ from pisu import (
     dense_exponential,
     dim_pisu,
     enumerate_basis,
+    invariance_defect,
     is_invariant_under,
     is_swap_invariant,
+    permutation_defect,
     project_onto_basis,
     scaling_table,
     string_matrix,
+    swap_invariance_defect,
     swap_matrix,
     transpositions,
     verify_closure,
@@ -298,3 +301,74 @@ def test_closure_six_qubits():
     assert report.pairs == 3403
     assert report.max_residual == 0.0 and type(report.max_residual) is float
     assert report.passed
+
+
+def _permutation_matrix(perm):
+    """Dense P with P |b> = |b'>, b'_k = b_perm[k]; qubit 1 is the most significant bit."""
+    n = len(perm)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for col in range(2**n):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        row = sum(bits[perm[k]] << (n - 1 - k) for k in range(n))
+        out[row, col] = 1.0
+    return out
+
+
+def _random_matrix(rng, n):
+    return rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+
+
+def test_permutation_defect_equals_dense_conjugation_exactly():
+    rng = np.random.default_rng(59)
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            u = _random_matrix(rng, n)
+            want = invariance_defect(u, _permutation_matrix(perm))
+            assert permutation_defect(u, perm) == want, perm
+
+
+def test_permutation_defect_of_swap_matches_swap_matrix():
+    rng = np.random.default_rng(61)
+    u = _random_matrix(rng, 4)
+    for i, j in transpositions(4):
+        perm = list(range(4))
+        perm[i - 1], perm[j - 1] = j - 1, i - 1
+        assert permutation_defect(u, perm) == invariance_defect(u, swap_matrix(i, j, 4))
+
+
+def test_permutation_defect_rejects_bad_input():
+    with pytest.raises(ValueError, match="does not match n=3"):
+        permutation_defect(np.eye(4), [0, 1, 2])
+    with pytest.raises(ValueError, match="not a permutation"):
+        permutation_defect(np.eye(8), [0, 1, 1])
+    with pytest.raises(ValueError, match="not a permutation"):
+        permutation_defect(np.eye(8), [1, 2, 3])
+
+
+def test_swap_invariance_defect_bit_identical_to_dense_swaps():
+    rng = np.random.default_rng(67)
+    for n in range(1, 7):
+        for u in (_random_matrix(rng, n), np.eye(2**n, dtype=complex)):
+            assert swap_invariance_defect(u, n) == oracles.dense_swap_invariance_defect(u, n)
+    for n in (3, 4):
+        for gen in enumerate_basis(n):
+            u = dense_exponential(gen, 0.83)
+            assert swap_invariance_defect(u, n) == oracles.dense_swap_invariance_defect(u, n)
+
+
+def test_swap_invariance_defect_bit_identical_at_verify_width():
+    from pisu import base_variational_circuit, circuit_unitary, symmetrize_fully
+
+    u = circuit_unitary(symmetrize_fully(base_variational_circuit(9, seed=11), angle=1.3))
+    defect = swap_invariance_defect(u, 9)
+    assert 0 < defect < 1e-10
+    assert defect == oracles.dense_swap_invariance_defect(u, 9)
+
+
+def test_is_invariant_under_thresholds_invariance_defect():
+    u = oracles.cnot_full(1, 2, 2)
+    s = swap_matrix(1, 2, 2)
+    defect = invariance_defect(u, s)
+    assert defect == 1.0
+    assert not is_invariant_under(u, s, tol=defect)
+    assert is_invariant_under(u, s, tol=np.nextafter(defect, 2.0))

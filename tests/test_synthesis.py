@@ -1,5 +1,8 @@
 """Circuit synthesis: string exponentials, generator products, CNOT accounting."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,29 @@ def test_circuit_validation_and_binding():
     assert c.params["a"] == 0.5
     with pytest.raises(ValueError):
         c.bind({"nope": 1.0})
+
+
+def test_circuit_params_read_only_and_circuit_hashable():
+    c = Circuit(2, (Gate("RX", (1,), "a"), Gate("CNOT", (1, 2))), {"a": 0.5})
+    with pytest.raises(TypeError):
+        c.params["a"] = 1.0
+    with pytest.raises(TypeError):
+        c.params["b"] = 1.0
+    assert c.params == {"a": 0.5}
+    same = Circuit(2, c.gates, {"a": 0.5})
+    assert same == c and hash(same) == hash(c)
+    assert len({c, same, c.bind({"a": 0.25})}) == 2
+    # equal circuits hash equal whatever order their parameters were bound in
+    gates = (Gate("RX", (1,), "a"), Gate("RY", (2,), "b"))
+    ab, ba = Circuit(2, gates, {"a": 0.5, "b": 0.1}), Circuit(2, gates, {"b": 0.1, "a": 0.5})
+    assert ab == ba and hash(ab) == hash(ba)
+    # the caller's dict is copied, not kept
+    values = {"a": 0.5}
+    kept = Circuit(2, c.gates, values)
+    values["a"] = 9.0
+    assert kept.params["a"] == 0.5
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert copy.deepcopy(c) == c
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -180,6 +206,38 @@ def test_synth_generator_rebinding():
     c = synth_generator(gen, 0.7)
     rebound = c.bind({"theta": 1.9})
     assert np.abs(circuit_unitary(rebound) - dense_exponential(gen, 1.9)).max() < 1e-10
+
+
+def _concat_built(g, theta, plan, param_name="theta"):
+    """synth_generator as one synth_string per orbit string, joined by Circuit.concat."""
+    steps = plan.steps if plan.mode == "trotter" else 1
+    angle = theta / steps if plan.mode == "trotter" else theta
+    name = f"{param_name}_step" if plan.mode == "trotter" else param_name
+    circuit = Circuit(g.n)
+    for _ in range(steps):
+        for s in g.orbit:
+            pivot = plan.pivot if plan.pivot is not None and s.letter(plan.pivot) != "I" else None
+            circuit = circuit.concat(synth_string(s, angle, pivot, param_name=name))
+    return circuit
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        SynthesisPlan("exact-product"),
+        SynthesisPlan("exact-product", pivot=2),
+        SynthesisPlan("trotter", steps=1),
+        SynthesisPlan("trotter", steps=3, pivot=3),
+    ],
+)
+def test_synth_generator_equals_string_by_string_concat(plan):
+    for g in enumerate_basis(3):
+        if plan.mode == "exact-product" and not commuting_orbit(g):
+            continue
+        got = synth_generator(g, 0.37, plan, param_name="phi")
+        want = _concat_built(g, 0.37, plan, param_name="phi")
+        assert got.gates == want.gates
+        assert got.params == want.params
 
 
 def test_exact_product_rejects_noncommuting_orbit():
