@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -197,13 +198,24 @@ def string_matrix(s: PauliString) -> np.ndarray:
 class PauliSum:
     """Formal complex-linear combination of Pauli strings over n qubits.
 
-    ``terms`` maps (x, z) bitmask pairs to coefficients.  Canonical form
-    stores no coefficient of magnitude below the pruning epsilon.  Treated
-    as immutable: all operations return new sums.
+    ``terms`` maps (x, z) bitmask pairs to coefficients as a read-only
+    mapping.  Canonical form stores no coefficient of magnitude below the
+    pruning epsilon.  Sums are immutable and hashable: all operations return
+    new sums.
     """
 
     n: int
-    terms: dict
+    terms: Mapping[tuple[int, int], complex]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; rebuild from a plain dict
+        return (PauliSum, (self.n, dict(self.terms)))
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":

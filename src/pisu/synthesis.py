@@ -17,12 +17,13 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, check_qubit_cap, commutes, letter_matrix
+from .pauli import PauliString, check_qubit_cap, commutes
 from .symmetry import SymmetrizedGenerator
 
 GATE_KINDS = ("H", "S", "Sdg", "CNOT", "RX", "RY", "RZ")
@@ -66,6 +67,8 @@ class Circuit:
     ``params`` holds the current binding of parameter names to angles
     (radians) as a read-only mapping; every angle must be finite.  Circuits
     are immutable and hashable; ``bind`` returns a rebound copy.
+    ``circuit_to_json`` is the supported serialization; ``dataclasses.asdict``
+    is not (it cannot copy the read-only ``params``).
     """
 
     n: int
@@ -74,8 +77,9 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            for q in g.qubits:
+        # each distinct qubit tuple once, in order of first appearance
+        for qubits in dict.fromkeys(map(attrgetter("qubits"), self.gates)):
+            for q in qubits:
                 if not 1 <= q <= self.n:
                     raise ValueError(f"gate qubit {q} out of range 1..{self.n}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
@@ -93,11 +97,7 @@ class Circuit:
     @property
     def param_names(self) -> tuple[str, ...]:
         """Parameter names in order of first appearance."""
-        seen: list[str] = []
-        for g in self.gates:
-            if g.param is not None and g.param not in seen:
-                seen.append(g.param)
-        return tuple(seen)
+        return tuple(dict.fromkeys(g.param for g in self.gates if g.param is not None))
 
     def bind(self, values: Mapping[str, float]) -> "Circuit":
         unknown = set(values) - set(self.param_names) - set(self.params)
@@ -144,24 +144,26 @@ class SynthesisPlan:
 
 
 # Basis-change wrappers: letter -> (first gate kind, last gate kind) so the
-# circuit realizes G RX G^dag with G X G^dag = letter.  Checked numerically
-# below rather than trusted from gate-identity conventions.
+# circuit realizes G RX G^dag with G X G^dag = letter.  The tests check this
+# numerically against the simulator's gate matrices.
 _WRAPPERS = {"X": None, "Y": ("Sdg", "S"), "Z": ("H", "H")}
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S2 = np.diag([1.0 + 0j, 1j])
 
+def _gate(memo: dict, kind: str, qubits: tuple, param: str | None = None) -> Gate:
+    """``Gate(kind, qubits, param)``, built and validated once per distinct triple.
 
-def _verify_wrappers() -> None:
-    conjugators = {"Y": _S2, "Z": _H2}
-    x = letter_matrix("X")
-    for letter, g in conjugators.items():
-        got = g @ x @ g.conj().T
-        if np.abs(got - letter_matrix(letter)).max() > 1e-14:
-            raise AssertionError(f"wrapper for {letter} does not conjugate X correctly")
-
-
-_verify_wrappers()
+    ``memo`` belongs to one call and maps plain ``(kind, qubits, param)``
+    tuples to gates; keying on the dataclass would run its slow generated
+    ``__hash__``/``__eq__`` on every lookup.
+    """
+    key = (kind, qubits, param)
+    try:
+        gate = memo.get(key)
+    except TypeError:  # an unhashable field: let Gate report it
+        return Gate(kind, qubits, param)
+    if gate is None:
+        gate = memo[key] = Gate(kind, qubits, param)
+    return gate
 
 
 def synth_string(
@@ -189,9 +191,19 @@ def synth_string(
 
 
 def _string_gates(
-    s: PauliString, pivot: int | None, param_name: str, ladder_order: Sequence[int] | None = None
+    s: PauliString,
+    pivot: int | None,
+    param_name: str,
+    ladder_order: Sequence[int] | None = None,
+    memo: dict | None = None,
 ) -> list[Gate]:
-    """The gates of ``synth_string``, validated the same way."""
+    """The gates of ``synth_string``, validated the same way.
+
+    A caller emitting many strings passes one ``memo`` (see ``_gate``) so
+    each distinct gate is built once.
+    """
+    if memo is None:
+        memo = {}
     if s.coeff != 1:
         raise ValueError(f"string coefficient must be 1, got {s.coeff}")
     support = s.support()
@@ -216,17 +228,11 @@ def _string_gates(
         wrap = _WRAPPERS[s.letter(q)]
         if wrap is not None:
             first, last = wrap
-            opening.append(Gate(first, (q,)))
-            closing.append(Gate(last, (q,)))
+            opening.append(_gate(memo, first, (q,)))
+            closing.append(_gate(memo, last, (q,)))
 
-    fan = [Gate("CNOT", (pivot, t)) for t in targets]
-    return (
-        opening
-        + fan
-        + [Gate("RX", (pivot,), param_name)]
-        + list(reversed(fan))
-        + list(reversed(closing))
-    )
+    fan = [_gate(memo, "CNOT", (pivot, t)) for t in targets]
+    return opening + fan + [_gate(memo, "RX", (pivot,), param_name)] + fan[::-1] + closing[::-1]
 
 
 def commuting_orbit(g: SymmetrizedGenerator) -> bool:
@@ -281,11 +287,13 @@ def synth_generator(
     else:
         # first-order product formula: k passes over the orbit at theta / k
         steps, angle, name = plan.steps, float(theta) / plan.steps, f"{param_name}_step"
-    # one gate list for the whole circuit: Circuit validates and copies it once
+    # one gate list for the whole circuit, each distinct gate built once;
+    # Circuit validates and copies it once
+    memo: dict = {}
     one_pass = [
         gate
         for s in g.orbit
-        for gate in _string_gates(s, _string_pivot(s, plan.pivot), name)
+        for gate in _string_gates(s, _string_pivot(s, plan.pivot), name, memo=memo)
     ]
     return Circuit(g.n, tuple(one_pass) * steps, {name: angle})
 
@@ -313,18 +321,28 @@ def naive_cnot_budget(n: int) -> int:
 
 
 def circuit_to_json(c: Circuit) -> str:
-    gates = [
-        {"kind": g.kind, "qubits": list(g.qubits), "param": g.param} for g in c.gates
-    ]
-    params = {name: float(value) for name, value in sorted(c.params.items())}
-    return json.dumps({"n": c.n, "gates": gates, "params": params})
+    """``json.dumps({"n", "gates", "params"})`` of the circuit, byte for byte.
+
+    Each distinct gate is encoded once and its fragment reused.
+    """
+    fragments: dict = {}
+    parts = []
+    for g in c.gates:
+        key = (g.kind, g.qubits, g.param)
+        text = fragments.get(key)
+        if text is None:
+            text = fragments[key] = json.dumps(
+                {"kind": g.kind, "qubits": list(g.qubits), "param": g.param}
+            )
+        parts.append(text)
+    params = json.dumps({name: float(value) for name, value in sorted(c.params.items())})
+    return f'{{"n": {json.dumps(c.n)}, "gates": [{", ".join(parts)}], "params": {params}}}'
 
 
 def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
-    gates = tuple(
-        Gate(g["kind"], tuple(g["qubits"]), g.get("param")) for g in data["gates"]
-    )
+    memo: dict = {}
+    gates = [_gate(memo, g["kind"], tuple(g["qubits"]), g.get("param")) for g in data["gates"]]
     return Circuit(int(data["n"]), gates, dict(data.get("params", {})))
 
 
@@ -333,56 +351,99 @@ _QASM_KINDS = {v: k for k, v in _QASM_NAMES.items()}
 
 
 def circuit_to_qasm(c: Circuit) -> str:
-    """OPENQASM 2.0 text with literal angles; requires all parameters bound."""
+    """OPENQASM 2.0 text with literal angles; requires all parameters bound.
+
+    Each distinct gate is formatted once and its line reused.
+    """
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.n}];"]
+    memo: dict = {}
     for g in c.gates:
-        name = _QASM_NAMES[g.kind]
-        args = ",".join(f"q[{q - 1}]" for q in g.qubits)
-        if g.param is not None:
-            if g.param not in c.params:
-                raise ValueError(f"parameter {g.param!r} is unbound; cannot export")
-            lines.append(f"{name}({c.params[g.param]!r}) {args};")
-        else:
-            lines.append(f"{name} {args};")
+        key = (g.kind, g.qubits, g.param)
+        line = memo.get(key)
+        if line is None:
+            name = _QASM_NAMES[g.kind]
+            args = ",".join(f"q[{q - 1}]" for q in g.qubits)
+            if g.param is not None:
+                if g.param not in c.params:
+                    raise ValueError(f"parameter {g.param!r} is unbound; cannot export")
+                line = f"{name}({c.params[g.param]!r}) {args};"
+            else:
+                line = f"{name} {args};"
+            memo[key] = line
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 _QASM_GATE_RE = re.compile(
     r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[\d+\](?:,q\[\d+\])*);$"
 )
+_QASM_PI_RE = re.compile(
+    r"^(?P<sign>-)?(?:(?P<coeff>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*)?"
+    r"pi(?:/(?P<denom>[1-9]\d*))?$"
+)
+
+
+def _qasm_angle(angle: str, line: str) -> float:
+    """A QASM angle: a float literal or ``sign * coeff * pi / denom``."""
+    try:
+        return float(angle)
+    except ValueError:
+        pass
+    m = _QASM_PI_RE.match(angle)
+    if m is None:
+        raise ValueError(
+            f"unsupported QASM angle {angle!r} in line {line!r}; expected a float literal, "
+            "pi, -pi, pi/<int>, <float>*pi or <float>*pi/<int>"
+        )
+    sign = -1.0 if m.group("sign") else 1.0
+    coeff = float(m.group("coeff") or 1.0)
+    return sign * coeff * math.pi / int(m.group("denom") or 1)
 
 
 def circuit_from_qasm(text: str) -> Circuit:
     """Parse the QASM 2.0 subset emitted by circuit_to_qasm.
 
-    Rotation literals become fresh parameters p0, p1, ... in gate order.
+    Accepted: ``OPENQASM``/``include``/``//`` lines (skipped), ``qreg q[n];``
+    and one gate per line, ``h s sdg cx rx ry rz`` on ``q[i]`` arguments.
+    An angle is a float literal or one of ``pi``, ``-pi``, ``pi/<int>``,
+    ``<float>*pi`` and ``<float>*pi/<int>``, evaluated as
+    ``sign * coeff * pi / denom``.  Rotation literals become fresh parameters
+    p0, p1, ... in gate order.  A line seen before in the same text is not
+    parsed again.
     """
     n = None
     gates: list[Gate] = []
     params: dict[str, float] = {}
-    counter = 0
+    # stripped gate line -> its Gate, or (kind, qubits, angle) for a rotation
+    memo: dict[str, Gate | tuple] = {}
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith(("OPENQASM", "include", "//")):
-            continue
-        m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
-        if m:
-            n = int(m.group(1))
-            continue
-        m = _QASM_GATE_RE.match(line)
-        if m is None:
-            raise ValueError(f"cannot parse QASM line: {line!r}")
-        kind = _QASM_KINDS.get(m.group("name"))
-        if kind is None:
-            raise ValueError(f"unsupported QASM gate {m.group('name')!r}")
-        qubits = tuple(int(q) + 1 for q in re.findall(r"q\[(\d+)\]", m.group("args")))
-        if m.group("angle") is not None:
-            name = f"p{counter}"
-            counter += 1
-            params[name] = float(m.group("angle"))
-            gates.append(Gate(kind, qubits, name))
+        seen = memo.get(line)
+        if seen is None:
+            if not line or line.startswith(("OPENQASM", "include", "//")):
+                continue
+            m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
+            if m:
+                n = int(m.group(1))
+                continue
+            m = _QASM_GATE_RE.match(line)
+            if m is None:
+                raise ValueError(f"cannot parse QASM line: {line!r}")
+            kind = _QASM_KINDS.get(m.group("name"))
+            if kind is None:
+                raise ValueError(f"unsupported QASM gate {m.group('name')!r}")
+            qubits = tuple(int(q) + 1 for q in re.findall(r"q\[(\d+)\]", m.group("args")))
+            if m.group("angle") is None:
+                seen = memo[line] = Gate(kind, qubits)
+            else:
+                seen = memo[line] = (kind, qubits, _qasm_angle(m.group("angle"), line))
+        if type(seen) is Gate:
+            gates.append(seen)
         else:
-            gates.append(Gate(kind, qubits))
+            kind, qubits, angle = seen
+            name = f"p{len(params)}"
+            params[name] = angle
+            gates.append(Gate(kind, qubits, name))
     if n is None:
         raise ValueError("QASM text declares no qreg")
-    return Circuit(n, tuple(gates), params)
+    return Circuit(n, gates, params)

@@ -9,16 +9,24 @@ the object-level bracket-and-project loop that the closure kernel replaces.
 ``dense_swap_invariance_defect`` are the dense-arithmetic versions of
 ``circuit_unitary``, ``PauliSum.matrix`` and ``swap_invariance_defect`` that
 the index-permutation kernels replace; the kernels must equal them bit for
-bit.
+bit.  ``per_gate_circuit_to_json``, ``per_gate_circuit_from_json``,
+``per_gate_circuit_to_qasm`` and ``per_gate_circuit_from_qasm`` build,
+encode or parse every gate on its own, as the interchange functions did
+before they kept a per-call memo of distinct gates; the writers must match
+them byte for byte and the readers gate for gate.
 """
 
 import functools
 import itertools
+import json
+import re
 
 import numpy as np
 from scipy.linalg import expm
 
 from pisu import (
+    Circuit,
+    Gate,
     commutator,
     gate_matrix,
     invariance_defect,
@@ -157,3 +165,76 @@ def dense_swap_invariance_defect(u, n):
     for i, j in transpositions(n):
         worst = max(worst, invariance_defect(u, swap_matrix(i, j, n)))
     return worst
+
+
+_QASM_NAMES = {"H": "h", "S": "s", "Sdg": "sdg", "CNOT": "cx", "RX": "rx", "RY": "ry", "RZ": "rz"}
+_QASM_KINDS = {v: k for k, v in _QASM_NAMES.items()}
+_QASM_GATE_RE = re.compile(
+    r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[\d+\](?:,q\[\d+\])*);$"
+)
+
+
+def per_gate_circuit_to_json(c):
+    """circuit_to_json by one json.dumps of the whole gate list."""
+    gates = [
+        {"kind": g.kind, "qubits": list(g.qubits), "param": g.param} for g in c.gates
+    ]
+    params = {name: float(value) for name, value in sorted(c.params.items())}
+    return json.dumps({"n": c.n, "gates": gates, "params": params})
+
+
+def per_gate_circuit_from_json(text):
+    """circuit_from_json with one Gate built per gate entry."""
+    data = json.loads(text)
+    gates = tuple(
+        Gate(g["kind"], tuple(g["qubits"]), g.get("param")) for g in data["gates"]
+    )
+    return Circuit(int(data["n"]), gates, dict(data.get("params", {})))
+
+
+def per_gate_circuit_to_qasm(c):
+    """circuit_to_qasm with one formatted line per gate."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.n}];"]
+    for g in c.gates:
+        name = _QASM_NAMES[g.kind]
+        args = ",".join(f"q[{q - 1}]" for q in g.qubits)
+        if g.param is not None:
+            if g.param not in c.params:
+                raise ValueError(f"parameter {g.param!r} is unbound; cannot export")
+            lines.append(f"{name}({c.params[g.param]!r}) {args};")
+        else:
+            lines.append(f"{name} {args};")
+    return "\n".join(lines) + "\n"
+
+
+def per_gate_circuit_from_qasm(text):
+    """circuit_from_qasm with every line matched and every Gate built; float angles only."""
+    n = None
+    gates = []
+    params = {}
+    counter = 0
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith(("OPENQASM", "include", "//")):
+            continue
+        m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
+        if m:
+            n = int(m.group(1))
+            continue
+        m = _QASM_GATE_RE.match(line)
+        if m is None:
+            raise ValueError(f"cannot parse QASM line: {line!r}")
+        kind = _QASM_KINDS.get(m.group("name"))
+        if kind is None:
+            raise ValueError(f"unsupported QASM gate {m.group('name')!r}")
+        qubits = tuple(int(q) + 1 for q in re.findall(r"q\[(\d+)\]", m.group("args")))
+        if m.group("angle") is not None:
+            name = f"p{counter}"
+            counter += 1
+            params[name] = float(m.group("angle"))
+            gates.append(Gate(kind, qubits, name))
+        else:
+            gates.append(Gate(kind, qubits))
+    if n is None:
+        raise ValueError("QASM text declares no qreg")
+    return Circuit(n, tuple(gates), params)

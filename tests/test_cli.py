@@ -231,7 +231,9 @@ def test_help_exits_zero(capsys):
 
 # sha256 of stdout, pinned from pisu 0.1.0 before the dense kernels became
 # index permutations; the defects are printed at full repr precision, so
-# these also pin the simulator and the defect computation bit for bit
+# these also pin the simulator and the defect computation bit for bit.  The
+# export and closure rows were pinned before the interchange functions kept
+# per-call memos of distinct gates.
 DENSE_GOLDENS = (
     (("ansatz", "--qubits", "4", "--mode", "full"), None, 0,
      "8304e7ef63bb9e89ec2e0704dd79e59bcda03d96f430d3541dd056340b1f1be8"),
@@ -249,6 +251,12 @@ DENSE_GOLDENS = (
      "e4fd4432ecefff07aa77599b16dfa61eed2e8e39f2f1296596888a104a5860ca"),
     (("verify", "--circuit", "{dir}/c.qasm"), None, 1,
      "e4fd4432ecefff07aa77599b16dfa61eed2e8e39f2f1296596888a104a5860ca"),
+    (("export", "--circuit", "{dir}/c.json", "--out", "qasm"), None, 0,
+     "3722fc99a72845aebdfb9a6ecea8663642a86c9115cd096e41d4659ad9159e19"),
+    (("export", "--circuit", "{dir}/c.qasm", "--out", "json"), None, 0,
+     "02f31b16a5b003c0bc78fa418bfc8d8a675c0fee2dec4eac87322bac907de448"),
+    (("closure", "--qubits", "3"), None, 0,
+     "b724dc6b6b57eb0bed145b13e8b79b53efd24ba52c47342476909899cfcf9b71"),
 )
 
 
@@ -260,3 +268,19 @@ def test_dense_commands_golden_stdout(tmp_path, capsys):
             (tmp_path / save_as).write_text(out)
         assert code == want_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == want_digest, argv
+
+
+def test_export_reads_pi_angles_and_rejects_others(tmp_path, capsys):
+    path = tmp_path / "pi.qasm"
+    path.write_text(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nrx(pi/2) q[0];\nrz(-0.5*pi) q[1];\n'
+    )
+    code, out, _ = run_cli(capsys, "export", "--circuit", str(path), "--out", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"p0": np.pi / 2, "p1": -0.5 * np.pi}
+
+    path.write_text("OPENQASM 2.0;\nqreg q[1];\nrx(pi*2) q[0];\n")
+    code, out, err = run_cli(capsys, "export", "--circuit", str(path), "--out", "json")
+    assert code == 2
+    assert out == ""
+    assert "unsupported QASM angle 'pi*2' in line 'rx(pi*2) q[0];'" in err

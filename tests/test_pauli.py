@@ -1,6 +1,8 @@
 """Pauli string algebra: exact products, commutation, dense realizations."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -305,3 +307,24 @@ def pauli_sums(draw):
 def test_random_sum_matrix_bit_identical_to_kronecker(v):
     # several terms may share an x mask, so entries are real sums in strings() order
     assert _same_bits(v.matrix(), oracles.kron_pauli_sum_matrix(v))
+
+
+def test_sum_terms_read_only_and_sum_hashable():
+    s = PauliSum.from_strings([PauliString.from_letters("XY"), PauliString.from_letters("ZI", 2.0)])
+    with pytest.raises(TypeError):
+        s.terms[(1, 1)] = 5
+    with pytest.raises(TypeError):
+        del s.terms[next(iter(s.terms))]
+    # the caller's dict is copied, not kept
+    raw = {(1, 0): 1.0 + 0j}
+    kept = PauliSum(1, raw)
+    raw[(1, 0)] = 9.0
+    assert kept.terms == {(1, 0): 1.0 + 0j}
+    same = PauliSum(s.n, dict(reversed(list(s.terms.items()))))
+    assert same == s and hash(same) == hash(s)
+    assert len({s, same, s.scaled(2.0), PauliSum.zero(2)}) == 3
+    assert hash(PauliSum.zero(3)) == hash(PauliSum(3, {}))
+    for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert back == s and hash(back) == hash(s)
+        with pytest.raises(TypeError):
+            back.terms[(1, 1)] = 5

@@ -1,10 +1,14 @@
 """Circuit synthesis: string exponentials, generator products, CNOT accounting."""
 
 import copy
+import json
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisu import (
     Circuit,
@@ -24,6 +28,8 @@ from pisu import (
     dense_exponential,
     enumerate_basis,
     equal_up_to_global_phase,
+    gate_matrix,
+    letter_matrix,
     naive_cnot_budget,
     swap_invariance_defect,
     swap_matrix,
@@ -31,6 +37,7 @@ from pisu import (
     synth_string,
     unitarity_defect,
 )
+from pisu.synthesis import _WRAPPERS, GATE_KINDS
 
 import oracles
 
@@ -62,6 +69,8 @@ def test_circuit_validation_and_binding():
     assert c.params["a"] == 0.5
     with pytest.raises(ValueError):
         c.bind({"nope": 1.0})
+    repeated = Circuit(2, tuple(Gate("RX", (1,), name) for name in "abacb"))
+    assert repeated.param_names == ("a", "b", "c")
 
 
 def test_circuit_params_read_only_and_circuit_hashable():
@@ -424,3 +433,140 @@ def test_synthesis_plan_validation():
         SynthesisPlan("magic")
     with pytest.raises(ValueError):
         SynthesisPlan("trotter", steps=0)
+
+
+def test_wrappers_conjugate_x_to_their_letter():
+    # the closing gate G of each basis-change pair must satisfy G X G^dag = letter
+    conjugators = {letter: gate_matrix(wrap[1]) for letter, wrap in _WRAPPERS.items() if wrap}
+    assert sorted(conjugators) == ["Y", "Z"]
+    x = letter_matrix("X")
+    for letter, g in conjugators.items():
+        got = g @ x @ g.conj().T
+        assert np.abs(got - letter_matrix(letter)).max() <= 1e-14, letter
+    for wrap in filter(None, _WRAPPERS.values()):
+        first, last = (gate_matrix(kind) for kind in wrap)
+        assert np.array_equal(first, last.conj().T), wrap
+
+
+# angles that are negative, tiny (down to subnormal) or large, all finite
+angles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def circuits(draw):
+    """Random circuits over all gate kinds; a few shared names make gates repeat."""
+    n = draw(st.integers(1, 6))
+    names = ("a", "b", "theta")
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from([k for k in GATE_KINDS if n > 1 or k != "CNOT"]))
+        qubit = draw(st.integers(1, n))
+        if kind == "CNOT":
+            target = draw(st.integers(1, n).filter(lambda q: q != qubit))
+            gates.append(Gate(kind, (qubit, target)))
+        elif kind in ("RX", "RY", "RZ"):
+            gates.append(Gate(kind, (qubit,), draw(st.sampled_from(names))))
+        else:
+            gates.append(Gate(kind, (qubit,)))
+    used = {g.param for g in gates if g.param is not None}
+    return Circuit(n, tuple(gates), {name: draw(angles) for name in sorted(used)})
+
+
+def _bits(c):
+    """n, gate rows and every angle as exact bits, so -0.0 differs from 0.0."""
+    return c.n, c.gates, [(name, value.hex()) for name, value in c.params.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_random_circuits_interchange_matches_per_gate_oracles(c):
+    text_json = circuit_to_json(c)
+    text_qasm = circuit_to_qasm(c)
+    assert text_json == oracles.per_gate_circuit_to_json(c)
+    assert text_qasm == oracles.per_gate_circuit_to_qasm(c)
+    from_json, back = circuit_from_json(text_json), circuit_from_qasm(text_qasm)
+    assert _bits(from_json) == _bits(oracles.per_gate_circuit_from_json(text_json)) == _bits(c)
+    assert from_json == c
+    assert _bits(back) == _bits(oracles.per_gate_circuit_from_qasm(text_qasm))
+    assert back.n == c.n
+    assert [(g.kind, g.qubits) for g in back.gates] == [(g.kind, g.qubits) for g in c.gates]
+    rotations = [(g, h) for g, h in zip(c.gates, back.gates) if g.param is not None]
+    assert [c.params[g.param].hex() for g, _ in rotations] == [
+        back.params[h.param].hex() for _, h in rotations
+    ]
+    # every rotation line gets a fresh name, even where the gates shared one
+    assert [h.param for _, h in rotations] == [f"p{k}" for k in range(len(rotations))]
+
+
+def test_basis_interchange_matches_per_gate_oracles():
+    for n in (3, 4):
+        for k, gen in enumerate(enumerate_basis(n)):
+            plan = SynthesisPlan("trotter", steps=2, pivot=k % n + 1)
+            c = synth_generator(gen, 0.1 * k - 1.3, plan)
+            text_json, text_qasm = circuit_to_json(c), circuit_to_qasm(c)
+            assert text_json == oracles.per_gate_circuit_to_json(c)
+            assert text_qasm == oracles.per_gate_circuit_to_qasm(c)
+            assert circuit_from_json(text_json) == oracles.per_gate_circuit_from_json(text_json)
+            assert circuit_from_qasm(text_qasm) == oracles.per_gate_circuit_from_qasm(text_qasm)
+
+
+def test_synth_generator_shares_each_distinct_gate():
+    c = synth_generator(_generator(0, 1, 2, 1), 0.4)
+    distinct = {(g.kind, g.qubits, g.param) for g in c.gates}
+    assert len({id(g) for g in c.gates}) == len(distinct) < len(c.gates)
+
+
+def test_memoised_qasm_line_still_raises_at_the_offending_line():
+    good = "OPENQASM 2.0;\nqreg q[2];\n" + "h q[0];\ncx q[0],q[1];\nrx(0.5) q[1];\n" * 50
+    with pytest.raises(ValueError, match=r"cannot parse QASM line: 'h q\[0\]'"):
+        circuit_from_qasm(good + "h q[0]\n")
+    with pytest.raises(ValueError, match="unsupported QASM gate 't'"):
+        circuit_from_qasm(good + "t q[0];\n")
+    with pytest.raises(ValueError, match="in line 'rx\\(pi/x\\) q\\[1\\];'"):
+        circuit_from_qasm(good + "rx(pi/x) q[1];\n")
+    # a line that fails is not remembered: its repeat fails the same way
+    for _ in range(2):
+        with pytest.raises(ValueError, match="CNOT needs two distinct qubit indices"):
+            circuit_from_qasm(good + "cx q[1],q[1];\ncx q[1],q[1];\n")
+    with pytest.raises(ValueError, match="gate qubit 3 out of range 1..2"):
+        circuit_from_qasm(good + "h q[2];\n")
+
+
+@pytest.mark.parametrize(
+    "angle, want",
+    [
+        ("pi", math.pi),
+        ("-pi", -math.pi),
+        ("pi/2", math.pi / 2),
+        ("-pi/4", -math.pi / 4),
+        ("0.5*pi", 0.5 * math.pi),
+        ("-2*pi", -2 * math.pi),
+        ("3*pi/4", 3 * math.pi / 4),
+        ("-1.5e-3*pi/7", -1.5e-3 * math.pi / 7),
+        ("0.25", 0.25),
+        ("-1e-300", -1e-300),
+    ],
+)
+def test_qasm_accepts_pi_angles(angle, want):
+    c = circuit_from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({angle}) q[0];\nrx({angle}) q[0];\n")
+    assert [g.param for g in c.gates] == ["p0", "p1"]
+    assert c.params["p0"].hex() == c.params["p1"].hex() == want.hex()
+
+
+@pytest.mark.parametrize("angle", ["2pi", "pi*2", "pi/0", "pi/2.5", "pi/-2", "tau", "--pi", "pi+1"])
+def test_qasm_rejects_other_angles(angle):
+    line = f"rz({angle}) q[0];"
+    with pytest.raises(ValueError) as info:
+        circuit_from_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{line}\n")
+    message = str(info.value)
+    assert repr(line) in message
+    assert "pi, -pi, pi/<int>, <float>*pi or <float>*pi/<int>" in message
+
+
+def test_json_reader_keeps_gate_errors():
+    bad_kind = {"n": 1, "gates": [{"kind": ["H"], "qubits": [1], "param": None}], "params": {}}
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        circuit_from_json(json.dumps(bad_kind))
+    twice = {"n": 2, "gates": [{"kind": "CNOT", "qubits": [2, 2], "param": None}] * 2, "params": {}}
+    with pytest.raises(ValueError, match="CNOT needs two distinct qubit indices"):
+        circuit_from_json(json.dumps(twice))
