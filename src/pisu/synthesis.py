@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, index
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -47,7 +48,11 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+        try:
+            qubits = tuple(map(index, self.qubits))
+        except TypeError:
+            raise ValueError(f"qubit indices must be integers, got {self.qubits!r}") from None
+        object.__setattr__(self, "qubits", qubits)
         if self.kind == "CNOT":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("CNOT needs two distinct qubit indices")
@@ -84,7 +89,7 @@ class Circuit:
                     raise ValueError(f"gate qubit {q} out of range 1..{self.n}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         for name, value in self.params.items():
-            if not math.isfinite(value):
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
 
     def __hash__(self) -> int:
@@ -299,9 +304,15 @@ def synth_generator(
 
 
 def dense_exponential(g: SymmetrizedGenerator, theta: float) -> np.ndarray:
-    """exp(-i theta/2 M) via Hermitian eigendecomposition of the generator sum."""
+    """exp(-i theta/2 M) via Hermitian eigendecomposition of the generator sum.
+
+    With an even number of Y letters M is real, and the real symmetric
+    eigensolver is used on it (about 3x faster than the complex one).
+    """
     check_qubit_cap(g.n)
     m = g.matrix()
+    if not m.imag.any():
+        m = m.real
     eigenvalues, vectors = np.linalg.eigh(m)
     phases = np.exp(-0.5j * theta * eigenvalues)
     return (vectors * phases) @ vectors.conj().T
@@ -340,10 +351,37 @@ def circuit_to_json(c: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
+    """Inverse of ``circuit_to_json``; a malformed gate is reported by its index."""
     data = json.loads(text)
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("n"), int)
+        and isinstance(data.get("gates"), list)
+        and isinstance(data.get("params", {}), dict)
+    ):
+        raise ValueError(
+            'circuit JSON must be an object with an integer "n", a "gates" list '
+            'and an optional "params" object'
+        )
     memo: dict = {}
-    gates = [_gate(memo, g["kind"], tuple(g["qubits"]), g.get("param")) for g in data["gates"]]
-    return Circuit(int(data["n"]), gates, dict(data.get("params", {})))
+    gates = []
+    for k, g in enumerate(data["gates"]):
+        try:
+            gates.append(_gate(memo, g["kind"], tuple(g["qubits"]), g.get("param")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"gate {k}: {_json_gate_fault(g, exc)}") from None
+    return Circuit(data["n"], gates, data.get("params", {}))
+
+
+def _json_gate_fault(g, exc: Exception) -> str:
+    if not isinstance(g, dict):
+        return f'expected an object with "kind" and "qubits", got {g!r}'
+    for name in ("kind", "qubits"):
+        if name not in g:
+            return f"missing field {name!r}"
+    if not isinstance(g["qubits"], list):
+        return f"field 'qubits' must be a list of qubit indices, got {g['qubits']!r}"
+    return str(exc)
 
 
 _QASM_NAMES = {"H": "h", "S": "s", "Sdg": "sdg", "CNOT": "cx", "RX": "rx", "RY": "ry", "RZ": "rz"}

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from pisu import (
     SymmetrizedGenerator,
@@ -284,3 +285,23 @@ def test_export_reads_pi_angles_and_rejects_others(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "unsupported QASM angle 'pi*2' in line 'rx(pi*2) q[0];'" in err
+
+
+@pytest.mark.parametrize(
+    "circuit, message",
+    [
+        ({"n": 1, "gates": [{"qubits": [1]}]}, "error: gate 0: missing field 'kind'"),
+        ({"n": 1, "gates": [{"kind": "H", "qubits": 1}]}, "error: gate 0: field 'qubits' must be a list"),
+        ({"n": 1}, 'error: circuit JSON must be an object with an integer "n", a "gates" list'),
+    ],
+)
+@pytest.mark.parametrize("command", ["export", "verify"])
+def test_malformed_json_circuit_exits_two(tmp_path, capsys, circuit, message, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(circuit))
+    argv = ("export", "--circuit", str(path), "--out", "qasm") if command == "export" else (
+        "verify", "--circuit", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and "Traceback" not in err

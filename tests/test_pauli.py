@@ -328,3 +328,44 @@ def test_sum_terms_read_only_and_sum_hashable():
         assert back == s and hash(back) == hash(s)
         with pytest.raises(TypeError):
             back.terms[(1, 1)] = 5
+
+
+# Pauli algebra against dense products: with Gaussian-integer coefficients
+# every matrix entry is exact in {0, +-1, +-i} * coeff, so equality is exact
+
+
+@st.composite
+def gaussian_strings(draw, n):
+    mask = st.integers(0, 2**n - 1)
+    coeff = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+    return PauliString(n, draw(mask), draw(mask), draw(coeff))
+
+
+@st.composite
+def string_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(gaussian_strings(n)), draw(gaussian_strings(n))
+
+
+@st.composite
+def sum_pairs(draw):
+    n = draw(st.integers(1, 5))
+    terms = st.lists(gaussian_strings(n), min_size=1, max_size=8)
+    return PauliSum.from_strings(draw(terms)), PauliSum.from_strings(draw(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(string_pairs())
+def test_multiply_is_the_matrix_product(pair):
+    a, b = pair
+    ma, mb = string_matrix(a), string_matrix(b)
+    assert np.array_equal(string_matrix(multiply(a, b)), ma @ mb)
+    assert commutes(a, b) == np.array_equal(ma @ mb, mb @ ma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_pairs())
+def test_commutator_is_the_matrix_bracket(pair):
+    a, b = pair
+    ma, mb = a.matrix(), b.matrix()
+    assert np.array_equal(commutator(a, b).matrix(), ma @ mb - mb @ ma)

@@ -1,5 +1,7 @@
 """Dense circuit evaluation against a naive Kronecker-embedding oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from pisu import (
     symmetrize_fully,
     unitarity_defect,
 )
+from pisu import simulator
 from pisu.synthesis import GATE_KINDS
 
 import oracles
@@ -215,12 +218,107 @@ def test_random_circuits_bit_identical_to_tensordot(c):
     assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
 
 
-def test_verify_sized_circuits_bit_identical_to_tensordot():
-    # the n=9 circuits of the benchmark's verify workload: a fully
-    # symmetrized ansatz and a three-block coupled extension
-    full = symmetrize_fully(base_variational_circuit(9, seed=11), angle=1.3)
-    blocks = symmetrize_by_extension(
+# circuit_unitary splits the columns into min(CPUs, 2^n // 256) blocks and
+# evolves the blocks past the first on worker threads; the blocking must not
+# change a single bit
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _spy_blocks(monkeypatch):
+    """Record the (start, stop) column range of every evolved block."""
+    seen = []
+    evolve = simulator._evolve_columns
+
+    def spy(n, ops, start, stop):
+        seen.append((start, stop))
+        return evolve(n, ops, start, stop)
+
+    monkeypatch.setattr(simulator, "_evolve_columns", spy)
+    return seen
+
+
+def _verify_circuits():
+    # the four n=9 circuits of the benchmark's verify workload
+    from pisu import SymmetrizedGenerator, SynthesisPlan, TypeVector, synth_generator
+
+    yield symmetrize_fully(base_variational_circuit(9, seed=11), angle=1.3)
+    yield symmetrize_by_extension(
         base_variational_circuit(3, seed=12), 3, SymmetrizationChoice("couple", "couple")
     )
-    for c in (full, blocks):
+    for tv, theta in ((TypeVector(2, 0, 0, 7), 0.9), (TypeVector(0, 0, 3, 6), -2.2)):
+        gen = SymmetrizedGenerator(tv, tv.label)
+        yield synth_generator(gen, theta, SynthesisPlan("exact-product"))
+
+
+def test_verify_sized_circuits_bit_identical_to_tensordot(monkeypatch):
+    for c in _verify_circuits():
+        want = oracles.tensordot_circuit_unitary(c)
+        for cpus, blocks in ((1, [(0, 512)]), (2, [(0, 256), (256, 512)]), (4, [(0, 256), (256, 512)])):
+            _cpus(monkeypatch, cpus)
+            seen = _spy_blocks(monkeypatch)
+            u = circuit_unitary(c)
+            monkeypatch.undo()
+            assert sorted(seen) == blocks, (cpus, seen)
+            assert u.flags.c_contiguous and np.array_equal(u, want), (cpus, len(c.gates))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_random_width_ten_circuit_bit_identical_in_blocks(monkeypatch, cpus):
+    c = _random_circuit(np.random.default_rng(59), 10, 40)
+    _cpus(monkeypatch, cpus)
+    seen = _spy_blocks(monkeypatch)
+    u = circuit_unitary(c)
+    edges = {1: [0, 1024], 2: [0, 512, 1024], 3: [0, 256, 512, 1024], 4: [0, 256, 512, 768, 1024]}
+    assert sorted(seen) == list(zip(edges[cpus], edges[cpus][1:]))
+    assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_small_blocks_and_panels_bit_identical(monkeypatch, cpus):
+    # shrunk block and panel widths put the block edges and the column
+    # panels of every matmul inside small circuits, including uneven blocks
+    monkeypatch.setattr(simulator, "_BLOCK_COLUMNS", 4)
+    monkeypatch.setattr(simulator, "_ZGEMM_COLUMNS", 8)
+    _cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(61 + cpus)
+    for _ in range(30):
+        c = _random_circuit(rng, int(rng.integers(2, 8)), int(rng.integers(16, 40)))
         assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+
+
+def test_short_circuit_takes_one_block(monkeypatch):
+    # the benchmark's two-gate warm-up at n=9 starts no worker thread
+    _cpus(monkeypatch, 4)
+    seen = _spy_blocks(monkeypatch)
+    c = Circuit(9, (Gate("H", (1,)), Gate("CNOT", (1, 2))))
+    assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+    assert seen == [(0, 512)]
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    _cpus(monkeypatch, 2)
+    evolve = simulator._evolve_columns
+
+    def failing(n, ops, start, stop):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"block {start}:{stop} failed")
+        return evolve(n, ops, start, stop)
+
+    monkeypatch.setattr(simulator, "_evolve_columns", failing)
+    c = _random_circuit(np.random.default_rng(67), 9, 20)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 256:512 failed"):
+        circuit_unitary(c)
+    assert threading.active_count() == before
+
+
+def test_unbound_parameter_raises_before_any_block(monkeypatch):
+    _cpus(monkeypatch, 2)
+    seen = _spy_blocks(monkeypatch)
+    gates = (Gate("H", (1,)),) * 20 + (Gate("RX", (2,), "free"),)
+    with pytest.raises(UnboundParameterError, match="free"):
+        circuit_unitary(Circuit(9, gates))
+    assert seen == []

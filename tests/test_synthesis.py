@@ -570,3 +570,58 @@ def test_json_reader_keeps_gate_errors():
     twice = {"n": 2, "gates": [{"kind": "CNOT", "qubits": [2, 2], "param": None}] * 2, "params": {}}
     with pytest.raises(ValueError, match="CNOT needs two distinct qubit indices"):
         circuit_from_json(json.dumps(twice))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dense_exponential_matches_expm_for_both_y_parities(n):
+    # an even number of Y letters makes the generator real and takes the
+    # real symmetric eigensolver; an odd number keeps the complex one
+    rng = np.random.default_rng(71 + n)
+    parities = set()
+    for gen in enumerate_basis(n):
+        m = gen.matrix()
+        parities.add(gen.type_vector.n_y % 2)
+        assert m.imag.any() == (gen.type_vector.n_y % 2 == 1), gen.label
+        theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+        want = oracles.expm_oracle(m, theta)
+        assert np.abs(dense_exponential(gen, theta) - want).max() < 1e-10, gen.label
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "gates, message",
+    [
+        ([{"qubits": [1]}], "gate 0: missing field 'kind'"),
+        ([{"kind": "H", "qubits": [1]}, {"kind": "H"}], "gate 1: missing field 'qubits'"),
+        ([{"kind": "H", "qubits": 1}], "gate 0: field 'qubits' must be a list of qubit indices, got 1"),
+        ([{"kind": "H", "qubits": [1]}] * 3 + [["H", [1]]], 'gate 3: expected an object with "kind"'),
+        ([{"kind": "H", "qubits": ["1"]}], "gate 0: qubit indices must be integers"),
+        ([{"kind": "H", "qubits": [1.5]}], "gate 0: qubit indices must be integers"),
+        ([{"kind": "H", "qubits": [1, 2]}], "gate 0: H acts on exactly one qubit"),
+    ],
+)
+def test_json_reader_names_the_malformed_gate(gates, message):
+    with pytest.raises(ValueError) as info:
+        circuit_from_json(json.dumps({"n": 2, "gates": gates, "params": {}}))
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[], {"gates": []}, {"n": "2", "gates": []}, {"n": 2}, {"n": 2, "gates": {}},
+     {"n": 2, "gates": [], "params": [1]}],
+)
+def test_json_reader_rejects_a_malformed_envelope(data):
+    with pytest.raises(ValueError, match='integer "n", a "gates" list'):
+        circuit_from_json(json.dumps(data))
+
+
+def test_non_numeric_angle_rejected():
+    text = json.dumps({"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": "a"}], "params": {"a": "x"}})
+    with pytest.raises(ValueError, match="parameter 'a' must be a finite angle, got 'x'"):
+        circuit_from_json(text)
+
+
+def test_gate_qubits_are_plain_ints():
+    g = Gate("CNOT", (np.int64(2), True))
+    assert g == Gate("CNOT", (2, 1)) and all(type(q) is int for q in g.qubits)
