@@ -122,23 +122,19 @@ def base_variational_circuit(n: int, seed: int = 0) -> Circuit:
     return Circuit(n, tuple(gates), params)
 
 
-def _parse_base(c: Circuit) -> tuple[list[Gate], list[Gate], list[Gate]]:
+def _parse_base(c: Circuit) -> tuple[tuple[Gate, ...], ...]:
+    """The RX layer, RY layer and cyclic CNOT layer of a base circuit."""
     n = c.n
     if len(c.gates) != 3 * n:
         raise ValueError("not a base variational circuit (wrong gate count)")
-    rx = list(c.gates[:n])
-    ry = list(c.gates[n : 2 * n])
-    ent = list(c.gates[2 * n :])
-    for q, g in enumerate(rx, start=1):
-        if g.kind != "RX" or g.qubits != (q,):
-            raise ValueError("not a base variational circuit (RX layer malformed)")
-    for q, g in enumerate(ry, start=1):
-        if g.kind != "RY" or g.qubits != (q,):
-            raise ValueError("not a base variational circuit (RY layer malformed)")
-    for q, g in enumerate(ent, start=1):
-        if g.kind != "CNOT" or g.qubits != (q, q % n + 1):
-            raise ValueError("not a base variational circuit (entangler malformed)")
-    return rx, ry, ent
+    layers = (c.gates[:n], c.gates[n : 2 * n], c.gates[2 * n :])
+    names = ("RX layer", "RY layer", "entangler")
+    for layer, kind, what in zip(layers, ("RX", "RY", "CNOT"), names):
+        width = 2 if kind == "CNOT" else 1
+        for q, g in enumerate(layer, start=1):
+            if g.kind != kind or g.qubits != (q, q % n + 1)[:width]:
+                raise ValueError(f"not a base variational circuit ({what} malformed)")
+    return layers
 
 
 def cnots_commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -191,14 +187,20 @@ def augment_entangler(
     return groups
 
 
-def _coupled_rotation(
-    n: int, letter: str, qubits: tuple[int, ...], param: str, value: float
-) -> Circuit:
+def _rotation(
+    n: int, base: Gate, copies: tuple[int, ...], mode: str, param: str
+) -> tuple[Gate, ...]:
+    """The base RX/RY rotation spread over its qubit copies under ``param``.
+
+    ``tie`` puts one single-qubit rotation on each copy; ``couple`` emits
+    one multi-qubit rotation about the X...X (or Y...Y) string on the copies.
+    """
+    if mode == "tie":
+        return tuple(Gate(base.kind, (q,), param) for q in copies)
     word = ["I"] * n
-    for q in qubits:
-        word[q - 1] = letter
-    string = PauliString.from_letters("".join(word))
-    return synth_string(string, value, param_name=param)
+    for q in copies:
+        word[q - 1] = base.kind[1]  # RX -> X, RY -> Y
+    return synth_string(PauliString.from_letters("".join(word)), 0.0, param_name=param).gates
 
 
 def symmetrize_by_extension(
@@ -220,17 +222,11 @@ def symmetrize_by_extension(
     gates: list[Gate] = []
     params: dict[str, float] = {}
 
-    for layer_gates, mode, letter in ((rx, choice.x_layer, "X"), (ry, choice.y_layer, "Y")):
-        for g in layer_gates:
-            position = g.qubits[0]
-            value = c.params[g.param]
-            copies = tuple(bs.qubit(k, position) for k in range(1, blocks + 1))
-            if mode == "tie":
-                for q in copies:
-                    gates.append(Gate(g.kind, (q,), g.param))
-            else:
-                gates.extend(_coupled_rotation(bs.n, letter, copies, g.param, value).gates)
-            params[g.param] = value
+    for layer, mode in ((rx, choice.x_layer), (ry, choice.y_layer)):
+        for g in layer:
+            copies = tuple(bs.qubit(k, g.qubits[0]) for k in range(1, blocks + 1))
+            gates.extend(_rotation(bs.n, g, copies, mode, g.param))
+            params[g.param] = c.params[g.param]
 
     # closing each base CNOT under the per-position block swaps reaches every
     # block copy plus the cross-block images
@@ -264,19 +260,9 @@ def symmetrize_fully(
     gates: list[Gate] = []
     params: dict[str, float] = {}
 
-    for layer_gates, mode, letter, tied_name in (
-        (rx, choice.x_layer, "X", "alpha_1"),
-        (ry, choice.y_layer, "Y", "beta_1"),
-    ):
-        value = c.params[layer_gates[0].param]
-        if mode == "tie":
-            for q in range(1, n + 1):
-                gates.append(Gate(layer_gates[0].kind, (q,), tied_name))
-            params[tied_name] = value
-        else:
-            coupled = _coupled_rotation(n, letter, tuple(range(1, n + 1)), tied_name, value)
-            gates.extend(coupled.gates)
-            params[tied_name] = value
+    for layer, mode, tied_name in ((rx, choice.x_layer, "alpha_1"), (ry, choice.y_layer, "beta_1")):
+        gates.extend(_rotation(n, layer[0], tuple(range(1, n + 1)), mode, tied_name))
+        params[tied_name] = c.params[layer[0].param]
 
     if replacement is None:
         tv = TypeVector(2, 0, 0, n - 2)
@@ -311,11 +297,9 @@ def naive_full_augmentation(c: Circuit) -> Circuit:
     n = c.n
     gates: list[Gate] = []
     params: dict[str, float] = {}
-    for layer_gates, tied_name in ((rx, "alpha_1"), (ry, "beta_1")):
-        value = c.params[layer_gates[0].param]
-        for q in range(1, n + 1):
-            gates.append(Gate(layer_gates[0].kind, (q,), tied_name))
-        params[tied_name] = value
+    for layer, tied_name in ((rx, "alpha_1"), (ry, "beta_1")):
+        gates.extend(_rotation(n, layer[0], tuple(range(1, n + 1)), "tie", tied_name))
+        params[tied_name] = c.params[layer[0].param]
     base_cnots = [(g.qubits[0], g.qubits[1]) for g in ent]
     groups = augment_entangler(base_cnots, transpositions(n), require_abelian=False)
     merged = sorted(set(pair for group in groups for pair in group))

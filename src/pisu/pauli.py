@@ -105,10 +105,6 @@ class PauliString:
             count += 1
         return cls(count, x, z, complex(coeff))
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
-
     @property
     def letters(self) -> str:
         """Dense letter word, e.g. ``"XYI"``; index 0 is qubit 1."""
@@ -245,12 +241,6 @@ class PauliSum:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, s: PauliString) -> complex:
-        """Coefficient on the letter word of ``s`` (ignores ``s.coeff``)."""
-        if s.n != self.n:
-            raise ValueError(f"qubit counts differ: {s.n} != {self.n}")
-        return self.terms.get((s.x, s.z), 0j)
-
     def scaled(self, factor: complex) -> "PauliSum":
         return PauliSum(self.n, _pruned({k: factor * v for k, v in self.terms.items()}, PRUNE_EPS))
 
@@ -267,10 +257,6 @@ class PauliSum:
 
     def __rmul__(self, factor: complex) -> "PauliSum":
         return self.scaled(factor)
-
-    def norm(self) -> float:
-        """l2 norm of the coefficient vector (trace-orthogonal basis)."""
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.terms.values())))
 
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n realization, equal to the sum of ``string_matrix`` terms.

@@ -203,13 +203,6 @@ class ComparisonResult:
     global_phase: complex
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_diff": self.max_abs_diff,
-            "global_phase": [self.global_phase.real, self.global_phase.imag],
-            "pass": self.passed,
-        }
-
 
 def equal_up_to_global_phase(
     u: np.ndarray, v: np.ndarray, tol: float = 1e-10

@@ -27,27 +27,8 @@ import numpy as np
 from .pauli import PauliString, PauliSum, _bracket_masks, check_qubit_cap
 
 
-@dataclass(frozen=True)
-class SwapGroup:
-    """All qubit transpositions on n qubits; they generate the symmetric group."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-
-    @property
-    def generators(self) -> tuple[tuple[int, int], ...]:
-        return transpositions(self.n)
-
-    def matrices(self) -> Iterator[np.ndarray]:
-        for i, j in self.generators:
-            yield swap_matrix(i, j, self.n)
-
-
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
-    """All 1-based qubit index pairs (i, j) with i < j."""
+    """All 1-based qubit index pairs (i, j) with i < j; they generate S_n."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
@@ -160,12 +141,12 @@ def _arrangements(counts: Sequence[int]) -> Iterator[str]:
     yield from rec([], sum(counts))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SymmetrizedGenerator:
     """One basis element: a type vector plus its expanded permutation orbit.
 
     The orbit is expanded lazily and cached; ``orbit_size()`` is available
-    without expansion.
+    without expansion.  Fields are read-only; instances compare by identity.
     """
 
     type_vector: TypeVector
@@ -231,13 +212,8 @@ def scaling_table(max_n: int) -> list[tuple[int, int, int]]:
     return [(n, dim_pisu(n), 4**n - 1) for n in range(1, max_n + 1)]
 
 
-def is_invariant_under(u: np.ndarray, s: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff max |S U S^dag - U| < tol."""
-    return invariance_defect(u, s) < tol
-
-
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
-    """max |S U S^dag - U|, the quantity thresholded by is_invariant_under."""
+    """max |S U S^dag - U|: zero iff U commutes with the unitary S."""
     if u.shape != s.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {s.shape}")
     return float(np.abs(s @ u @ s.conj().T - u).max())
@@ -260,11 +236,6 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     t = u.reshape((2,) * (2 * n))
     axes = [*perm, *(n + k for k in perm)]
     return float(np.abs(t.transpose(axes) - t).max())
-
-
-def is_swap_invariant(u: np.ndarray, n: int, tol: float = 1e-10) -> bool:
-    """Invariance under every qubit transposition (they generate S_n)."""
-    return swap_invariance_defect(u, n) < tol
 
 
 def swap_invariance_defect(u: np.ndarray, n: int) -> float:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from operator import attrgetter, index
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class Circuit:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("a circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
         # each distinct qubit tuple once, in order of first appearance
         for qubits in dict.fromkeys(map(attrgetter("qubits"), self.gates)):
@@ -122,9 +124,6 @@ class Circuit:
             merged[k] = v
         return Circuit(self.n, self.gates + other.gates, merged)
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        return self.concat(other)
-
 
 @dataclass(frozen=True)
 class SynthesisPlan:
@@ -132,9 +131,8 @@ class SynthesisPlan:
 
     ``exact-product`` multiplies the orbit's string exponentials (valid only
     for pairwise-commuting orbits); ``trotter`` repeats the orbit product
-    over ``steps`` slices; ``dense-exponential`` skips gates and yields the
-    exact matrix.  ``pivot`` pins the central-rotation qubit where the
-    string supports allow it.
+    over ``steps`` slices.  ``pivot`` pins the central-rotation qubit where
+    the string supports allow it.
     """
 
     mode: str = "exact-product"
@@ -142,7 +140,7 @@ class SynthesisPlan:
     pivot: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact-product", "trotter", "dense-exponential"):
+        if self.mode not in ("exact-product", "trotter"):
             raise ValueError(f"unknown synthesis mode {self.mode!r}")
         if self.steps < 1:
             raise ValueError("trotter steps must be >= 1")
@@ -177,7 +175,6 @@ def synth_string(
     pivot: int | None = None,
     *,
     param_name: str = "theta",
-    ladder_order: Sequence[int] | None = None,
 ) -> Circuit:
     """Circuit realizing exp(-i theta/2 M) for a single coefficient-1 string.
 
@@ -188,10 +185,8 @@ def synth_string(
         pivot: 1-based qubit carrying the central RX; defaults to the
             lowest-index non-identity qubit.  Must sit on a non-identity
             letter.
-        ladder_order: visitation order of the remaining support qubits for
-            the CNOT fan; any permutation yields the same unitary.
     """
-    gates = _string_gates(s, pivot, param_name, ladder_order)
+    gates = _string_gates(s, pivot, param_name)
     return Circuit(s.n, tuple(gates), {param_name: float(theta)})
 
 
@@ -199,7 +194,6 @@ def _string_gates(
     s: PauliString,
     pivot: int | None,
     param_name: str,
-    ladder_order: Sequence[int] | None = None,
     memo: dict | None = None,
 ) -> list[Gate]:
     """The gates of ``synth_string``, validated the same way.
@@ -222,11 +216,6 @@ def _string_gates(
         raise ValueError(f"pivot qubit {pivot} carries an identity letter")
 
     targets = [q for q in support if q != pivot]
-    if ladder_order is not None:
-        if sorted(ladder_order) != sorted(targets):
-            raise ValueError("ladder_order must permute the non-pivot support qubits")
-        targets = list(ladder_order)
-
     opening: list[Gate] = []
     closing: list[Gate] = []
     for q in support:
@@ -262,13 +251,12 @@ def synth_generator(
     plan: SynthesisPlan | None = None,
     *,
     param_name: str = "theta",
-) -> Circuit | np.ndarray:
-    """Synthesize exp(-i theta/2 M) for a symmetrized generator.
+) -> Circuit:
+    """Synthesize exp(-i theta/2 M) for a symmetrized generator as a Circuit.
 
-    Exact-product and trotter modes return a Circuit; dense-exponential mode
-    returns the exact unitary matrix instead (for verification and small-n
-    export).  With no plan, exact-product is used when the orbit commutes
-    and a first-order product formula otherwise.
+    With no plan, exact-product is used when the orbit commutes and a
+    first-order product formula otherwise; ``dense_exponential`` gives the
+    exact matrix.
 
     Trotterized circuits bind the per-step angle under the name
     ``<param_name>_step`` (= theta / steps); rebinding it scales every slice.
@@ -278,9 +266,6 @@ def synth_generator(
             plan = SynthesisPlan("exact-product")
         else:
             plan = SynthesisPlan("trotter", steps=DEFAULT_TROTTER_STEPS)
-
-    if plan.mode == "dense-exponential":
-        return dense_exponential(g, theta)
 
     if plan.mode == "exact-product":
         if not commuting_orbit(g):
@@ -367,7 +352,13 @@ def circuit_from_json(text: str) -> Circuit:
     gates = []
     for k, g in enumerate(data["gates"]):
         try:
-            gates.append(_gate(memo, g["kind"], tuple(g["qubits"]), g.get("param")))
+            qubits = tuple(g["qubits"])
+            # 1.0 == 1 and True == 1 would hit the memo entry of an integer
+            # index.  A valid gate has one or two qubits, so its two ends are
+            # all of them; a longer list misses the memo and Gate rejects it.
+            if qubits and not type(qubits[0]) is type(qubits[-1]) is int:
+                raise ValueError(f"qubit indices must be integers, got {qubits!r}")
+            gates.append(_gate(memo, g["kind"], qubits, g.get("param")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"gate {k}: {_json_gate_fault(g, exc)}") from None
     return Circuit(data["n"], gates, data.get("params", {}))

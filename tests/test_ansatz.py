@@ -5,7 +5,9 @@ import pytest
 
 from pisu import (
     BlockStructure,
+    Circuit,
     NonAbelianEntanglerError,
+    PauliString,
     SymmetrizationChoice,
     SymmetrizedGenerator,
     TypeVector,
@@ -13,9 +15,8 @@ from pisu import (
     circuit_unitary,
     cnot_count,
     invariance_defect,
-    is_invariant_under,
-    is_swap_invariant,
     naive_full_augmentation,
+    string_matrix,
     swap_invariance_defect,
     swap_matrix,
     symmetrize_by_extension,
@@ -87,7 +88,7 @@ def test_extension_not_invariant_within_block():
     base = base_variational_circuit(3, seed=2)
     ext = symmetrize_by_extension(base, 2)
     u = circuit_unitary(ext)
-    assert not is_invariant_under(u, swap_matrix(1, 2, 6))
+    assert invariance_defect(u, swap_matrix(1, 2, 6)) >= 1e-10
 
 
 def test_extension_preserves_parameter_count():
@@ -162,7 +163,7 @@ def test_fully_symmetrized_invariance():
     assert full.param_names == ("alpha_1", "beta_1", "gamma")
     for _ in range(4):
         u = circuit_unitary(_random_binding(full, rng))
-        assert is_swap_invariant(u, 3, 1e-10)
+        assert swap_invariance_defect(u, 3) < 1e-10
 
 
 def test_fully_symmetrized_all_x_replacement():
@@ -171,7 +172,7 @@ def test_fully_symmetrized_all_x_replacement():
     tv = TypeVector(3, 0, 0, 0)
     full = symmetrize_fully(base, SymmetrizedGenerator(tv, tv.label))
     u = circuit_unitary(_random_binding(full, rng))
-    assert is_swap_invariant(u, 3, 1e-10)
+    assert swap_invariance_defect(u, 3) < 1e-10
 
 
 def test_fully_symmetrized_coupled_layers():
@@ -179,7 +180,7 @@ def test_fully_symmetrized_coupled_layers():
     base = base_variational_circuit(3, seed=4)
     full = symmetrize_fully(base, choice=SymmetrizationChoice("couple", "tie"))
     u = circuit_unitary(_random_binding(full, rng))
-    assert is_swap_invariant(u, 3, 1e-10)
+    assert swap_invariance_defect(u, 3) < 1e-10
 
 
 def test_tied_rotations_equal_symmetrized_exponential():
@@ -214,7 +215,7 @@ def test_naive_augmentation_fails_invariance():
     base = base_variational_circuit(3, seed=4)
     naive = naive_full_augmentation(base)
     u = circuit_unitary(naive)
-    assert not is_swap_invariant(u, 3, 1e-10)
+    assert swap_invariance_defect(u, 3) >= 1e-10
     assert swap_invariance_defect(u, 3) > 1e-2
 
 
@@ -232,14 +233,50 @@ def test_recipes_compose_with_generator_circuits():
     full = symmetrize_fully(base)
     tv = TypeVector(0, 0, 2, 1)
     extra = synth_generator(SymmetrizedGenerator(tv, tv.label), 0.8, param_name="delta")
-    composed = full + extra
+    composed = full.concat(extra)
     u = circuit_unitary(_random_binding(composed, rng))
-    assert is_swap_invariant(u, 3, 1e-10)
+    assert swap_invariance_defect(u, 3) < 1e-10
 
     ext = symmetrize_by_extension(base, 2)
     tv6 = TypeVector(2, 0, 0, 4)
     extra6 = synth_generator(SymmetrizedGenerator(tv6, tv6.label), 0.8, param_name="delta")
-    composed6 = ext + extra6
+    composed6 = ext.concat(extra6)
     bs = BlockStructure.for_extension(3, 2)
     u6 = circuit_unitary(_random_binding(composed6, rng))
     assert invariance_defect(u6, _block_exchange_matrix(bs, 1, 2)) < 1e-10
+
+
+def _rotation_layers_unitary(n, layers, params):
+    """Each (param, letter, mode, copies) in order: exp(-i a/2 P) with P the letter
+    on all copies when coupled, or on each copy in turn when tied."""
+    u = np.eye(2**n, dtype=complex)
+    for param, letter, mode, copies in layers:
+        for qubits in [copies] if mode == "couple" else [(q,) for q in copies]:
+            word = "".join(letter if q in qubits else "I" for q in range(1, n + 1))
+            rotation = string_matrix(PauliString.from_letters(word))
+            u = oracles.expm_oracle(rotation, params[param]) @ u
+    return u
+
+
+@pytest.mark.parametrize(
+    "x_layer, y_layer", [("couple", "couple"), ("tie", "couple"), ("couple", "tie")]
+)
+def test_rotation_layers_rotate_about_their_own_letter(x_layer, y_layer):
+    base = base_variational_circuit(2, seed=5)
+    choice = SymmetrizationChoice(x_layer, y_layer)
+    entangler = cnot_count(symmetrize_by_extension(base, 2))  # tied layers add no CNOTs
+    ext = symmetrize_by_extension(base, 2, choice)
+    layers = [(f"{name}_{p}", letter, mode, (p, p + 2))
+              for name, letter, mode in (("alpha", "X", x_layer), ("beta", "Y", y_layer))
+              for p in (1, 2)]
+    want = _rotation_layers_unitary(4, layers, ext.params)
+    got = circuit_unitary(Circuit(4, ext.gates[:-entangler], ext.params))
+    assert np.abs(got - want).max() < 1e-10
+
+    base = base_variational_circuit(3, seed=5)
+    full = symmetrize_fully(base, choice=choice, angle=0.6)
+    entangler = len(symmetrize_fully(base, angle=0.6).gates) - 2 * 3
+    layers = [("alpha_1", "X", x_layer, (1, 2, 3)), ("beta_1", "Y", y_layer, (1, 2, 3))]
+    want = _rotation_layers_unitary(3, layers, full.params)
+    got = circuit_unitary(Circuit(3, full.gates[:-entangler], full.params))
+    assert np.abs(got - want).max() < 1e-10

@@ -293,6 +293,12 @@ def test_export_reads_pi_angles_and_rejects_others(tmp_path, capsys):
         ({"n": 1, "gates": [{"qubits": [1]}]}, "error: gate 0: missing field 'kind'"),
         ({"n": 1, "gates": [{"kind": "H", "qubits": 1}]}, "error: gate 0: field 'qubits' must be a list"),
         ({"n": 1}, 'error: circuit JSON must be an object with an integer "n", a "gates" list'),
+        ({"n": 1, "gates": [{"kind": "H", "qubits": [1.0]}, {"kind": "H", "qubits": [1]}]},
+         "error: gate 0: qubit indices must be integers, got (1.0,)"),
+        ({"n": 1, "gates": [{"kind": "H", "qubits": [1]}, {"kind": "H", "qubits": [1.0]}]},
+         "error: gate 1: qubit indices must be integers, got (1.0,)"),
+        ({"n": -3, "gates": []}, "error: a circuit needs at least one qubit"),
+        ({"n": 0, "gates": []}, "error: a circuit needs at least one qubit"),
     ],
 )
 @pytest.mark.parametrize("command", ["export", "verify"])
@@ -305,3 +311,13 @@ def test_malformed_json_circuit_exits_two(tmp_path, capsys, circuit, message, co
     assert code == 2
     assert out == ""
     assert err.startswith(message) and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_rejects_a_qasm_register_of_no_qubits(tmp_path, capsys):
+    path = tmp_path / "empty.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[0];\n')
+    code, out, err = run_cli(capsys, "verify", "--circuit", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: a circuit needs at least one qubit"]

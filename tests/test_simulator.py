@@ -95,7 +95,7 @@ def test_concatenation_is_matrix_product():
         c2 = _random_circuit(rng, n, 5)
         c2 = Circuit(n, tuple(Gate(g.kind, g.qubits, g.param and "q" + g.param) for g in c2.gates),
                      {"q" + k: v for k, v in c2.params.items()})
-        whole = circuit_unitary(c1 + c2)
+        whole = circuit_unitary(c1.concat(c2))
         parts = circuit_unitary(c2) @ circuit_unitary(c1)
         assert np.abs(whole - parts).max() < 1e-12
 
@@ -187,7 +187,7 @@ def test_every_gate_kind_on_every_qubit_bit_identical():
                     # one gate on the identity, then on a dense random unitary
                     c = _one_gate(kind, n, qubit, other, float(rng.uniform(-7, 7)))
                     assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
-                    mixed = _random_circuit(rng, n, 12) + c
+                    mixed = _random_circuit(rng, n, 12).concat(c)
                     assert np.array_equal(
                         circuit_unitary(mixed), oracles.tensordot_circuit_unitary(mixed)
                     ), (kind, n, qubit, other)

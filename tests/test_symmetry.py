@@ -1,5 +1,7 @@
 """SWAP machinery, basis enumeration, projection, and Lie-closure checks."""
 
+import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +10,6 @@ import pytest
 from pisu import (
     PauliString,
     PauliSum,
-    SwapGroup,
     TypeVector,
     commutator,
     conjugate_by_swap,
@@ -16,8 +17,6 @@ from pisu import (
     dim_pisu,
     enumerate_basis,
     invariance_defect,
-    is_invariant_under,
-    is_swap_invariant,
     permutation_defect,
     project_onto_basis,
     scaling_table,
@@ -60,12 +59,6 @@ def test_swap_matches_pauli_construction():
     for n in (2, 3, 4):
         for i, j in transpositions(n):
             assert np.abs(swap_matrix(i, j, n) - oracles.swap_via_pauli(i, j, n)).max() < 1e-12
-
-
-def test_swap_group_generators():
-    group = SwapGroup(3)
-    assert group.generators == ((1, 2), (1, 3), (2, 3))
-    assert len(list(group.matrices())) == 3
 
 
 def test_conjugate_by_swap_exchanges_letters():
@@ -159,24 +152,24 @@ def test_generators_swap_invariant_numerically():
 
 
 def test_is_invariant_under_identity():
-    assert is_invariant_under(np.eye(4), swap_matrix(1, 2, 2))
+    assert invariance_defect(np.eye(4), swap_matrix(1, 2, 2)) < 1e-10
 
 
 def test_is_invariant_under_generator_exponential():
     sigma2 = enumerate_basis(2)[1]  # symmetrized XY
     u = oracles.expm_oracle(sigma2.matrix(), 1.0)
-    assert is_invariant_under(u, swap_matrix(1, 2, 2))
+    assert invariance_defect(u, swap_matrix(1, 2, 2)) < 1e-10
 
 
 def test_cnot_is_not_swap_invariant():
     cnot = oracles.cnot_full(1, 2, 2)
-    assert not is_invariant_under(cnot, swap_matrix(1, 2, 2))
-    assert not is_swap_invariant(cnot, 2)
+    assert invariance_defect(cnot, swap_matrix(1, 2, 2)) >= 1e-10
+    assert swap_invariance_defect(cnot, 2) >= 1e-10
 
 
 def test_is_invariant_dimension_mismatch():
     with pytest.raises(ValueError):
-        is_invariant_under(np.eye(4), np.eye(8))
+        invariance_defect(np.eye(4), np.eye(8))
 
 
 def test_project_basis_element():
@@ -236,8 +229,8 @@ def test_group_closed_under_product_and_inverse():
             for p in picks:
                 u = dense_exponential(basis[int(p)], float(rng.uniform(0, 2 * np.pi))) @ u
                 v = dense_exponential(basis[int(p)], float(rng.uniform(0, 2 * np.pi))) @ v
-            assert is_swap_invariant(u @ v, n, 1e-10)
-            assert is_swap_invariant(np.linalg.inv(u), n, 1e-10)
+            assert swap_invariance_defect(u @ v, n) < 1e-10
+            assert swap_invariance_defect(np.linalg.inv(u), n) < 1e-10
 
 
 def test_scaling_table():
@@ -370,5 +363,20 @@ def test_is_invariant_under_thresholds_invariance_defect():
     s = swap_matrix(1, 2, 2)
     defect = invariance_defect(u, s)
     assert defect == 1.0
-    assert not is_invariant_under(u, s, tol=defect)
-    assert is_invariant_under(u, s, tol=np.nextafter(defect, 2.0))
+
+
+def test_symmetrized_generator_is_read_only_and_caches_its_orbit():
+    gen = next(g for g in enumerate_basis(3) if g.label == "XYI")
+    for name, value in (("label", "bogus"), ("type_vector", TypeVector(3, 0, 0, 0))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gen, name, value)
+    assert gen.label == "XYI" and gen.type_vector == TypeVector(1, 1, 0, 1)
+    fresh = copy.deepcopy(gen)  # before anything is cached
+    assert gen.orbit is gen.orbit and gen.as_sum is gen.as_sum
+    cached = copy.deepcopy(gen)
+    for clone in (fresh, cached):
+        assert clone is not gen and clone.label == gen.label
+        assert clone.orbit == gen.orbit and clone.as_sum == gen.as_sum
+        assert clone.orbit is clone.orbit and clone.as_sum is clone.as_sum
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.label = "bogus"

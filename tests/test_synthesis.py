@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import typing
 
 import numpy as np
 import pytest
@@ -165,20 +166,6 @@ def test_synth_string_preconditions():
         synth_string(PauliString.from_letters("XX"), 0.5, pivot=5)
 
 
-def test_ladder_order_freedom():
-    rng = np.random.default_rng(31)
-    word = "XZZYX"
-    s = PauliString.from_letters(word)
-    reference = circuit_unitary(synth_string(s, 0.9))
-    targets = [q for q in s.support() if q != 1]
-    for _ in range(6):
-        order = list(rng.permutation(targets))
-        u = circuit_unitary(synth_string(s, 0.9, ladder_order=[int(q) for q in order]))
-        assert np.abs(u - reference).max() < 1e-12
-    with pytest.raises(ValueError):
-        synth_string(s, 0.9, ladder_order=[2, 3])
-
-
 def test_pivot_choice_is_physically_irrelevant():
     s = PauliString.from_letters("ZYIX")
     reference = circuit_unitary(synth_string(s, 1.3))
@@ -257,7 +244,7 @@ def test_exact_product_rejects_noncommuting_orbit():
 
 def test_dense_mode_returns_matrix():
     gen = _generator(1, 1, 1, 0)
-    u = synth_generator(gen, 0.5, SynthesisPlan("dense-exponential"))
+    u = dense_exponential(gen, 0.5)
     assert isinstance(u, np.ndarray)
     assert unitarity_defect(u) < 1e-12
 
@@ -435,6 +422,22 @@ def test_synthesis_plan_validation():
         SynthesisPlan("trotter", steps=0)
 
 
+def test_synth_generator_returns_only_circuits():
+    # the exact matrix comes from dense_exponential, not from a plan mode
+    with pytest.raises(ValueError, match="unknown synthesis mode 'dense-exponential'"):
+        SynthesisPlan("dense-exponential")
+    assert typing.get_type_hints(synth_generator)["return"] is Circuit
+    for gen in enumerate_basis(3):
+        for plan in (None, SynthesisPlan("trotter", steps=2)):
+            assert type(synth_generator(gen, 0.4, plan)) is Circuit
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_circuit_needs_a_qubit(n):
+    with pytest.raises(ValueError, match="a circuit needs at least one qubit"):
+        Circuit(n)
+
+
 def test_wrappers_conjugate_x_to_their_letter():
     # the closing gate G of each basis-change pair must satisfy G X G^dag = letter
     conjugators = {letter: gate_matrix(wrap[1]) for letter, wrap in _WRAPPERS.items() if wrap}
@@ -598,6 +601,17 @@ def test_dense_exponential_matches_expm_for_both_y_parities(n):
         ([{"kind": "H", "qubits": ["1"]}], "gate 0: qubit indices must be integers"),
         ([{"kind": "H", "qubits": [1.5]}], "gate 0: qubit indices must be integers"),
         ([{"kind": "H", "qubits": [1, 2]}], "gate 0: H acts on exactly one qubit"),
+        # 1.0 == 1 and True == 1: an earlier integer gate must not vouch for them
+        ([{"kind": "H", "qubits": [1.0]}, {"kind": "H", "qubits": [1]}],
+         "gate 0: qubit indices must be integers, got (1.0,)"),
+        ([{"kind": "H", "qubits": [1]}, {"kind": "H", "qubits": [1.0]}],
+         "gate 1: qubit indices must be integers, got (1.0,)"),
+        ([{"kind": "CNOT", "qubits": [1, 2]}, {"kind": "CNOT", "qubits": [1, 2.0]}],
+         "gate 1: qubit indices must be integers, got (1, 2.0)"),
+        ([{"kind": "CNOT", "qubits": [1, 2]}, {"kind": "CNOT", "qubits": [1.0, 2]}],
+         "gate 1: qubit indices must be integers, got (1.0, 2)"),
+        ([{"kind": "H", "qubits": [1]}, {"kind": "H", "qubits": [True]}],
+         "gate 1: qubit indices must be integers, got (True,)"),
     ],
 )
 def test_json_reader_names_the_malformed_gate(gates, message):
