@@ -19,6 +19,19 @@ from . import simulator, symmetry, synthesis
 from .symmetry import TypeVector
 
 
+def _positive(kind):
+    """argparse type for a finite ``kind`` value > 0; other text keeps argparse's message."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):  # false for nan
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _json_out(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -214,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="dimension formula vs. enumerated basis size")
     p.add_argument("--qubits", type=int, default=2)
-    p.add_argument("--table", type=int, metavar="N", help="print the scaling table for n=1..N")
+    p.add_argument("--table", type=_positive(int), metavar="N", help="print the scaling table for n=1..N")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("basis", help="enumerate the symmetrized-string basis")
@@ -224,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="verify Lie closure by exhaustive brackets")
     p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive(float), default=1e-12)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("synth", help="synthesize a generator exponential")
@@ -238,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check SWAP invariance of a circuit file")
     p.add_argument("--circuit", required=True, help="path to a .json or .qasm circuit")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ansatz", help="symmetrize the base variational circuit")
@@ -246,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, help="blocks:<b> or full")
     p.add_argument("--choice", choices=("tie", "couple"), default="tie")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
     p.add_argument("--out", choices=("qasm", "json"), default="json")
     p.set_defaults(func=_cmd_ansatz)
 

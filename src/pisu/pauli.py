@@ -313,41 +313,6 @@ def _pruned(acc: dict, epsilon: float) -> dict:
     return {k: v for k, v in acc.items() if abs(v) >= epsilon}
 
 
-def _bracket_masks(
-    ax: np.ndarray, az: np.ndarray, bx: np.ndarray, bz: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bracket of two unit-coefficient string sums given as int64 (x, z) mask arrays.
-
-    The vectorized form of ``commutator`` on the full term-pair grid: each
-    anticommuting pair contributes ``2 i^k`` to its product string, with the
-    i-power ``k`` computed as in ``multiply``.  Coefficients are accumulated
-    as exact Gaussian integers.  Returns ``(x, z, re, im)`` of the nonzero
-    terms, ordered by the packed key ``x << n | z``.
-    """
-    ax, az = ax[:, None], az[:, None]
-    px = ax ^ bx
-    pz = az ^ bz
-    anti = (np.bitwise_count((ax & bz) ^ (az & bx)) & 1).astype(bool)
-    k = (
-        np.bitwise_count(ax & az).astype(np.int64)
-        + np.bitwise_count(bx & bz)
-        + 2 * np.bitwise_count(az & bx)
-        - np.bitwise_count(px & pz)
-    )
-    # one sort over (product string, i-power) codes counts each phase per string
-    codes, counts = np.unique(((((px << n) | pz) << 2) | (k & 3))[anti], return_counts=True)
-    keys = codes >> 2
-    phase = codes & 3
-    value = 2 * (1 - (phase & 2)) * counts  # i^phase = +-1 or +-i
-    real = (phase & 1) == 0
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
-    re = np.add.reduceat(np.where(real, value, 0), starts)
-    im = np.add.reduceat(np.where(real, 0, value), starts)
-    nonzero = (re != 0) | (im != 0)
-    keys = keys[starts][nonzero]
-    return keys >> n, keys & ((1 << n) - 1), re[nonzero], im[nonzero]
-
-
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """Lie bracket ab - ba in canonical form.
 

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, _bracket_masks, check_qubit_cap
+from .pauli import PauliString, PauliSum, check_qubit_cap
 
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
@@ -318,54 +318,94 @@ def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
 
     Brackets and projections are computed in exact integer arithmetic, so
     the reported residual is exactly zero for a closed algebra and ``tol``
-    only sets the pass threshold for a nonzero one.
+    only sets the pass threshold for a nonzero one.  Each generator meets
+    all later orbits in pieces of at most 2^14 term pairs, so no temporary
+    grows with the largest orbit squared; what still grows with n is the
+    4^n count bins of one window and the masks of all 4^n - 1 orbit strings.
     """
     pairs, worst = _closure_residual(n, enumerate_basis(n))
     return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=worst < tol)
 
 
-def _orbit_masks(gen: SymmetrizedGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """The orbit's x and z masks as int64 arrays, in orbit order."""
-    return (
-        np.array([s.x for s in gen.orbit], dtype=np.int64),
-        np.array([s.z for s in gen.orbit], dtype=np.int64),
-    )
+_PIECE = 1 << 14  # term pairs per counted piece, and bins per window unless one generator has more
+_SIGN = np.array([0.0, 1.0, 0.0, -1.0])  # i^k / i for odd k; even k (commuting) is 0
+
+
+def _bracket_counts(
+    n: int, basis: Sequence[SymmetrizedGenerator]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Brackets of every generator with all later ones, as signed counts per product string.
+
+    Yields ``(a, b0, d)``: the bracket of ``basis[a]`` with ``basis[b0 + j]``
+    is ``sum 2i * d[j, key] * P_key`` over keys ``x << n | z``; ``d`` holds
+    exact integers.  The grid of ``a``'s orbit against a window of later
+    orbits is cut into pieces of at most ``_PIECE`` term pairs, splitting
+    rows and columns where one orbit is larger, and each piece is counted by
+    one ``np.bincount`` weighted by the sign of the product's i-power (odd
+    exactly on anticommuting pairs).
+    """
+    keys = 1 << 2 * n
+    x, z = np.array([(s.x, s.z) for gen in basis for s in gen.orbit], dtype=np.int64).T.copy()
+    key = x << n | z
+    n_y = np.bitwise_count(x & z)
+    sizes = [gen.orbit_size() for gen in basis]
+    ends = list(itertools.accumulate(sizes))
+    offset = np.repeat(np.arange(len(basis)) * keys, sizes)  # first bin of each string's generator
+    width = max(1, _PIECE // keys)
+    for a, end in enumerate(ends):
+        for b0 in range(a + 1, len(basis), width):
+            b1 = min(b0 + width, len(basis))
+            c0, c1 = ends[b0 - 1], ends[b1 - 1]
+            cols = min(c1 - c0, _PIECE)
+            rows = _PIECE // cols
+            d = np.zeros((b1 - b0) * keys)
+            for r in range(end - sizes[a], end, rows):
+                rs = slice(r, min(r + rows, end))
+                ka, za, ya = key[rs, None], z[rs, None], n_y[rs, None]
+                for c in range(c0, c1, cols):
+                    cs = slice(c, min(c + cols, c1))
+                    p = ka ^ key[cs]
+                    k = ya + n_y[cs] + 2 * np.bitwise_count(za & x[cs]) - np.bitwise_count(p & p >> n)
+                    bins = p + (offset[cs] - b0 * keys)
+                    d += np.bincount(bins.ravel(), _SIGN[k & 3].ravel(), d.size)
+            yield a, b0, d.reshape(b1 - b0, keys)
 
 
 def _closure_residual(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[int, float]:
     """Pair count and worst projection residual over all pairwise brackets of ``basis``.
 
     Equal to looping ``commutator`` and ``project_onto_basis`` over the
-    pairs, but on (x, z) mask arrays: each generator's orbit has unit
-    coefficients, so every bracket coefficient is a Gaussian integer and each
-    squared residual is an exact rational, converted to a float only once.
+    pairs.  Every bracket coefficient is ``2i`` times an integer count ``d``,
+    so a type of orbit size ``s`` adds ``4 (s * sum d^2 - (sum d)^2) / s`` to
+    the squared residual, and a type outside the basis adds ``4 sum d^2``.
+    The numerators are int64 while ``4 M^4`` (M the largest orbit) bounds
+    them below 2^63 and Python ints above; the worst squared residual is an
+    exact rational, converted to a float only once.
     """
-    side = n + 1
-    generator_of_type = np.full(side**3, -1, dtype=np.int64)
-    for idx, gen in enumerate(basis):
+    side, keys = n + 1, 1 << 2 * n
+    slot_of_type = np.zeros(side**3, dtype=np.int64)  # slot 0: no basis element
+    for slot, gen in enumerate(basis, 1):
         tv = gen.type_vector
-        generator_of_type[(tv.n_x * side + tv.n_y) * side + tv.n_z] = idx
+        slot_of_type[(tv.n_x * side + tv.n_y) * side + tv.n_z] = slot
+    x, z = np.divmod(np.arange(keys), 1 << n)
+    n_y = np.bitwise_count(x & z).astype(np.int64)
+    n_x, n_z = np.bitwise_count(x) - n_y, np.bitwise_count(z) - n_y
+    slot_of_key = slot_of_type[(n_x * side + n_y) * side + n_z]
     sizes = [gen.orbit_size() for gen in basis]
+    dtype = np.int64 if 4 * max(sizes) ** 4 < 2**63 else object
+    size = np.array([1, *sizes], dtype=dtype)
     worst = Fraction(0)
-    for (ax, az), (bx, bz) in itertools.combinations(map(_orbit_masks, basis), 2):
-        x, z, re, im = _bracket_masks(ax, az, bx, bz, n)
-        n_y = np.bitwise_count(x & z).astype(np.int64)
-        n_x = np.bitwise_count(x) - n_y
-        n_z = np.bitwise_count(z) - n_y
-        gen = generator_of_type[(n_x * side + n_y) * side + n_z]
-        order = np.argsort(gen, kind="stable")
-        gen = gen[order]
-        starts = np.flatnonzero(np.diff(gen, prepend=-2))  # generator indices are >= -1
-        re, im = re[order], im[order]
-        # per-type sums stay far below int64 range; the squares below are Python ints
-        norm_sq = np.add.reduceat(re * re + im * im, starts).tolist()
-        sum_re = np.add.reduceat(re, starts).tolist()
-        sum_im = np.add.reduceat(im, starts).tolist()
-        residual_sq = Fraction(0)
-        for g, sq, r, i in zip(gen[starts].tolist(), norm_sq, sum_re, sum_im):
-            if g < 0:  # no basis element of this type (e.g. an identity component)
-                residual_sq += sq
-            elif numerator := sizes[g] * sq - r * r - i * i:
-                residual_sq += Fraction(numerator, sizes[g])
-        worst = max(worst, residual_sq)
+    for _, _, d in _bracket_counts(n, basis):
+        flat = np.flatnonzero(d)
+        value = d.ravel()[flat].astype(np.int64).astype(dtype)
+        group = flat >> 2 * n, slot_of_key[flat & keys - 1]
+        sq, total = np.zeros((2, len(d), size.size), dtype=dtype)
+        np.add.at(sq, group, value * value)
+        np.add.at(total, group, value)
+        total[:, 0] = 0  # slot 0 adds 4 sum d^2
+        numerator = 4 * (size * sq - total * total)
+        residual_sq: dict[int, Fraction] = {}  # only pairs with a nonzero residual
+        for j, slot in zip(*np.nonzero(numerator)):
+            residual_sq[j] = residual_sq.get(j, 0) + Fraction(int(numerator[j, slot]), int(size[slot]))
+        worst = max([worst, *residual_sq.values()])
     return math.comb(len(basis), 2), math.sqrt(worst)

@@ -131,8 +131,8 @@ class SynthesisPlan:
 
     ``exact-product`` multiplies the orbit's string exponentials (valid only
     for pairwise-commuting orbits); ``trotter`` repeats the orbit product
-    over ``steps`` slices.  ``pivot`` pins the central-rotation qubit where
-    the string supports allow it.
+    over ``steps`` slices.  ``pivot`` (1..n, else ``synth_generator`` raises)
+    pins the central-rotation qubit of each string not idle on it.
     """
 
     mode: str = "exact-product"
@@ -240,7 +240,7 @@ def commuting_orbit(g: SymmetrizedGenerator) -> bool:
 
 
 def _string_pivot(s: PauliString, plan_pivot: int | None) -> int | None:
-    if plan_pivot is not None and 1 <= plan_pivot <= s.n and s.letter(plan_pivot) != "I":
+    if plan_pivot is not None and s.letter(plan_pivot) != "I":
         return plan_pivot
     return None  # synth_string falls back to the lowest support qubit
 
@@ -266,6 +266,8 @@ def synth_generator(
             plan = SynthesisPlan("exact-product")
         else:
             plan = SynthesisPlan("trotter", steps=DEFAULT_TROTTER_STEPS)
+    if plan.pivot is not None and not 1 <= plan.pivot <= g.n:
+        raise ValueError(f"pivot {plan.pivot} out of range 1..{g.n}")
 
     if plan.mode == "exact-product":
         if not commuting_orbit(g):
@@ -340,7 +342,7 @@ def circuit_from_json(text: str) -> Circuit:
     data = json.loads(text)
     if not (
         isinstance(data, dict)
-        and isinstance(data.get("n"), int)
+        and type(data.get("n")) is int  # not bool, which is an int
         and isinstance(data.get("gates"), list)
         and isinstance(data.get("params", {}), dict)
     ):

@@ -4,7 +4,10 @@ Everything here is deliberately built on a different path than the code
 under test: full Kronecker embeddings instead of sliced application,
 scipy's Pade-based expm instead of eigendecomposition, and hand-frozen
 gate matrices instead of the package's tables.  ``closure_by_objects`` is
-the object-level bracket-and-project loop that the closure kernel replaces.
+the object-level bracket-and-project loop that the closure kernel replaces,
+and ``closure_by_pair_grids`` (with ``bracket_masks`` and ``orbit_masks``)
+is the earlier mask kernel that sorts one full term-pair grid per generator
+pair; the batched kernel must equal it exactly.
 ``tensordot_circuit_unitary``, ``kron_pauli_sum_matrix`` and
 ``dense_swap_invariance_defect`` are the dense-arithmetic versions of
 ``circuit_unitary``, ``PauliSum.matrix`` and ``swap_invariance_defect`` that
@@ -19,7 +22,9 @@ them byte for byte and the readers gate for gate.
 import functools
 import itertools
 import json
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -131,6 +136,80 @@ def closure_by_objects(n, basis):
         _, residual = project_onto_basis(commutator(g1.as_sum, g2.as_sum), basis)
         worst = max(worst, residual)
     return pairs, worst
+
+
+def bracket_masks(ax, az, bx, bz, n):
+    """Bracket of two unit-coefficient string sums given as int64 (x, z) mask arrays.
+
+    The vectorized form of ``commutator`` on the full term-pair grid: each
+    anticommuting pair contributes ``2 i^k`` to its product string, with the
+    i-power ``k`` computed as in ``multiply``.  Coefficients are accumulated
+    as exact Gaussian integers.  Returns ``(x, z, re, im)`` of the nonzero
+    terms, ordered by the packed key ``x << n | z``.
+    """
+    ax, az = ax[:, None], az[:, None]
+    px = ax ^ bx
+    pz = az ^ bz
+    anti = (np.bitwise_count((ax & bz) ^ (az & bx)) & 1).astype(bool)
+    k = (
+        np.bitwise_count(ax & az).astype(np.int64)
+        + np.bitwise_count(bx & bz)
+        + 2 * np.bitwise_count(az & bx)
+        - np.bitwise_count(px & pz)
+    )
+    # one sort over (product string, i-power) codes counts each phase per string
+    codes, counts = np.unique(((((px << n) | pz) << 2) | (k & 3))[anti], return_counts=True)
+    keys = codes >> 2
+    phase = codes & 3
+    value = 2 * (1 - (phase & 2)) * counts  # i^phase = +-1 or +-i
+    real = (phase & 1) == 0
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    re = np.add.reduceat(np.where(real, value, 0), starts)
+    im = np.add.reduceat(np.where(real, 0, value), starts)
+    nonzero = (re != 0) | (im != 0)
+    keys = keys[starts][nonzero]
+    return keys >> n, keys & ((1 << n) - 1), re[nonzero], im[nonzero]
+
+
+def orbit_masks(gen):
+    """The orbit's x and z masks as int64 arrays, in orbit order."""
+    return (
+        np.array([s.x for s in gen.orbit], dtype=np.int64),
+        np.array([s.z for s in gen.orbit], dtype=np.int64),
+    )
+
+
+def closure_by_pair_grids(n, basis):
+    """Pair count and worst residual of verify_closure, one sorted pair grid at a time."""
+    side = n + 1
+    generator_of_type = np.full(side**3, -1, dtype=np.int64)
+    for idx, gen in enumerate(basis):
+        tv = gen.type_vector
+        generator_of_type[(tv.n_x * side + tv.n_y) * side + tv.n_z] = idx
+    sizes = [gen.orbit_size() for gen in basis]
+    worst = Fraction(0)
+    for (ax, az), (bx, bz) in itertools.combinations(map(orbit_masks, basis), 2):
+        x, z, re, im = bracket_masks(ax, az, bx, bz, n)
+        n_y = np.bitwise_count(x & z).astype(np.int64)
+        n_x = np.bitwise_count(x) - n_y
+        n_z = np.bitwise_count(z) - n_y
+        gen = generator_of_type[(n_x * side + n_y) * side + n_z]
+        order = np.argsort(gen, kind="stable")
+        gen = gen[order]
+        starts = np.flatnonzero(np.diff(gen, prepend=-2))  # generator indices are >= -1
+        re, im = re[order], im[order]
+        # per-type sums stay far below int64 range; the squares below are Python ints
+        norm_sq = np.add.reduceat(re * re + im * im, starts).tolist()
+        sum_re = np.add.reduceat(re, starts).tolist()
+        sum_im = np.add.reduceat(im, starts).tolist()
+        residual_sq = Fraction(0)
+        for g, sq, r, i in zip(gen[starts].tolist(), norm_sq, sum_re, sum_im):
+            if g < 0:  # no basis element of this type (e.g. an identity component)
+                residual_sq += sq
+            elif numerator := sizes[g] * sq - r * r - i * i:
+                residual_sq += Fraction(numerator, sizes[g])
+        worst = max(worst, residual_sq)
+    return math.comb(len(basis), 2), math.sqrt(worst)
 
 
 def tensordot_circuit_unitary(c):

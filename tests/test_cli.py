@@ -72,6 +72,51 @@ def test_closure_pass(capsys):
     assert data["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize("pivot", ["5", "0", "-1"])
+def test_synth_rejects_a_pivot_outside_the_register(capsys, pivot):
+    code, out, err = run_cli(
+        capsys, "synth", "--qubits", "3", "--type", "x:2", "--theta", "0.1", "--pivot", pivot
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: pivot {pivot} out of range 1..3"]
+
+
+def test_synth_pivot_on_an_identity_letter_still_synthesizes(capsys):
+    code, out, _ = run_cli(
+        capsys, "synth", "--qubits", "3", "--type", "x:2", "--theta", "0.1", "--pivot", "3"
+    )
+    assert code == 0 and out.startswith("OPENQASM 2.0;")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12", "1e-400"])
+@pytest.mark.parametrize(
+    "argv",
+    [("closure", "--qubits", "2"), ("verify", "--circuit", "unread.json"),
+     ("ansatz", "--qubits", "2", "--mode", "full")],
+)
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert f"argument --tol: must be finite and > 0, got '{tol}'" in err
+
+
+@pytest.mark.parametrize("table", ["0", "-3"])
+def test_dim_table_must_be_positive(capsys, table):
+    code, out, err = run_cli(capsys, "dim", f"--table={table}")
+    assert code == 2
+    assert out == ""
+    assert f"argument --table: must be finite and > 0, got '{table}'" in err
+
+
+def test_numeric_options_keep_their_parse_errors(capsys):
+    code, _, err = run_cli(capsys, "closure", "--qubits", "2", "--tol", "tiny")
+    assert code == 2 and "argument --tol: invalid float value: 'tiny'" in err
+    code, _, err = run_cli(capsys, "dim", "--table", "2.5")
+    assert code == 2 and "argument --table: invalid int value: '2.5'" in err
+
+
 def test_synth_qasm_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "synth", "--qubits", "2", "--type", "x:1,y:1", "--theta", "0.5", "--out", "qasm"
@@ -299,6 +344,8 @@ def test_export_reads_pi_angles_and_rejects_others(tmp_path, capsys):
          "error: gate 1: qubit indices must be integers, got (1.0,)"),
         ({"n": -3, "gates": []}, "error: a circuit needs at least one qubit"),
         ({"n": 0, "gates": []}, "error: a circuit needs at least one qubit"),
+        ({"n": True, "gates": [{"kind": "H", "qubits": [1]}]},
+         'error: circuit JSON must be an object with an integer "n", a "gates" list'),
     ],
 )
 @pytest.mark.parametrize("command", ["export", "verify"])

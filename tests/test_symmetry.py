@@ -3,9 +3,12 @@
 import copy
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisu import (
     PauliString,
@@ -26,8 +29,8 @@ from pisu import (
     transpositions,
     verify_closure,
 )
-from pisu.pauli import _bracket_masks
-from pisu.symmetry import _closure_residual, _orbit_masks
+from pisu import symmetry
+from pisu.symmetry import _bracket_counts, _closure_residual
 
 import oracles
 
@@ -256,17 +259,26 @@ def test_generator_repr_and_sum():
     assert gen.as_sum.num_terms() == 1
 
 
-def _kernel_terms(g1, g2):
-    x, z, re, im = _bracket_masks(*_orbit_masks(g1), *_orbit_masks(g2), g1.n)
-    return {(int(a), int(b)): complex(r, i) for a, b, r, i in zip(x, z, re, im)}
+def _kernel_terms(n, basis):
+    """Every pair's bracket terms, decoded from the batched kernel's signed counts."""
+    out = {}
+    for a, b0, d in _bracket_counts(n, basis):
+        for j, row in enumerate(d):
+            keys = np.flatnonzero(row).tolist()
+            out[a, b0 + j] = {
+                (key >> n, key & ((1 << n) - 1)): complex(0, 2 * row[key]) for key in keys
+            }
+    return out
 
 
 def test_bracket_kernel_matches_commutator():
     for n in (1, 2, 3, 4):
         basis = enumerate_basis(n)
-        for g1, g2 in itertools.combinations(basis, 2):
+        terms = _kernel_terms(n, basis)
+        assert len(terms) == len(basis) * (len(basis) - 1) // 2
+        for (i, g1), (j, g2) in itertools.combinations(enumerate(basis), 2):
             expected = commutator(g1.as_sum, g2.as_sum).terms
-            assert _kernel_terms(g1, g2) == expected, (n, g1.label, g2.label)
+            assert terms[i, j] == expected, (n, g1.label, g2.label)
 
 
 def test_closure_matches_object_oracle():
@@ -275,6 +287,12 @@ def test_closure_matches_object_oracle():
         assert (report.pairs, report.max_residual) == oracles.closure_by_objects(
             n, enumerate_basis(n)
         )
+
+
+def test_closure_matches_pair_grid_oracle_exactly():
+    for n in range(1, 7):
+        basis = enumerate_basis(n)
+        assert _closure_residual(n, basis) == oracles.closure_by_pair_grids(n, basis)
 
 
 def test_closure_detects_a_missing_generator():
@@ -287,6 +305,51 @@ def test_closure_detects_a_missing_generator():
             assert pairs == expected_pairs
             assert worst > 0.0, (n, basis[drop].label)
             assert abs(worst - expected) < 1e-12
+            assert (pairs, worst) == oracles.closure_by_pair_grids(n, reduced)
+
+
+def test_closure_of_every_two_generator_basis_matches_pair_grid_oracle():
+    # one pair per basis, so each pair's residual (summed over all the
+    # types its bracket reaches) is the reported worst
+    for n in (2, 3, 4):
+        for pair in itertools.combinations(enumerate_basis(n), 2):
+            assert _closure_residual(n, pair) == oracles.closure_by_pair_grids(n, pair), pair
+    xi, yz = (g for g in enumerate_basis(2) if g.label in ("XI", "YZ"))
+    # [XI + IX, YZ + ZY] = 4i (ZZ - YY): two types outside this basis
+    assert _closure_residual(2, [xi, yz]) == (1, 32**0.5)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_closure_is_independent_of_the_piece_budget(budget):
+    # budgets this small split every orbit larger than one piece mid-row and
+    # mid-column; 64 also puts several column generators into one window
+    # from n=2 on (16 keys each)
+    cases = []
+    for n in (1, 2, 3, 4):
+        basis = enumerate_basis(n)
+        cases.append((n, basis))
+        cases.append((n, basis[1:-1]))  # without X...X and ZI...I: nonzero residuals
+    for n, basis in cases:
+        if budget == 1 and n == 4:
+            continue  # 32k one-pair pieces; n <= 3 already splits everything
+        expected = _closure_residual(n, basis), _kernel_terms(n, basis)
+        with mock.patch.object(symmetry, "_PIECE", budget):
+            assert (_closure_residual(n, basis), _kernel_terms(n, basis)) == expected, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closure_of_random_sub_bases_matches_pair_grid_oracle(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    basis = enumerate_basis(n)
+    picks = data.draw(
+        st.lists(st.integers(0, len(basis) - 1), min_size=2, max_size=len(basis), unique=True),
+        label="picks",
+    )
+    budget = data.draw(st.sampled_from([5, 64, 1 << 14]), label="budget")
+    sub = [basis[k] for k in picks]
+    with mock.patch.object(symmetry, "_PIECE", budget):
+        assert _closure_residual(n, sub) == oracles.closure_by_pair_grids(n, sub)
 
 
 def test_closure_six_qubits():

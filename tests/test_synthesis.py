@@ -174,6 +174,19 @@ def test_pivot_choice_is_physically_irrelevant():
         assert np.abs(u - reference).max() < 1e-12
 
 
+@pytest.mark.parametrize("pivot", [5, 4, 0, -1])
+def test_synth_generator_rejects_a_pivot_outside_the_register(pivot):
+    for mode in ("exact-product", "trotter"):
+        with pytest.raises(ValueError, match=rf"^pivot {pivot} out of range 1\.\.3$"):
+            synth_generator(_generator(2, 0, 0, 1), 0.1, SynthesisPlan(mode, pivot=pivot))
+
+
+def test_synth_generator_pivot_on_an_identity_letter_falls_back_per_string():
+    # pivot 3 is an identity letter of XXI only; that string keeps its default pivot 1
+    c = synth_generator(_generator(2, 0, 0, 1), 0.1, SynthesisPlan(pivot=3))
+    assert [g.qubits for g in c.gates if g.kind == "RX"] == [(1,), (3,), (3,)]
+
+
 def test_synth_generator_x_type_is_parallel_rotations():
     c = synth_generator(_generator(1, 0, 0, 1), 0.4)
     assert isinstance(c, Circuit)
@@ -623,7 +636,8 @@ def test_json_reader_names_the_malformed_gate(gates, message):
 @pytest.mark.parametrize(
     "data",
     [[], {"gates": []}, {"n": "2", "gates": []}, {"n": 2}, {"n": 2, "gates": {}},
-     {"n": 2, "gates": [], "params": [1]}],
+     {"n": 2, "gates": [], "params": [1]}, {"n": True, "gates": [{"kind": "H", "qubits": [1]}]},
+     {"n": False, "gates": []}],
 )
 def test_json_reader_rejects_a_malformed_envelope(data):
     with pytest.raises(ValueError, match='integer "n", a "gates" list'):
