@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -277,6 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes -1e-3 or -inf for a flag: pass --opt=-1e-3
+        prev = argv[i - 1]  # every long option but --help takes one value
+        long_option = prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+        if long_option and re.match(r"-(\.?\d|inf|nan)", argv[i], re.I):
+            argv[i - 1 : i + 1] = [f"{prev}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -318,17 +318,30 @@ def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
 
     Brackets and projections are computed in exact integer arithmetic, so
     the reported residual is exactly zero for a closed algebra and ``tol``
-    only sets the pass threshold for a nonzero one.  Each generator meets
-    all later orbits in pieces of at most 2^14 term pairs, so no temporary
-    grows with the largest orbit squared; what still grows with n is the
-    4^n count bins of one window and the masks of all 4^n - 1 orbit strings.
+    only sets the pass threshold for a nonzero one.  Orbit masks come from
+    one enumeration of the 4^n keys (no ``PauliString`` is built), and each
+    generator meets all later orbits in pieces of at most 2^14 term pairs;
+    the keys and one window's 4^n count bins hold ``n`` to the qubit cap.
     """
+    check_qubit_cap(n)
     pairs, worst = _closure_residual(n, enumerate_basis(n))
     return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=worst < tol)
 
 
 _PIECE = 1 << 14  # term pairs per counted piece, and bins per window unless one generator has more
 _SIGN = np.array([0.0, 1.0, 0.0, -1.0])  # i^k / i for odd k; even k (commuting) is 0
+
+
+def _type_codes(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[np.ndarray, list[int]]:
+    """Type codes of all 4^n keys ``x << n | z``, from one enumeration, and of each generator."""
+    side = n + 1
+    # one (2, 4^n) block: freeing it lifts glibc's mmap and trim thresholds above the kernel's
+    # per-piece arrays, which would otherwise be unmapped and faulted in again (2.3M faults at n=8)
+    x, z = np.indices((1 << n, 1 << n)).reshape(2, -1)
+    n_y = np.bitwise_count(x & z).astype(np.int64)
+    n_x, n_z = np.bitwise_count(x) - n_y, np.bitwise_count(z) - n_y
+    tvs = [gen.type_vector for gen in basis]
+    return (n_x * side + n_y) * side + n_z, [(tv.n_x * side + tv.n_y) * side + tv.n_z for tv in tvs]
 
 
 def _bracket_counts(
@@ -338,15 +351,15 @@ def _bracket_counts(
 
     Yields ``(a, b0, d)``: the bracket of ``basis[a]`` with ``basis[b0 + j]``
     is ``sum 2i * d[j, key] * P_key`` over keys ``x << n | z``; ``d`` holds
-    exact integers.  The grid of ``a``'s orbit against a window of later
-    orbits is cut into pieces of at most ``_PIECE`` term pairs, splitting
-    rows and columns where one orbit is larger, and each piece is counted by
-    one ``np.bincount`` weighted by the sign of the product's i-power (odd
-    exactly on anticommuting pairs).
+    exact integers, and an orbit's strings are the keys of its type, ascending.
+    The grid of ``a``'s orbit against a window of later orbits is cut into
+    pieces of at most ``_PIECE`` term pairs, splitting rows and columns where
+    one orbit is larger, and each piece is counted by one ``np.bincount``
+    weighted by the sign of the product's i-power (odd on anticommuting pairs).
     """
-    keys = 1 << 2 * n
-    x, z = np.array([(s.x, s.z) for gen in basis for s in gen.orbit], dtype=np.int64).T.copy()
-    key = x << n | z
+    keys, (codes, basis_codes) = 1 << 2 * n, _type_codes(n, basis)
+    key = np.concatenate([np.flatnonzero(codes == code) for code in basis_codes])
+    x, z = key >> n, key & (1 << n) - 1
     n_y = np.bitwise_count(x & z)
     sizes = [gen.orbit_size() for gen in basis]
     ends = list(itertools.accumulate(sizes))
@@ -366,8 +379,8 @@ def _bracket_counts(
                     cs = slice(c, min(c + cols, c1))
                     p = ka ^ key[cs]
                     k = ya + n_y[cs] + 2 * np.bitwise_count(za & x[cs]) - np.bitwise_count(p & p >> n)
-                    bins = p + (offset[cs] - b0 * keys)
-                    d += np.bincount(bins.ravel(), _SIGN[k & 3].ravel(), d.size)
+                    p += offset[cs] - b0 * keys  # product key -> bin in d
+                    d += np.bincount(p.ravel(), _SIGN[k & 3].ravel(), d.size)
             yield a, b0, d.reshape(b1 - b0, keys)
 
 
@@ -382,15 +395,10 @@ def _closure_residual(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[in
     them below 2^63 and Python ints above; the worst squared residual is an
     exact rational, converted to a float only once.
     """
-    side, keys = n + 1, 1 << 2 * n
-    slot_of_type = np.zeros(side**3, dtype=np.int64)  # slot 0: no basis element
-    for slot, gen in enumerate(basis, 1):
-        tv = gen.type_vector
-        slot_of_type[(tv.n_x * side + tv.n_y) * side + tv.n_z] = slot
-    x, z = np.divmod(np.arange(keys), 1 << n)
-    n_y = np.bitwise_count(x & z).astype(np.int64)
-    n_x, n_z = np.bitwise_count(x) - n_y, np.bitwise_count(z) - n_y
-    slot_of_key = slot_of_type[(n_x * side + n_y) * side + n_z]
+    keys, (codes, basis_codes) = 1 << 2 * n, _type_codes(n, basis)
+    slot_of_type = np.zeros((n + 1) ** 3, dtype=np.int64)  # slot 0: no basis element
+    slot_of_type[basis_codes] = np.arange(1, len(basis) + 1)  # a type listed twice: either slot
+    slot_of_key = slot_of_type[codes]
     sizes = [gen.orbit_size() for gen in basis]
     dtype = np.int64 if 4 * max(sizes) ** 4 < 2**63 else object
     size = np.array([1, *sizes], dtype=dtype)

@@ -89,7 +89,7 @@ def test_synth_pivot_on_an_identity_letter_still_synthesizes(capsys):
     assert code == 0 and out.startswith("OPENQASM 2.0;")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12", "1e-400"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12", "1e-400", "-1E-12", "-Infinity", "-nan"])
 @pytest.mark.parametrize(
     "argv",
     [("closure", "--qubits", "2"), ("verify", "--circuit", "unread.json"),
@@ -100,6 +100,41 @@ def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
     assert code == 2
     assert out == ""
     assert f"argument --tol: must be finite and > 0, got '{tol}'" in err
+    # argparse alone takes "-1e-12" and "-inf" for flags and reports a missing value
+    assert run_cli(capsys, *argv, "--tol", tol) == (code, out, err)
+
+
+@pytest.mark.parametrize("theta", ["-1e-3", "-2.5E+1", "-0.5", "-3", "1e-3"])
+def test_spaced_negative_theta_reads_like_the_equals_form(capsys, theta):
+    argv = ("synth", "--qubits", "2", "--type", "x:2")
+    spaced = run_cli(capsys, *argv, "--theta", theta)
+    assert spaced == run_cli(capsys, *argv, f"--theta={theta}")
+    assert spaced[0] == 0 and spaced[1].startswith("OPENQASM 2.0;") and spaced[2] == ""
+    assert run_cli(capsys, *argv, "--th", theta) == spaced  # an abbreviated option too
+
+
+def test_spaced_negative_values_keep_every_other_reading(capsys):
+    # a value that is not a number keeps the parse error of the equals form
+    spaced = run_cli(capsys, "closure", "--qubits", "-1e3")
+    assert spaced == run_cli(capsys, "closure", "--qubits=-1e3")
+    assert spaced[0] == 2 and "argument --qubits: invalid int value: '-1e3'" in spaced[2]
+    # --help takes no value, and a value after "--" or after --opt=value stays a stray argument
+    assert run_cli(capsys, "closure", "--help", "-1e-3")[0] == 0
+    assert run_cli(capsys, "closure", "-h", "-1e-3")[0] == 0
+    code, _, err = run_cli(capsys, "closure", "--qubits=2", "-1e-3")
+    assert code == 2 and "-1e-3" in err
+    code, _, err = run_cli(capsys, "closure", "--qubits", "2", "--", "-1e-3")
+    assert code == 2 and "unrecognized arguments: -- -1e-3" in err
+
+
+def test_closure_respects_the_qubit_cap(capsys, monkeypatch):
+    # the key enumeration and count bins hold 4^n entries, as a dense matrix does
+    monkeypatch.setenv("PISU_MAX_QUBITS", "3")
+    code, out, err = run_cli(capsys, "closure", "--qubits", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap of 3" in err
+    assert run_cli(capsys, "closure", "--qubits", "3")[0] == 0
 
 
 @pytest.mark.parametrize("table", ["0", "-3"])
@@ -258,6 +293,7 @@ def test_synth_non_finite_theta_exits_two(capsys):
         assert code == 2
         assert out == ""
         assert "parameter 'theta' must be a finite angle" in err
+        assert run_cli(capsys, "synth", "--qubits", "3", "--type", "x:1", "--theta", theta) == (code, out, err)
 
 
 def test_verify_rejects_malformed_qubit_cap(tmp_path, capsys, monkeypatch):

@@ -352,6 +352,21 @@ def test_closure_of_random_sub_bases_matches_pair_grid_oracle(data):
         assert _closure_residual(n, sub) == oracles.closure_by_pair_grids(n, sub)
 
 
+def test_closure_builds_no_orbit_objects():
+    expected = {n: verify_closure(n) for n in range(1, 6)}
+    orbit = property(lambda gen: pytest.fail(f"{gen!r}.orbit expanded"))
+    with mock.patch.object(symmetry.SymmetrizedGenerator, "orbit", orbit):
+        for n in range(1, 6):
+            assert verify_closure(n) == expected[n]
+
+
+def test_closure_of_reordered_and_repeated_bases_matches_pair_grid_oracle():
+    for n in (2, 3, 4):
+        basis = enumerate_basis(n)
+        for reordered in (basis[::-1], [*basis, basis[n]], [basis[-1], *basis[1:], basis[-1]]):
+            assert _closure_residual(n, reordered) == oracles.closure_by_pair_grids(n, reordered)
+
+
 def test_closure_six_qubits():
     report = verify_closure(6)
     assert report.pairs == 3403
