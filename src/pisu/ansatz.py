@@ -26,6 +26,9 @@ from .synthesis import (
 )
 from .pauli import PauliString
 
+# product-formula steps of a non-commuting replacement entangler
+REPLACEMENT_TROTTER_STEPS = 8
+
 
 class NonAbelianEntanglerError(ValueError):
     """CNOT augmentation produced a non-commuting gate group.
@@ -243,7 +246,6 @@ def symmetrize_fully(
     choice: SymmetrizationChoice | None = None,
     *,
     angle: float = 0.0,
-    trotter_steps: int = 8,
 ) -> Circuit:
     """Make a base circuit invariant under every qubit transposition.
 
@@ -270,15 +272,14 @@ def symmetrize_fully(
     if replacement.n != n:
         raise ValueError(f"replacement generator spans {replacement.n} qubits, circuit has {n}")
 
-    if commuting_orbit(replacement):
-        plan = SynthesisPlan("exact-product")
-    else:
+    plan = None  # exact product
+    if not commuting_orbit(replacement):
         warnings.warn(
             f"replacement orbit {replacement.label} does not commute; "
-            f"falling back to a {trotter_steps}-step product formula",
+            f"falling back to a {REPLACEMENT_TROTTER_STEPS}-step product formula",
             stacklevel=2,
         )
-        plan = SynthesisPlan("trotter", steps=trotter_steps)
+        plan = SynthesisPlan("trotter", steps=REPLACEMENT_TROTTER_STEPS)
     entangler = synth_generator(replacement, angle, plan, param_name="gamma")
     gates.extend(entangler.gates)
     params.update(entangler.params)

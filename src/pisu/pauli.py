@@ -24,19 +24,13 @@ import numpy as np
 DEFAULT_MAX_QUBITS = 12
 PRUNE_EPS = 1e-14
 
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 class QubitLimitError(ValueError):
-    """A dense realization would exceed the configured qubit cap."""
+    """A dense realization or a closure check would exceed the configured qubit cap."""
 
 
 def max_qubits() -> int:
@@ -61,17 +55,8 @@ def check_qubit_cap(n: int) -> None:
     cap = max_qubits()
     if n > cap:
         raise QubitLimitError(
-            f"dense matrix over n={n} qubits exceeds the cap of {cap} "
-            f"(set PISU_MAX_QUBITS to raise it)"
+            f"n={n} qubits exceeds the cap of {cap} (set PISU_MAX_QUBITS to raise it)"
         )
-
-
-def letter_matrix(letter: str) -> np.ndarray:
-    """Standard 2x2 computational-basis matrix of a single Pauli letter."""
-    try:
-        return _LETTER_MATRICES[letter].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli letter {letter!r}") from None
 
 
 @dataclass(frozen=True)
@@ -153,7 +138,7 @@ def _y_count(x: int, z: int) -> int:
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact Pauli-group product: string_matrix(a) @ string_matrix(b).
+    """Exact Pauli-group product: the matrix of ``a`` times the matrix of ``b``.
 
     The i-power from reordering X against Z is computed as an integer
     exponent mod 4 and folded into the coefficient.
@@ -176,18 +161,6 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
-def string_matrix(s: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n realization: coeff times the Kronecker product of letters.
-
-    Qubit 1 is the leftmost (most significant) tensor factor.
-    """
-    check_qubit_cap(s.n)
-    m = np.array([[1.0 + 0j]])
-    for letter in s.letters:
-        m = np.kron(m, _LETTER_MATRICES[letter])
-    return s.coeff * m
 
 
 @dataclass(frozen=True)
@@ -259,12 +232,12 @@ class PauliSum:
         return self.scaled(factor)
 
     def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n realization, equal to the sum of ``string_matrix`` terms.
+        """Dense 2^n x 2^n realization: the sum of coeff times the Kronecker product of letters.
 
         A string maps column ``c`` to row ``c ^ x`` with the value
         ``coeff * i^{#Y} * (-1)^{popcount(c & z)}``, where the masks are
         bit-reversed because qubit 1 is the most significant bit.  Terms are
-        added in ``strings()`` order, so every entry is summed as before.
+        added in ``strings()`` order, so every entry equals the Kronecker sum's bit for bit.
         """
         check_qubit_cap(self.n)
         dim = 2**self.n

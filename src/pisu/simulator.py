@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -169,23 +169,9 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     if parts <= 1:
         return _evolve_columns(c.n, ops, 0, dim)
     edges = [_BLOCK_COLUMNS * (dim // _BLOCK_COLUMNS * k // parts) for k in range(parts + 1)]
-    blocks: list = [None] * parts
-    errors: list = []
-
-    def work(k: int) -> None:
-        try:
-            blocks[k] = _evolve_columns(c.n, ops, edges[k], edges[k + 1])
-        except Exception as exc:  # re-raised below, after every block is done
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=(k,)) for k in range(1, parts)]
-    for w in workers:
-        w.start()
-    work(0)
-    for w in workers:
-        w.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(parts - 1) as pool:
+        rest = pool.map(lambda a, b: _evolve_columns(c.n, ops, a, b), edges[1:-1], edges[2:])
+        blocks = [_evolve_columns(c.n, ops, 0, edges[1]), *rest]
     return np.concatenate(blocks, axis=1)
 
 

@@ -335,8 +335,6 @@ _SIGN = np.array([0.0, 1.0, 0.0, -1.0])  # i^k / i for odd k; even k (commuting)
 def _type_codes(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[np.ndarray, list[int]]:
     """Type codes of all 4^n keys ``x << n | z``, from one enumeration, and of each generator."""
     side = n + 1
-    # one (2, 4^n) block: freeing it lifts glibc's mmap and trim thresholds above the kernel's
-    # per-piece arrays, which would otherwise be unmapped and faulted in again (2.3M faults at n=8)
     x, z = np.indices((1 << n, 1 << n)).reshape(2, -1)
     n_y = np.bitwise_count(x & z).astype(np.int64)
     n_x, n_z = np.bitwise_count(x) - n_y, np.bitwise_count(z) - n_y
@@ -345,11 +343,12 @@ def _type_codes(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[np.ndarr
 
 
 def _bracket_counts(
-    n: int, basis: Sequence[SymmetrizedGenerator]
+    n: int, basis: Sequence[SymmetrizedGenerator], codes: np.ndarray, basis_codes: list[int]
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Brackets of every generator with all later ones, as signed counts per product string.
 
-    Yields ``(a, b0, d)``: the bracket of ``basis[a]`` with ``basis[b0 + j]``
+    ``codes, basis_codes`` are ``_type_codes(n, basis)``.  Yields
+    ``(a, b0, d)``: the bracket of ``basis[a]`` with ``basis[b0 + j]``
     is ``sum 2i * d[j, key] * P_key`` over keys ``x << n | z``; ``d`` holds
     exact integers, and an orbit's strings are the keys of its type, ascending.
     The grid of ``a``'s orbit against a window of later orbits is cut into
@@ -357,7 +356,7 @@ def _bracket_counts(
     one orbit is larger, and each piece is counted by one ``np.bincount``
     weighted by the sign of the product's i-power (odd on anticommuting pairs).
     """
-    keys, (codes, basis_codes) = 1 << 2 * n, _type_codes(n, basis)
+    keys = 1 << 2 * n
     key = np.concatenate([np.flatnonzero(codes == code) for code in basis_codes])
     x, z = key >> n, key & (1 << n) - 1
     n_y = np.bitwise_count(x & z)
@@ -365,6 +364,10 @@ def _bracket_counts(
     ends = list(itertools.accumulate(sizes))
     offset = np.repeat(np.arange(len(basis)) * keys, sizes)  # first bin of each string's generator
     width = max(1, _PIECE // keys)
+    # a piece's int64 and float arrays live in these buffers (its other temporaries are uint8),
+    # so only np.bincount allocates per piece and page faults do not hang on glibc's thresholds
+    p_buf, t_buf = np.empty((2, _PIECE), dtype=np.int64)
+    w_buf = np.empty(_PIECE)
     for a, end in enumerate(ends):
         for b0 in range(a + 1, len(basis), width):
             b1 = min(b0 + width, len(basis))
@@ -377,10 +380,15 @@ def _bracket_counts(
                 ka, za, ya = key[rs, None], z[rs, None], n_y[rs, None]
                 for c in range(c0, c1, cols):
                     cs = slice(c, min(c + cols, c1))
-                    p = ka ^ key[cs]
-                    k = ya + n_y[cs] + 2 * np.bitwise_count(za & x[cs]) - np.bitwise_count(p & p >> n)
-                    p += offset[cs] - b0 * keys  # product key -> bin in d
-                    d += np.bincount(p.ravel(), _SIGN[k & 3].ravel(), d.size)
+                    shape = (rs.stop - rs.start, cs.stop - cs.start)
+                    p, t, w = (b[: shape[0] * shape[1]].reshape(shape) for b in (p_buf, t_buf, w_buf))
+                    # the product's i-power mod 4 (uint8 wraps at 256, a multiple of 4)
+                    k = ya + n_y[cs] + 2 * np.bitwise_count(np.bitwise_and(za, x[cs], out=t))
+                    np.bitwise_xor(ka, key[cs], out=p)
+                    k -= np.bitwise_count(np.bitwise_and(p, np.right_shift(p, n, out=t), out=t))
+                    p += offset[cs]  # product key -> bin in d
+                    p -= b0 * keys
+                    d += np.bincount(p.ravel(), np.take(_SIGN, k & 3, out=w).ravel(), d.size)
             yield a, b0, d.reshape(b1 - b0, keys)
 
 
@@ -403,7 +411,7 @@ def _closure_residual(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[in
     dtype = np.int64 if 4 * max(sizes) ** 4 < 2**63 else object
     size = np.array([1, *sizes], dtype=dtype)
     worst = Fraction(0)
-    for _, _, d in _bracket_counts(n, basis):
+    for _, _, d in _bracket_counts(n, basis, codes, basis_codes):
         flat = np.flatnonzero(d)
         value = d.ravel()[flat].astype(np.int64).astype(dtype)
         group = flat >> 2 * n, slot_of_key[flat & keys - 1]

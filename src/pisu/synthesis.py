@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .pauli import PauliString, check_qubit_cap, commutes
+from .pauli import PauliString, check_qubit_cap
 from .symmetry import SymmetrizedGenerator
 
 GATE_KINDS = ("H", "S", "Sdg", "CNOT", "RX", "RY", "RZ")
@@ -59,8 +59,8 @@ class Gate:
         elif len(self.qubits) != 1:
             raise ValueError(f"{self.kind} acts on exactly one qubit")
         if self.kind in ROTATION_KINDS:
-            if not self.param:
-                raise ValueError(f"{self.kind} requires a parameter name")
+            if not (isinstance(self.param, str) and self.param):
+                raise ValueError(f"{self.kind} requires a parameter name, got {self.param!r}")
         elif self.param is not None:
             raise ValueError(f"{self.kind} carries no parameter")
 
@@ -91,7 +91,8 @@ class Circuit:
                     raise ValueError(f"gate qubit {q} out of range 1..{self.n}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         for name, value in self.params.items():
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            if not finite or isinstance(value, bool):
                 raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
 
     def __hash__(self) -> int:
@@ -186,23 +187,16 @@ def synth_string(
             lowest-index non-identity qubit.  Must sit on a non-identity
             letter.
     """
-    gates = _string_gates(s, pivot, param_name)
+    gates = _string_gates(s, pivot, param_name, {})
     return Circuit(s.n, tuple(gates), {param_name: float(theta)})
 
 
-def _string_gates(
-    s: PauliString,
-    pivot: int | None,
-    param_name: str,
-    memo: dict | None = None,
-) -> list[Gate]:
+def _string_gates(s: PauliString, pivot: int | None, param_name: str, memo: dict) -> list[Gate]:
     """The gates of ``synth_string``, validated the same way.
 
     A caller emitting many strings passes one ``memo`` (see ``_gate``) so
     each distinct gate is built once.
     """
-    if memo is None:
-        memo = {}
     if s.coeff != 1:
         raise ValueError(f"string coefficient must be 1, got {s.coeff}")
     support = s.support()
@@ -230,19 +224,20 @@ def _string_gates(
 
 
 def commuting_orbit(g: SymmetrizedGenerator) -> bool:
-    """True iff every pair of orbit strings commutes (symplectic check)."""
-    orbit = g.orbit
-    for i in range(len(orbit)):
-        for j in range(i + 1, len(orbit)):
-            if not commutes(orbit[i], orbit[j]):
-                return False
-    return True
+    """True iff every pair of orbit strings commutes, read from the type vector.
 
-
-def _string_pivot(s: PauliString, plan_pivot: int | None) -> int | None:
-    if plan_pivot is not None and s.letter(plan_pivot) != "I":
-        return plan_pivot
-    return None  # synth_string falls back to the lowest support qubit
+    The orbit commutes iff it uses at most one distinct letter, or exactly
+    two and no identity.  Two strings commute iff the positions where both
+    carry distinct non-identity letters are even in number.  With one letter
+    there are none.  With two letters P, Q and no identity, two arrangements
+    of one multiset differ only in P-over-Q and Q-over-P positions, and as
+    both hold the same number of P these two counts are equal, so their sum
+    is even.  A third letter gives the pair ``PQR...`` and ``QRP...`` (rest
+    equal) with three such positions, and an identity beside two letters
+    gives ``PQI...`` and ``IPQ...`` with one: both counts are odd.
+    """
+    tv = g.type_vector
+    return tv.distinct_letters() <= 1 or (tv.n_i == 0 and tv.distinct_letters() == 2)
 
 
 def synth_generator(
@@ -261,16 +256,14 @@ def synth_generator(
     Trotterized circuits bind the per-step angle under the name
     ``<param_name>_step`` (= theta / steps); rebinding it scales every slice.
     """
+    commuting = commuting_orbit(g)
     if plan is None:
-        if commuting_orbit(g):
-            plan = SynthesisPlan("exact-product")
-        else:
-            plan = SynthesisPlan("trotter", steps=DEFAULT_TROTTER_STEPS)
+        plan = SynthesisPlan() if commuting else SynthesisPlan("trotter", DEFAULT_TROTTER_STEPS)
     if plan.pivot is not None and not 1 <= plan.pivot <= g.n:
         raise ValueError(f"pivot {plan.pivot} out of range 1..{g.n}")
 
     if plan.mode == "exact-product":
-        if not commuting_orbit(g):
+        if not commuting:
             raise NonCommutingOrbitError(
                 f"orbit of {g.label} does not pairwise commute; "
                 f"exact-product order would matter"
@@ -282,11 +275,11 @@ def synth_generator(
     # one gate list for the whole circuit, each distinct gate built once;
     # Circuit validates and copies it once
     memo: dict = {}
-    one_pass = [
-        gate
-        for s in g.orbit
-        for gate in _string_gates(s, _string_pivot(s, plan.pivot), name, memo=memo)
-    ]
+    one_pass: list[Gate] = []
+    for s in g.orbit:
+        # a string idle on the plan's pivot keeps its lowest support qubit
+        pivot = plan.pivot if plan.pivot and s.letter(plan.pivot) != "I" else None
+        one_pass += _string_gates(s, pivot, name, memo)
     return Circuit(g.n, tuple(one_pass) * steps, {name: angle})
 
 

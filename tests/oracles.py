@@ -16,7 +16,10 @@ bit.  ``per_gate_circuit_to_json``, ``per_gate_circuit_from_json``,
 ``per_gate_circuit_to_qasm`` and ``per_gate_circuit_from_qasm`` build,
 encode or parse every gate on its own, as the interchange functions did
 before they kept a per-call memo of distinct gates; the writers must match
-them byte for byte and the readers gate for gate.
+them byte for byte and the readers gate for gate.  ``letter_matrix`` and
+``string_matrix`` realize a string by Kronecker products, and
+``commuting_orbit_by_pairs`` runs the symplectic check on every pair of
+orbit strings, where ``commuting_orbit`` reads the answer off the type vector.
 """
 
 import functools
@@ -33,10 +36,10 @@ from pisu import (
     Circuit,
     Gate,
     commutator,
+    commutes,
     gate_matrix,
     invariance_defect,
     project_onto_basis,
-    string_matrix,
     swap_matrix,
     transpositions,
 )
@@ -59,6 +62,21 @@ def kron_chain(*mats):
 def word_matrix(word, coeff=1.0):
     """Dense matrix of a letter word, qubit 1 leftmost."""
     return coeff * kron_chain(*[PAULI[c] for c in word])
+
+
+def letter_matrix(letter):
+    """Standard 2x2 computational-basis matrix of a single Pauli letter."""
+    return PAULI[letter].copy()
+
+
+def string_matrix(s):
+    """Dense 2^n x 2^n realization of a string: coeff times the Kronecker product of letters."""
+    return word_matrix(s.letters, s.coeff)
+
+
+def commuting_orbit_by_pairs(gen):
+    """True iff every pair of orbit strings commutes, by the symplectic check on each pair."""
+    return all(commutes(a, b) for a, b in itertools.combinations(gen.orbit, 2))
 
 
 def rotation(kind, theta):

@@ -36,6 +36,8 @@ from pisu import (
 from pisu.ansatz import BlockStructure
 from pisu.synthesis import SynthesisPlan
 
+import oracles
+
 
 def _verdict(number: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number:2d}: {detail} "
@@ -145,9 +147,9 @@ def test_criterion_06_commutation_claim():
         for gen in enumerate_basis(n):
             tv = gen.type_vector
             if tv.n_i == 0 and tv.distinct_letters() <= 2:
-                ok = ok and commuting_orbit(gen)
+                ok = ok and oracles.commuting_orbit_by_pairs(gen)
     xyz = SymmetrizedGenerator(TypeVector(1, 1, 1, 0), "XYZ")
-    ok = ok and not commuting_orbit(xyz)
+    ok = ok and not oracles.commuting_orbit_by_pairs(xyz)
     _verdict(6, ok, time.perf_counter() - start, 5.0,
              "identity-free two-letter orbits commute for n<=5; the n=3 "
              "three-letter orbit is certified non-commuting")
@@ -164,9 +166,9 @@ def test_criterion_06_two_letter_orbits_with_identities():
     for n in range(2, 6):
         for gen in enumerate_basis(n):
             if gen.type_vector.distinct_letters() <= 2:
-                if not commuting_orbit(gen):
+                if not oracles.commuting_orbit_by_pairs(gen):
                     print(f"[FAIL expected] criterion 6: {gen.label} (n={n}) does not commute")
-                assert commuting_orbit(gen), gen.label
+                assert oracles.commuting_orbit_by_pairs(gen), gen.label
 
 
 def test_criterion_07_structure_constant_identity():

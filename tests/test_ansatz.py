@@ -16,7 +16,6 @@ from pisu import (
     cnot_count,
     invariance_defect,
     naive_full_augmentation,
-    string_matrix,
     swap_invariance_defect,
     swap_matrix,
     symmetrize_by_extension,
@@ -253,7 +252,7 @@ def _rotation_layers_unitary(n, layers, params):
     for param, letter, mode, copies in layers:
         for qubits in [copies] if mode == "couple" else [(q,) for q in copies]:
             word = "".join(letter if q in qubits else "I" for q in range(1, n + 1))
-            rotation = string_matrix(PauliString.from_letters(word))
+            rotation = oracles.string_matrix(PauliString.from_letters(word))
             u = oracles.expm_oracle(rotation, params[param]) @ u
     return u
 

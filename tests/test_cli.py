@@ -128,12 +128,13 @@ def test_spaced_negative_values_keep_every_other_reading(capsys):
 
 
 def test_closure_respects_the_qubit_cap(capsys, monkeypatch):
-    # the key enumeration and count bins hold 4^n entries, as a dense matrix does
+    # the key enumeration and count bins hold 4^n entries, as a dense matrix does,
+    # and the message names no dense matrix
     monkeypatch.setenv("PISU_MAX_QUBITS", "3")
     code, out, err = run_cli(capsys, "closure", "--qubits", "4")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "cap of 3" in err
+    assert err == "error: n=4 qubits exceeds the cap of 3 (set PISU_MAX_QUBITS to raise it)\n"
     assert run_cli(capsys, "closure", "--qubits", "3")[0] == 0
 
 
@@ -382,6 +383,12 @@ def test_export_reads_pi_angles_and_rejects_others(tmp_path, capsys):
         ({"n": 0, "gates": []}, "error: a circuit needs at least one qubit"),
         ({"n": True, "gates": [{"kind": "H", "qubits": [1]}]},
          'error: circuit JSON must be an object with an integer "n", a "gates" list'),
+        ({"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": [1]}]},
+         "error: gate 0: RX requires a parameter name, got [1]\n"),
+        ({"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": 7}]},
+         "error: gate 0: RX requires a parameter name, got 7\n"),
+        ({"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": "t"}], "params": {"t": True}},
+         "error: parameter 't' must be a finite angle, got True\n"),
     ],
 )
 @pytest.mark.parametrize("command", ["export", "verify"])

@@ -14,16 +14,16 @@ PUBLIC = [
     "circuit_from_json", "circuit_from_qasm", "circuit_to_json", "circuit_to_qasm",
     "circuit_unitary", "cnot_count", "commutator", "commutes", "commuting_orbit",
     "conjugate_by_swap", "dense_exponential", "dim_pisu", "enumerate_basis",
-    "equal_up_to_global_phase", "gate_matrix", "invariance_defect", "letter_matrix",
+    "equal_up_to_global_phase", "gate_matrix", "invariance_defect",
     "max_qubits", "multiply", "naive_cnot_budget", "naive_full_augmentation",
-    "permutation_defect", "project_onto_basis", "scaling_table", "string_matrix",
+    "permutation_defect", "project_onto_basis", "scaling_table",
     "swap_invariance_defect", "swap_matrix", "symmetrize_by_extension", "symmetrize_fully",
     "synth_generator", "synth_string", "transpositions", "unitarity_defect", "verify_closure",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 49
     assert sorted(pisu.__all__) == PUBLIC
     assert all(hasattr(pisu, name) for name in PUBLIC)
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import re
 import typing
 
 import numpy as np
@@ -30,7 +31,6 @@ from pisu import (
     enumerate_basis,
     equal_up_to_global_phase,
     gate_matrix,
-    letter_matrix,
     naive_cnot_budget,
     swap_invariance_defect,
     swap_matrix,
@@ -59,6 +59,15 @@ def test_gate_validation():
         Gate("H", (1,), "theta")  # parameter on a fixed gate
     with pytest.raises(ValueError):
         Gate("H", (1, 2))
+    for param in ("", 7, [1], b"t"):  # a rotation's parameter is a non-empty name
+        with pytest.raises(ValueError, match=rf"^RY requires a parameter name, got {re.escape(repr(param))}$"):
+            Gate("RY", (1,), param)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_circuit_rejects_boolean_angles(value):
+    with pytest.raises(ValueError, match=rf"^parameter 't' must be a finite angle, got {value}$"):
+        Circuit(1, (Gate("RX", (1,), "t"),), {"t": value})
 
 
 def test_circuit_validation_and_binding():
@@ -263,9 +272,10 @@ def test_dense_mode_returns_matrix():
 
 
 def test_commuting_orbit_examples():
-    assert commuting_orbit(_generator(1, 1, 0, 0))  # {XY, YX}
-    assert not commuting_orbit(_generator(1, 1, 1, 0))
-    assert commuting_orbit(_generator(2, 0, 0, 0))  # single string
+    by_pairs = oracles.commuting_orbit_by_pairs
+    assert by_pairs(_generator(1, 1, 0, 0)) and commuting_orbit(_generator(1, 1, 0, 0))  # {XY, YX}
+    assert not by_pairs(_generator(1, 1, 1, 0)) and not commuting_orbit(_generator(1, 1, 1, 0))
+    assert by_pairs(_generator(2, 0, 0, 0)) and commuting_orbit(_generator(2, 0, 0, 0))  # one string
 
 
 def test_identity_free_two_letter_orbits_commute():
@@ -275,7 +285,7 @@ def test_identity_free_two_letter_orbits_commute():
         for gen in enumerate_basis(n):
             tv = gen.type_vector
             if tv.n_i == 0 and tv.distinct_letters() <= 2:
-                assert commuting_orbit(gen), gen.label
+                assert oracles.commuting_orbit_by_pairs(gen), gen.label
 
 
 @pytest.mark.xfail(
@@ -288,19 +298,23 @@ def test_two_letter_orbits_always_commute_claim():
     for n in range(1, 6):
         for gen in enumerate_basis(n):
             if gen.type_vector.distinct_letters() <= 2:
-                assert commuting_orbit(gen), gen.label
+                assert oracles.commuting_orbit_by_pairs(gen), gen.label
 
 
 def test_commuting_orbit_characterization_recorded():
-    # exhaustive record for n <= 5: an orbit pairwise commutes iff it uses
-    # at most one distinct letter, or no identities and at most two letters
-    for n in range(1, 6):
+    # exhaustive record for n <= 8 (486 types): an orbit pairwise commutes iff
+    # it uses at most one distinct letter, or no identities and two letters;
+    # the rule in commuting_orbit must agree with checking every pair
+    types = 0
+    for n in range(1, 9):
         for gen in enumerate_basis(n):
             tv = gen.type_vector
             expected = tv.distinct_letters() <= 1 or (
                 tv.n_i == 0 and tv.distinct_letters() <= 2
             )
-            assert commuting_orbit(gen) == expected, gen.label
+            assert commuting_orbit(gen) == oracles.commuting_orbit_by_pairs(gen) == expected, gen.label
+            types += 1
+    assert types == 486
 
 
 def test_all_three_letters_observed_noncommuting():
@@ -309,7 +323,7 @@ def test_all_three_letters_observed_noncommuting():
     for n in range(3, 6):
         for gen in enumerate_basis(n):
             if gen.type_vector.distinct_letters() == 3:
-                assert not commuting_orbit(gen), gen.label
+                assert not oracles.commuting_orbit_by_pairs(gen), gen.label
 
 
 def test_dense_exponential_at_zero():
@@ -455,10 +469,10 @@ def test_wrappers_conjugate_x_to_their_letter():
     # the closing gate G of each basis-change pair must satisfy G X G^dag = letter
     conjugators = {letter: gate_matrix(wrap[1]) for letter, wrap in _WRAPPERS.items() if wrap}
     assert sorted(conjugators) == ["Y", "Z"]
-    x = letter_matrix("X")
+    x = oracles.letter_matrix("X")
     for letter, g in conjugators.items():
         got = g @ x @ g.conj().T
-        assert np.abs(got - letter_matrix(letter)).max() <= 1e-14, letter
+        assert np.abs(got - oracles.letter_matrix(letter)).max() <= 1e-14, letter
     for wrap in filter(None, _WRAPPERS.values()):
         first, last = (gate_matrix(kind) for kind in wrap)
         assert np.array_equal(first, last.conj().T), wrap
@@ -625,6 +639,8 @@ def test_dense_exponential_matches_expm_for_both_y_parities(n):
          "gate 1: qubit indices must be integers, got (1.0, 2)"),
         ([{"kind": "H", "qubits": [1]}, {"kind": "H", "qubits": [True]}],
          "gate 1: qubit indices must be integers, got (True,)"),
+        ([{"kind": "RX", "qubits": [1], "param": [1]}], "gate 0: RX requires a parameter name, got [1]"),
+        ([{"kind": "RX", "qubits": [1], "param": 7}], "gate 0: RX requires a parameter name, got 7"),
     ],
 )
 def test_json_reader_names_the_malformed_gate(gates, message):
