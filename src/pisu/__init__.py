@@ -11,7 +11,6 @@ from .pauli import (
     PauliSum,
     QubitLimitError,
     commutator,
-    commutes,
     max_qubits,
     multiply,
 )
@@ -19,7 +18,6 @@ from .symmetry import (
     ClosureReport,
     SymmetrizedGenerator,
     TypeVector,
-    conjugate_by_swap,
     dim_pisu,
     enumerate_basis,
     invariance_defect,
@@ -72,13 +70,11 @@ __all__ = [
     "PauliSum",
     "QubitLimitError",
     "commutator",
-    "commutes",
     "max_qubits",
     "multiply",
     "ClosureReport",
     "SymmetrizedGenerator",
     "TypeVector",
-    "conjugate_by_swap",
     "dim_pisu",
     "enumerate_basis",
     "invariance_defect",

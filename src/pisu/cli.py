@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ansatz as ansatz_mod
 from . import simulator, symmetry, synthesis
+from .pauli import check_qubit_cap
 from .symmetry import TypeVector
 
 
@@ -50,6 +51,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_basis(args) -> int:
+    check_qubit_cap(args.qubits)  # every orbit string is built, as in closure
     basis = symmetry.enumerate_basis(args.qubits)
     if args.format == "text":
         for idx, gen in enumerate(basis, start=1):
@@ -194,6 +196,7 @@ def _cmd_ansatz(args) -> int:
 
 
 def _cmd_count_cnots(args) -> int:
+    check_qubit_cap(args.qubits)
     total = 0
     for gen in symmetry.enumerate_basis(args.qubits):
         if synthesis.commuting_orbit(gen):

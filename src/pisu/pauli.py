@@ -13,7 +13,6 @@ factor of the dense realization; bit q-1 of a mask belongs to qubit q.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -104,18 +103,10 @@ class PauliString:
         q = qubit - 1
         return _BITS_LETTER[(self.x >> q) & 1, (self.z >> q) & 1]
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return (self.x | self.z).bit_count()
-
     def support(self) -> tuple[int, ...]:
         """1-based qubits carrying a non-identity letter."""
         occ = self.x | self.z
         return tuple(q + 1 for q in range(self.n) if (occ >> q) & 1)
-
-    def with_coeff(self, coeff: complex) -> "PauliString":
-        return PauliString(self.n, self.x, self.z, complex(coeff))
 
     def paper_notation(self) -> str:
         """Subscripted rendering, e.g. ``"x2 y1"`` for Y on qubit 1, X on qubit 2."""
@@ -125,9 +116,6 @@ class PauliString:
         if not parts:
             return "1"
         return " ".join(f"{letter}{q}" for letter, q in parts)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
 
     def __repr__(self) -> str:
         return f"PauliString({self.coeff:+g}, {self.letters!r})"
@@ -156,21 +144,14 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(a.n, x, z, a.coeff * b.coeff * _I_POW[k])
 
 
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """Symplectic criterion: even number of positions with distinct non-identity letters."""
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
 @dataclass(frozen=True)
 class PauliSum:
     """Formal complex-linear combination of Pauli strings over n qubits.
 
     ``terms`` maps (x, z) bitmask pairs to coefficients as a read-only
     mapping.  Canonical form stores no coefficient of magnitude below the
-    pruning epsilon.  Sums are immutable and hashable: all operations return
-    new sums.
+    pruning epsilon.  Sums are immutable and hashable; ``commutator`` returns
+    a new sum.
     """
 
     n: int
@@ -187,11 +168,7 @@ class PauliSum:
         return (PauliSum, (self.n, dict(self.terms)))
 
     @classmethod
-    def zero(cls, n: int) -> "PauliSum":
-        return cls(n, {})
-
-    @classmethod
-    def from_strings(cls, strings: Iterable[PauliString], epsilon: float = PRUNE_EPS) -> "PauliSum":
+    def from_strings(cls, strings: Iterable[PauliString]) -> "PauliSum":
         n = None
         acc: dict[tuple[int, int], complex] = {}
         for s in strings:
@@ -203,7 +180,7 @@ class PauliSum:
             acc[key] = acc.get(key, 0j) + s.coeff
         if n is None:
             raise ValueError("cannot infer qubit count from an empty iterable")
-        return cls(n, _pruned(acc, epsilon))
+        return cls(n, _pruned(acc))
 
     def strings(self) -> Iterator[PauliString]:
         """Terms as PauliStrings, sorted by letter word for determinism."""
@@ -213,23 +190,6 @@ class PauliSum:
 
     def num_terms(self) -> int:
         return len(self.terms)
-
-    def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum(self.n, _pruned({k: factor * v for k, v in self.terms.items()}, PRUNE_EPS))
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} != {other.n}")
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            acc[k] = acc.get(k, 0j) + v
-        return PauliSum(self.n, _pruned(acc, PRUNE_EPS))
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + other.scaled(-1.0)
-
-    def __rmul__(self, factor: complex) -> "PauliSum":
-        return self.scaled(factor)
 
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n realization: the sum of coeff times the Kronecker product of letters.
@@ -250,40 +210,14 @@ class PauliSum:
             out[cols ^ x, cols] += s.coeff * _I_POW[_y_count(s.x, s.z) % 4] * signs
         return out
 
-    def to_json(self) -> str:
-        terms = [
-            {"letters": s.letters, "re": float(s.coeff.real), "im": float(s.coeff.imag)}
-            for s in self.strings()
-        ]
-        return json.dumps({"n": self.n, "terms": terms})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PauliSum":
-        data = json.loads(text)
-        n = int(data["n"])
-        strings = [
-            PauliString.from_letters(t["letters"], complex(t["re"], t["im"]))
-            for t in data["terms"]
-        ]
-        if not strings:
-            return cls.zero(n)
-        out = cls.from_strings(strings)
-        if out.n != n:
-            raise ValueError("term length disagrees with declared qubit count")
-        return out
-
-    def __str__(self) -> str:
-        parts = [f"({s.coeff.real:+g}{s.coeff.imag:+g}j) {s.paper_notation()}" for s in self.strings()]
-        return " + ".join(parts) if parts else "0"
-
 
 def _index_mask(mask: int, n: int) -> int:
     """A qubit mask (bit q-1 for qubit q) as a basis-state index mask (bit n-q)."""
     return int(format(mask, f"0{n}b")[::-1], 2)
 
 
-def _pruned(acc: dict, epsilon: float) -> dict:
-    return {k: v for k, v in acc.items() if abs(v) >= epsilon}
+def _pruned(acc: dict) -> dict:
+    return {k: v for k, v in acc.items() if abs(v) >= PRUNE_EPS}
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -303,4 +237,4 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
             prod = multiply(sa, PauliString(b.n, bx, bz, bc))
             key = (prod.x, prod.z)
             acc[key] = acc.get(key, 0j) + 2 * prod.coeff
-    return PauliSum(a.n, _pruned(acc, PRUNE_EPS))
+    return PauliSum(a.n, _pruned(acc))

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .pauli import check_qubit_cap
-from .synthesis import Circuit, Gate
+from .synthesis import Circuit, Gate, _per_distinct_gate
 
 
 class UnboundParameterError(ValueError):
@@ -98,27 +97,21 @@ def _gate_ops(c: Circuit) -> list[tuple]:
     applies the 2x2 ``m`` to qubit axis ``q``.
     """
     whole = (slice(None),) * c.n
-    memo: dict = {}
-    ops = []
-    for gate in c.gates:
-        key = (gate.kind, gate.qubits, gate.param)
-        op = memo.get(key)
-        if op is None:
-            q = gate.qubits[0] - 1
-            if gate.kind == "CNOT":
-                flip = list(whole)
-                flip[q] = 1
-                flip[gate.qubits[1] - 1] = 0
-                low = tuple(flip)
-                flip[gate.qubits[1] - 1] = 1
-                op = ("swap", low, tuple(flip))
-            elif gate.kind in ("S", "Sdg"):
-                op = ("scale", whole[:q] + (1,), 1j if gate.kind == "S" else -1j)
-            else:
-                op = ("matmul", q, gate_matrix(gate.kind, _gate_angle(gate, c.params)))
-            memo[key] = op
-        ops.append(op)
-    return ops
+
+    def op(gate: Gate) -> tuple:
+        q = gate.qubits[0] - 1
+        if gate.kind == "CNOT":
+            flip = list(whole)
+            flip[q] = 1
+            flip[gate.qubits[1] - 1] = 0
+            low = tuple(flip)
+            flip[gate.qubits[1] - 1] = 1
+            return ("swap", low, tuple(flip))
+        if gate.kind in ("S", "Sdg"):
+            return ("scale", whole[:q] + (1,), 1j if gate.kind == "S" else -1j)
+        return ("matmul", q, gate_matrix(gate.kind, _gate_angle(gate, c.params)))
+
+    return _per_distinct_gate(c.gates, op)
 
 
 def _evolve_columns(n: int, ops: list[tuple], start: int, stop: int) -> np.ndarray:
@@ -168,6 +161,8 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     parts = min(_cpu_count(), dim // _BLOCK_COLUMNS) if len(ops) >= _MIN_THREADED_GATES else 1
     if parts <= 1:
         return _evolve_columns(c.n, ops, 0, dim)
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
     edges = [_BLOCK_COLUMNS * (dim // _BLOCK_COLUMNS * k // parts) for k in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:
         rest = pool.map(lambda a, b: _evolve_columns(c.n, ops, a, b), edges[1:-1], edges[2:])

@@ -55,28 +55,6 @@ def swap_matrix(i: int, j: int, n: int) -> np.ndarray:
     return out
 
 
-def _swap_bits(value: int, a: int, b: int) -> int:
-    va = (value >> a) & 1
-    vb = (value >> b) & 1
-    if va != vb:
-        value ^= (1 << a) | (1 << b)
-    return value
-
-
-def conjugate_by_swap(s: PauliString, i: int, j: int) -> PauliString:
-    """SWAP conjugation of a string: letters at qubits i and j exchanged.
-
-    Exact at the symbolic level (coefficient unchanged), equal to S @ M @ S
-    at the matrix level.
-    """
-    if not (1 <= i <= s.n and 1 <= j <= s.n):
-        raise ValueError(f"qubit indices ({i}, {j}) out of range 1..{s.n}")
-    if i == j:
-        return s
-    a, b = i - 1, j - 1
-    return PauliString(s.n, _swap_bits(s.x, a, b), _swap_bits(s.z, a, b), s.coeff)
-
-
 @dataclass(frozen=True)
 class TypeVector:
     """Letter-count signature (n_x, n_y, n_z, n_i) of a symmetrized generator."""

@@ -112,7 +112,7 @@ class Circuit:
         if unknown:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
         merged = dict(self.params)
-        merged.update({k: float(v) for k, v in values.items()})
+        merged.update({k: _angle(k, v) for k, v in values.items()})
         return Circuit(self.n, self.gates, merged)
 
     def concat(self, other: "Circuit") -> "Circuit":
@@ -124,6 +124,13 @@ class Circuit:
                 raise ValueError(f"conflicting values for parameter {k!r}")
             merged[k] = v
         return Circuit(self.n, self.gates + other.gates, merged)
+
+
+def _angle(name: str, value) -> float:
+    """``float(value)``, refusing a boolean as ``Circuit`` does."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ def synth_string(
             letter.
     """
     gates = _string_gates(s, pivot, param_name, {})
-    return Circuit(s.n, tuple(gates), {param_name: float(theta)})
+    return Circuit(s.n, tuple(gates), {param_name: _angle(param_name, theta)})
 
 
 def _string_gates(s: PauliString, pivot: int | None, param_name: str, memo: dict) -> list[Gate]:
@@ -268,10 +275,10 @@ def synth_generator(
                 f"orbit of {g.label} does not pairwise commute; "
                 f"exact-product order would matter"
             )
-        steps, angle, name = 1, float(theta), param_name
+        steps, angle, name = 1, _angle(param_name, theta), param_name
     else:
         # first-order product formula: k passes over the orbit at theta / k
-        steps, angle, name = plan.steps, float(theta) / plan.steps, f"{param_name}_step"
+        steps, angle, name = plan.steps, _angle(param_name, theta) / plan.steps, f"{param_name}_step"
     # one gate list for the whole circuit, each distinct gate built once;
     # Circuit validates and copies it once
     memo: dict = {}
@@ -311,21 +318,31 @@ def naive_cnot_budget(n: int) -> int:
 # interchange formats
 
 
+def _per_distinct_gate(gates, render) -> list:
+    """``[render(g) for g in gates]``, with ``render`` called once per distinct gate.
+
+    The memo keys on plain ``(kind, qubits, param)`` tuples; keying on the
+    dataclass would run its slow generated ``__hash__``/``__eq__`` per gate.
+    """
+    memo: dict = {}
+    out = []
+    for g in gates:
+        key = (g.kind, g.qubits, g.param)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = render(g)
+        out.append(value)
+    return out
+
+
 def circuit_to_json(c: Circuit) -> str:
     """``json.dumps({"n", "gates", "params"})`` of the circuit, byte for byte.
 
     Each distinct gate is encoded once and its fragment reused.
     """
-    fragments: dict = {}
-    parts = []
-    for g in c.gates:
-        key = (g.kind, g.qubits, g.param)
-        text = fragments.get(key)
-        if text is None:
-            text = fragments[key] = json.dumps(
-                {"kind": g.kind, "qubits": list(g.qubits), "param": g.param}
-            )
-        parts.append(text)
+    parts = _per_distinct_gate(
+        c.gates, lambda g: json.dumps({"kind": g.kind, "qubits": list(g.qubits), "param": g.param})
+    )
     params = json.dumps({name: float(value) for name, value in sorted(c.params.items())})
     return f'{{"n": {json.dumps(c.n)}, "gates": [{", ".join(parts)}], "params": {params}}}'
 
@@ -379,23 +396,18 @@ def circuit_to_qasm(c: Circuit) -> str:
 
     Each distinct gate is formatted once and its line reused.
     """
+
+    def line(g: Gate) -> str:
+        name = _QASM_NAMES[g.kind]
+        args = ",".join(f"q[{q - 1}]" for q in g.qubits)
+        if g.param is None:
+            return f"{name} {args};"
+        if g.param not in c.params:
+            raise ValueError(f"parameter {g.param!r} is unbound; cannot export")
+        return f"{name}({c.params[g.param]!r}) {args};"
+
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.n}];"]
-    memo: dict = {}
-    for g in c.gates:
-        key = (g.kind, g.qubits, g.param)
-        line = memo.get(key)
-        if line is None:
-            name = _QASM_NAMES[g.kind]
-            args = ",".join(f"q[{q - 1}]" for q in g.qubits)
-            if g.param is not None:
-                if g.param not in c.params:
-                    raise ValueError(f"parameter {g.param!r} is unbound; cannot export")
-                line = f"{name}({c.params[g.param]!r}) {args};"
-            else:
-                line = f"{name} {args};"
-            memo[key] = line
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _per_distinct_gate(c.gates, line)) + "\n"
 
 
 _QASM_GATE_RE = re.compile(
@@ -427,8 +439,8 @@ def _qasm_angle(angle: str, line: str) -> float:
 def circuit_from_qasm(text: str) -> Circuit:
     """Parse the QASM 2.0 subset emitted by circuit_to_qasm.
 
-    Accepted: ``OPENQASM``/``include``/``//`` lines (skipped), ``qreg q[n];``
-    and one gate per line, ``h s sdg cx rx ry rz`` on ``q[i]`` arguments.
+    Accepted: ``OPENQASM``/``include``/``//`` lines (skipped), one
+    ``qreg q[n];`` and one gate per line, ``h s sdg cx rx ry rz`` on ``q[i]`` arguments.
     An angle is a float literal or one of ``pi``, ``-pi``, ``pi/<int>``,
     ``<float>*pi`` and ``<float>*pi/<int>``, evaluated as
     ``sign * coeff * pi / denom``.  Rotation literals become fresh parameters
@@ -448,6 +460,8 @@ def circuit_from_qasm(text: str) -> Circuit:
                 continue
             m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
             if m:
+                if n is not None:
+                    raise ValueError(f"second qreg in line {line!r}; only one qreg is supported")
                 n = int(m.group(1))
                 continue
             m = _QASM_GATE_RE.match(line)

@@ -18,8 +18,11 @@ encode or parse every gate on its own, as the interchange functions did
 before they kept a per-call memo of distinct gates; the writers must match
 them byte for byte and the readers gate for gate.  ``letter_matrix`` and
 ``string_matrix`` realize a string by Kronecker products, and
-``commuting_orbit_by_pairs`` runs the symplectic check on every pair of
-orbit strings, where ``commuting_orbit`` reads the answer off the type vector.
+``commuting_orbit_by_pairs`` runs the symplectic check ``commutes`` on every
+pair of orbit strings, where ``commuting_orbit`` reads the answer off the
+type vector.  ``conjugate_by_swap`` exchanges the letters of a string at two
+qubits, the symbolic form of conjugating it by a SWAP; the package itself
+only checks invariance densely.
 """
 
 import functools
@@ -35,8 +38,8 @@ from scipy.linalg import expm
 from pisu import (
     Circuit,
     Gate,
+    PauliString,
     commutator,
-    commutes,
     gate_matrix,
     invariance_defect,
     project_onto_basis,
@@ -72,6 +75,35 @@ def letter_matrix(letter):
 def string_matrix(s):
     """Dense 2^n x 2^n realization of a string: coeff times the Kronecker product of letters."""
     return word_matrix(s.letters, s.coeff)
+
+
+def commutes(a: PauliString, b: PauliString) -> bool:
+    """Symplectic criterion: even number of positions with distinct non-identity letters."""
+    if a.n != b.n:
+        raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
+
+
+def _swap_bits(value: int, a: int, b: int) -> int:
+    va = (value >> a) & 1
+    vb = (value >> b) & 1
+    if va != vb:
+        value ^= (1 << a) | (1 << b)
+    return value
+
+
+def conjugate_by_swap(s: PauliString, i: int, j: int) -> PauliString:
+    """SWAP conjugation of a string: letters at qubits i and j exchanged.
+
+    Exact at the symbolic level (coefficient unchanged), equal to S @ M @ S
+    at the matrix level.
+    """
+    if not (1 <= i <= s.n and 1 <= j <= s.n):
+        raise ValueError(f"qubit indices ({i}, {j}) out of range 1..{s.n}")
+    if i == j:
+        return s
+    a, b = i - 1, j - 1
+    return PauliString(s.n, _swap_bits(s.x, a, b), _swap_bits(s.z, a, b), s.coeff)
 
 
 def commuting_orbit_by_pairs(gen):

@@ -138,6 +138,18 @@ def test_closure_respects_the_qubit_cap(capsys, monkeypatch):
     assert run_cli(capsys, "closure", "--qubits", "3")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [("basis", "--format", "json"), ("basis",), ("count-cnots",)])
+def test_orbit_expanding_commands_respect_the_qubit_cap(capsys, monkeypatch, argv):
+    # both expand all 4^n - 1 orbit strings, as closure does; dim only counts types
+    monkeypatch.setenv("PISU_MAX_QUBITS", "3")
+    code, out, err = run_cli(capsys, *argv, "--qubits", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=4 qubits exceeds the cap of 3 (set PISU_MAX_QUBITS to raise it)\n"
+    assert run_cli(capsys, *argv, "--qubits", "3")[0] == 0
+    assert run_cli(capsys, "dim", "--qubits", "4") == (0, "formula: 34, enumerated: 34\n", "")
+
+
 @pytest.mark.parametrize("table", ["0", "-3"])
 def test_dim_table_must_be_positive(capsys, table):
     code, out, err = run_cli(capsys, "dim", f"--table={table}")
@@ -402,6 +414,18 @@ def test_malformed_json_circuit_exits_two(tmp_path, capsys, circuit, message, co
     assert out == ""
     assert err.startswith(message) and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["export", "verify"])
+def test_a_second_qasm_register_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "two.qasm"
+    path.write_text("qreg q[2];\nh q[0];\nqreg q[5];\n")
+    code, out, err = run_cli(capsys, command, "--circuit", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: second qreg in line 'qreg q[5];'; only one qreg is supported"
+    ]
 
 
 def test_verify_rejects_a_qasm_register_of_no_qubits(tmp_path, capsys):

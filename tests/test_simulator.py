@@ -1,6 +1,10 @@
 """Dense circuit evaluation against a naive Kronecker-embedding oracle."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +326,12 @@ def test_unbound_parameter_raises_before_any_block(monkeypatch):
     with pytest.raises(UnboundParameterError, match="free"):
         circuit_unitary(Circuit(9, gates))
     assert seen == []
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # only a threaded circuit_unitary run imports concurrent.futures
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, pisu; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

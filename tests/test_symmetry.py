@@ -15,7 +15,6 @@ from pisu import (
     PauliSum,
     TypeVector,
     commutator,
-    conjugate_by_swap,
     dense_exponential,
     dim_pisu,
     enumerate_basis,
@@ -32,6 +31,7 @@ from pisu import symmetry
 from pisu.symmetry import _bracket_counts, _closure_residual, _type_codes
 
 import oracles
+from oracles import conjugate_by_swap
 
 
 def test_swap_matrix_two_qubit_display():

@@ -64,10 +64,29 @@ def test_gate_validation():
             Gate("RY", (1,), param)
 
 
-@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("value", [True, False, np.True_])
 def test_circuit_rejects_boolean_angles(value):
-    with pytest.raises(ValueError, match=rf"^parameter 't' must be a finite angle, got {value}$"):
+    message = rf"^parameter 't' must be a finite angle, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         Circuit(1, (Gate("RX", (1,), "t"),), {"t": value})
+    # rebinding and synthesis turn other numbers into floats, but not a boolean
+    with pytest.raises(ValueError, match=message):
+        Circuit(1, (Gate("RX", (1,), "t"),), {"t": 0.5}).bind({"t": value})
+    with pytest.raises(ValueError, match=message):
+        synth_string(PauliString.from_letters("XZ"), value, param_name="t")
+    for plan in (None, SynthesisPlan("trotter", 3)):
+        with pytest.raises(ValueError, match=message):
+            synth_generator(_generator(1, 0, 0, 1), value, plan, param_name="t")
+
+
+def test_integer_angles_become_floats():
+    c = Circuit(1, (Gate("RX", (1,), "t"),), {"t": 0.5})
+    assert type(c.bind({"t": 2}).params["t"]) is float
+    xz = PauliString.from_letters("XZ")
+    assert type(synth_string(xz, 2).params["theta"]) is float
+    assert type(synth_generator(_generator(1, 0, 0, 1), 2).params["theta"]) is float
+    assert circuit_to_qasm(synth_string(xz, 2)) == circuit_to_qasm(synth_string(xz, 2.0))
+    assert "rx(2.0) q[0];" in circuit_to_qasm(synth_string(xz, 2))
 
 
 def test_circuit_validation_and_binding():
@@ -394,9 +413,7 @@ def test_vertical_swap_equals_horizontal_exchange():
     for word_a, i, j in (("XY", 1, 2), ("XYI", 2, 3), ("ZXI", 1, 3)):
         n = len(word_a)
         s_a = PauliString.from_letters(word_a)
-        from pisu import conjugate_by_swap
-
-        s_b = conjugate_by_swap(s_a, i, j)
+        s_b = oracles.conjugate_by_swap(s_a, i, j)
         u_a = circuit_unitary(synth_string(s_a, 0.9))
         u_b = circuit_unitary(synth_string(s_b, 0.9, param_name="theta2"))
         sw = swap_matrix(i, j, n)
@@ -440,6 +457,12 @@ def test_qasm_parse_rejects_garbage():
         circuit_from_qasm("OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n")
     with pytest.raises(ValueError):
         circuit_from_qasm("h q[0];\n")  # no qreg declared
+
+
+@pytest.mark.parametrize("second", ["qreg q[5];", "qreg q[2];"])
+def test_qasm_rejects_a_second_qreg(second):
+    with pytest.raises(ValueError, match=rf"^second qreg in line '{re.escape(second)}'"):
+        circuit_from_qasm(f"qreg q[2];\nh q[0];\n{second}\n")
 
 
 def test_synthesis_plan_validation():
