@@ -115,11 +115,11 @@ def base_variational_circuit(n: int, seed: int = 0) -> Circuit:
     for q in range(1, n + 1):
         name = f"alpha_{q}"
         gates.append(Gate("RX", (q,), name))
-        params[name] = float(values[q - 1])
+        params[name] = values[q - 1]
     for q in range(1, n + 1):
         name = f"beta_{q}"
         gates.append(Gate("RY", (q,), name))
-        params[name] = float(values[n + q - 1])
+        params[name] = values[n + q - 1]
     for q in range(1, n + 1):
         gates.append(Gate("CNOT", (q, q % n + 1)))
     return Circuit(n, tuple(gates), params)

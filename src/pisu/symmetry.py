@@ -2,14 +2,14 @@
 
 The basis of the permutation-invariant subalgebra has one element per type
 vector (letter-count signature); each element is the symmetric sum over all
-distinct letter arrangements of that type.  Closure under the Lie bracket is
-verified by projecting every pairwise commutator back onto the basis, which
-is exact because distinct Pauli strings are orthogonal under the trace inner
-product.  The check runs in integer arithmetic on (x, z) mask arrays: bracket
-coefficients are Gaussian integers and each squared residual is a rational,
-so a closed algebra reports a residual of exactly zero.  Invariance of a
-dense unitary under a qubit permutation is measured by permuting the axes of
-its ``(2,)*2n`` tensor, which moves entries exactly as a SWAP product would.
+distinct letter arrangements of that type.  A pairwise commutator lies in
+the basis span iff its coefficients are constant on each basis orbit and zero
+off them, as distinct Pauli strings are trace-orthogonal; closure is checked
+that way in integer arithmetic on (x, z) mask arrays: bracket coefficients
+are Gaussian integers and each squared residual is a rational, so a closed
+algebra reports a residual of exactly zero.  Invariance of a dense unitary
+under a qubit permutation is measured by permuting the axes of its
+``(2,)*2n`` tensor, which moves entries exactly as a SWAP product would.
 """
 
 from __future__ import annotations
@@ -292,14 +292,17 @@ class ClosureReport:
 
 
 def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
-    """Project every pairwise commutator of the basis back onto the basis.
+    """Check that every pairwise commutator of the basis lies in its span.
 
-    Brackets and projections are computed in exact integer arithmetic, so
-    the reported residual is exactly zero for a closed algebra and ``tol``
-    only sets the pass threshold for a nonzero one.  Orbit masks come from
-    one enumeration of the 4^n keys (no ``PauliString`` is built), and each
-    generator meets all later orbits in pieces of at most 2^14 term pairs;
-    the keys and one window's 4^n count bins hold ``n`` to the qubit cap.
+    A bracket does iff its integer coefficients are constant on each basis
+    orbit and zero off them; only a bracket that fails gets its projection
+    residual, an exact rational.  So a closed algebra reports exactly zero,
+    and a nonzero residual is at least ``2 / sqrt(M)`` (M the largest
+    orbit): any positive ``tol`` below that gives the exact verdict.  Orbit
+    masks come from one enumeration of the 4^n keys (no ``PauliString`` is
+    built), and each generator meets all later orbits in pieces of at most
+    2^14 term pairs; the keys and one window's 4^n count bins hold ``n`` to
+    the qubit cap.
     """
     check_qubit_cap(n)
     pairs, worst = _closure_residual(n, enumerate_basis(n))
@@ -374,32 +377,27 @@ def _closure_residual(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[in
     """Pair count and worst projection residual over all pairwise brackets of ``basis``.
 
     Equal to looping ``commutator`` and ``project_onto_basis`` over the
-    pairs.  Every bracket coefficient is ``2i`` times an integer count ``d``,
-    so a type of orbit size ``s`` adds ``4 (s * sum d^2 - (sum d)^2) / s`` to
-    the squared residual, and a type outside the basis adds ``4 sum d^2``.
-    The numerators are int64 while ``4 M^4`` (M the largest orbit) bounds
-    them below 2^63 and Python ints above; the worst squared residual is an
-    exact rational, converted to a float only once.
+    pairs.  A bracket ``sum 2i * d[key] * P_key`` is in the span iff each
+    key's count equals the count at its orbit's lead (first) key, or is 0
+    for a key of no basis type; one comparison tests a whole window.  A row
+    that fails gets its exact squared residual, ``4 sum d^2`` less
+    ``4 (sum d)^2 / s`` per basis orbit of size ``s``, in Python ints.  Each
+    orbit adds 0 or at least ``4 / M`` (M the largest orbit), so a nonzero
+    residual is at least ``2 / sqrt(M)``.
     """
-    keys, (codes, basis_codes) = 1 << 2 * n, _type_codes(n, basis)
-    slot_of_type = np.zeros((n + 1) ** 3, dtype=np.int64)  # slot 0: no basis element
-    slot_of_type[basis_codes] = np.arange(1, len(basis) + 1)  # a type listed twice: either slot
-    slot_of_key = slot_of_type[codes]
-    sizes = [gen.orbit_size() for gen in basis]
-    dtype = np.int64 if 4 * max(sizes) ** 4 < 2**63 else object
-    size = np.array([1, *sizes], dtype=dtype)
+    codes, basis_codes = _type_codes(n, basis)
+    _, first, type_of_key = np.unique(codes, return_index=True, return_inverse=True)
+    lead = first[type_of_key]  # the first key of each key's type
+    in_basis = np.isin(codes, basis_codes).astype(float)  # 0: the key's count must be 0
+    size = {code: gen.orbit_size() for code, gen in zip(basis_codes, basis)}
     worst = Fraction(0)
     for _, _, d in _bracket_counts(n, basis, codes, basis_codes):
-        flat = np.flatnonzero(d)
-        value = d.ravel()[flat].astype(np.int64).astype(dtype)
-        group = flat >> 2 * n, slot_of_key[flat & keys - 1]
-        sq, total = np.zeros((2, len(d), size.size), dtype=dtype)
-        np.add.at(sq, group, value * value)
-        np.add.at(total, group, value)
-        total[:, 0] = 0  # slot 0 adds 4 sum d^2
-        numerator = 4 * (size * sq - total * total)
-        residual_sq: dict[int, Fraction] = {}  # only pairs with a nonzero residual
-        for j, slot in zip(*np.nonzero(numerator)):
-            residual_sq[j] = residual_sq.get(j, 0) + Fraction(int(numerator[j, slot]), int(size[slot]))
-        worst = max([worst, *residual_sq.values()])
+        for row in d[(np.take(d, lead, axis=1) * in_basis != d).any(axis=1)]:
+            nonzero = np.flatnonzero(row)
+            counts = row[nonzero].astype(np.int64).tolist()
+            total: dict[int, int] = {}  # sum d per type
+            for code, c in zip(codes[nonzero].tolist(), counts):
+                total[code] = total.get(code, 0) + c
+            projected = sum(Fraction(4 * t * t, size[code]) for code, t in total.items() if code in size)
+            worst = max(worst, 4 * sum(c * c for c in counts) - projected)
     return math.comb(len(basis), 2), math.sqrt(worst)

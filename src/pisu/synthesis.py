@@ -69,8 +69,8 @@ class Gate:
 class Circuit:
     """Ordered gate list over n qubits; leftmost gate is applied first.
 
-    ``params`` holds the current binding of parameter names to angles
-    (radians) as a read-only mapping; every angle must be finite.  Circuits
+    ``params`` binds parameter names to float angles (radians) in a
+    read-only mapping; ``_angle`` says which values are accepted.  Circuits
     are immutable and hashable; ``bind`` returns a rebound copy.
     ``circuit_to_json`` is the supported serialization; ``dataclasses.asdict``
     is not (it cannot copy the read-only ``params``).
@@ -89,11 +89,8 @@ class Circuit:
             for q in qubits:
                 if not 1 <= q <= self.n:
                     raise ValueError(f"gate qubit {q} out of range 1..{self.n}")
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        for name, value in self.params.items():
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)
-            if not finite or isinstance(value, bool):
-                raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
+        params = {name: _angle(name, value) for name, value in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     def __hash__(self) -> int:
         return hash((self.n, self.gates, tuple(sorted(self.params.items()))))
@@ -111,9 +108,7 @@ class Circuit:
         unknown = set(values) - set(self.param_names) - set(self.params)
         if unknown:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
-        merged = dict(self.params)
-        merged.update({k: _angle(k, v) for k, v in values.items()})
-        return Circuit(self.n, self.gates, merged)
+        return Circuit(self.n, self.gates, {**self.params, **values})
 
     def concat(self, other: "Circuit") -> "Circuit":
         if self.n != other.n:
@@ -127,10 +122,13 @@ class Circuit:
 
 
 def _angle(name: str, value) -> float:
-    """``float(value)``, refusing a boolean as ``Circuit`` does."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
-    return float(value)
+    """``value`` as a float angle, if it is a real number, not a boolean, and finite as a float."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"parameter {name!r} must be a finite angle, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def synth_string(
             letter.
     """
     gates = _string_gates(s, pivot, param_name, {})
-    return Circuit(s.n, tuple(gates), {param_name: _angle(param_name, theta)})
+    return Circuit(s.n, tuple(gates), {param_name: theta})
 
 
 def _string_gates(s: PauliString, pivot: int | None, param_name: str, memo: dict) -> list[Gate]:
@@ -263,6 +261,7 @@ def synth_generator(
     Trotterized circuits bind the per-step angle under the name
     ``<param_name>_step`` (= theta / steps); rebinding it scales every slice.
     """
+    theta = _angle(param_name, theta)  # before a trotter plan divides it
     commuting = commuting_orbit(g)
     if plan is None:
         plan = SynthesisPlan() if commuting else SynthesisPlan("trotter", DEFAULT_TROTTER_STEPS)
@@ -275,10 +274,10 @@ def synth_generator(
                 f"orbit of {g.label} does not pairwise commute; "
                 f"exact-product order would matter"
             )
-        steps, angle, name = 1, _angle(param_name, theta), param_name
+        steps, angle, name = 1, theta, param_name
     else:
         # first-order product formula: k passes over the orbit at theta / k
-        steps, angle, name = plan.steps, _angle(param_name, theta) / plan.steps, f"{param_name}_step"
+        steps, angle, name = plan.steps, theta / plan.steps, f"{param_name}_step"
     # one gate list for the whole circuit, each distinct gate built once;
     # Circuit validates and copies it once
     memo: dict = {}
@@ -343,7 +342,7 @@ def circuit_to_json(c: Circuit) -> str:
     parts = _per_distinct_gate(
         c.gates, lambda g: json.dumps({"kind": g.kind, "qubits": list(g.qubits), "param": g.param})
     )
-    params = json.dumps({name: float(value) for name, value in sorted(c.params.items())})
+    params = json.dumps(dict(sorted(c.params.items())))
     return f'{{"n": {json.dumps(c.n)}, "gates": [{", ".join(parts)}], "params": {params}}}'
 
 
@@ -440,12 +439,12 @@ def circuit_from_qasm(text: str) -> Circuit:
     """Parse the QASM 2.0 subset emitted by circuit_to_qasm.
 
     Accepted: ``OPENQASM``/``include``/``//`` lines (skipped), one
-    ``qreg q[n];`` and one gate per line, ``h s sdg cx rx ry rz`` on ``q[i]`` arguments.
-    An angle is a float literal or one of ``pi``, ``-pi``, ``pi/<int>``,
-    ``<float>*pi`` and ``<float>*pi/<int>``, evaluated as
-    ``sign * coeff * pi / denom``.  Rotation literals become fresh parameters
-    p0, p1, ... in gate order.  A line seen before in the same text is not
-    parsed again.
+    ``qreg q[n];`` before any gate, and one gate per line, ``h s sdg cx rx
+    ry rz`` on ``q[i]`` arguments.  An angle is a float literal or one of
+    ``pi``, ``-pi``, ``pi/<int>``, ``<float>*pi`` and ``<float>*pi/<int>``,
+    evaluated as ``sign * coeff * pi / denom``.  Rotation literals become
+    fresh parameters p0, p1, ... in gate order.  A line seen before in the
+    same text is not parsed again.
     """
     n = None
     gates: list[Gate] = []
@@ -467,6 +466,8 @@ def circuit_from_qasm(text: str) -> Circuit:
             m = _QASM_GATE_RE.match(line)
             if m is None:
                 raise ValueError(f"cannot parse QASM line: {line!r}")
+            if n is None:
+                raise ValueError(f"gate line {line!r} comes before the qreg declaration")
             kind = _QASM_KINDS.get(m.group("name"))
             if kind is None:
                 raise ValueError(f"unsupported QASM gate {m.group('name')!r}")

@@ -401,6 +401,8 @@ def test_export_reads_pi_angles_and_rejects_others(tmp_path, capsys):
          "error: gate 0: RX requires a parameter name, got 7\n"),
         ({"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": "t"}], "params": {"t": True}},
          "error: parameter 't' must be a finite angle, got True\n"),
+        ({"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": "t"}], "params": {"t": 10**400}},
+         "error: parameter 't' must be a finite angle, got 1000"),
     ],
 )
 @pytest.mark.parametrize("command", ["export", "verify"])
@@ -426,6 +428,16 @@ def test_a_second_qasm_register_exits_two(tmp_path, capsys, command):
     assert err.splitlines() == [
         "error: second qreg in line 'qreg q[5];'; only one qreg is supported"
     ]
+
+
+@pytest.mark.parametrize("command", ["export", "verify"])
+def test_a_qasm_gate_before_the_register_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "early.qasm"
+    path.write_text("h q[3];\nqreg q[5];\n")
+    code, out, err = run_cli(capsys, command, "--circuit", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: gate line 'h q[3];' comes before the qreg declaration"]
 
 
 def test_verify_rejects_a_qasm_register_of_no_qubits(tmp_path, capsys):

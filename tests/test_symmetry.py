@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import itertools
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -350,6 +352,50 @@ def test_closure_of_random_sub_bases_matches_pair_grid_oracle(data):
     sub = [basis[k] for k in picks]
     with mock.patch.object(symmetry, "_PIECE", budget):
         assert _closure_residual(n, sub) == oracles.closure_by_pair_grids(n, sub)
+
+
+def _residual_of_rows(n, basis, *rows):
+    """``_closure_residual`` when the kernel yields one window of hand-made counts.
+
+    Each row maps letter words to their count ``d``; every other key counts 0.
+    """
+    d = np.zeros((len(rows), 1 << 2 * n))
+    for j, row in enumerate(rows):
+        for word, count in row.items():
+            s = PauliString.from_letters(word)
+            d[j, s.x << n | s.z] = count
+    with mock.patch.object(symmetry, "_bracket_counts", lambda *args: iter([(0, 1, d)])):
+        return _closure_residual(n, basis)[1]
+
+
+def test_closure_residual_within_an_orbit():
+    # a bracket of two invariant sums is invariant, so no real bracket has
+    # counts that differ inside one orbit; these hand-made windows do
+    basis = enumerate_basis(2)
+    assert _residual_of_rows(2, basis, {"XI": 1}) == math.sqrt(2)  # 4 (2 * 1 - 1^2) / 2
+    assert _residual_of_rows(2, basis, {"IX": 1}) == math.sqrt(2)  # the orbit's lead key counts 0
+    assert _residual_of_rows(2, basis, {"XI": 1, "IX": 3}) == math.sqrt(8)
+    assert _residual_of_rows(2, basis, {"XI": 1, "IX": 1, "XY": 2, "YX": 2}) == 0.0
+    assert _residual_of_rows(2, basis, {"XI": 1, "IX": 1}, {"YI": -1}, {"ZZ": 5}) == math.sqrt(2)
+    # a count on a key of no basis type adds 4 d^2
+    assert _residual_of_rows(2, basis, {"II": 3}) == 6.0
+    assert _residual_of_rows(2, basis[1:], {"XX": 3, "XY": 1, "YX": 1}) == 6.0
+    assert _residual_of_rows(2, basis[1:], {"XX": 3, "XI": 1}) == math.sqrt(36 + 2)
+    # an orbit of 3: 4 (3 * 1 - 1^2) / 3, exactly
+    assert _residual_of_rows(3, enumerate_basis(3), {"IIZ": 1}) == math.sqrt(Fraction(8, 3))
+
+
+def test_nonzero_closure_residual_is_at_least_two_over_root_of_largest_orbit():
+    n = 3
+    basis = enumerate_basis(n)
+    bound = 2 / math.sqrt(max(gen.orbit_size() for gen in basis))
+    residuals = {
+        _residual_of_rows(n, basis, {"".join(word): count})
+        for word in itertools.product("IXYZ", repeat=n)
+        for count in (1, -2)
+    }
+    assert 0.0 in residuals  # a count on XXX, an orbit of one, is in the span
+    assert min(residuals - {0.0}) >= bound
 
 
 def test_closure_builds_no_orbit_objects():

@@ -64,12 +64,13 @@ def test_gate_validation():
             Gate("RY", (1,), param)
 
 
-@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.5", "nan", b"1", 1j, None, 10**400])
 def test_circuit_rejects_boolean_angles(value):
     message = rf"^parameter 't' must be a finite angle, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         Circuit(1, (Gate("RX", (1,), "t"),), {"t": value})
-    # rebinding and synthesis turn other numbers into floats, but not a boolean
+    # rebinding and synthesis turn real numbers into floats, but not a
+    # boolean, a numeric string or any other non-real value
     with pytest.raises(ValueError, match=message):
         Circuit(1, (Gate("RX", (1,), "t"),), {"t": 0.5}).bind({"t": value})
     with pytest.raises(ValueError, match=message):
@@ -87,6 +88,16 @@ def test_integer_angles_become_floats():
     assert type(synth_generator(_generator(1, 0, 0, 1), 2).params["theta"]) is float
     assert circuit_to_qasm(synth_string(xz, 2)) == circuit_to_qasm(synth_string(xz, 2.0))
     assert "rx(2.0) q[0];" in circuit_to_qasm(synth_string(xz, 2))
+    # the constructor stores floats too, so numpy scalars export as plain literals
+    for value in (np.float64(0.5), np.float32(0.5), np.int64(2), 2):
+        assert type(Circuit(1, c.gates, {"t": value}).params["t"]) is float
+    qasm = circuit_to_qasm(Circuit(1, c.gates, {"t": np.float64(0.5)}))
+    assert qasm.endswith("\nrx(0.5) q[0];\n")
+    assert circuit_from_qasm(qasm).params == {"p0": 0.5}
+    # an integer angle in hand-written JSON exports as a float
+    c = circuit_from_json('{"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": "t"}], "params": {"t": 1}}')
+    assert circuit_to_qasm(c).endswith("\nrx(1.0) q[0];\n")
+    assert circuit_to_json(c).endswith('"params": {"t": 1.0}}')
 
 
 def test_circuit_validation_and_binding():
@@ -463,6 +474,14 @@ def test_qasm_parse_rejects_garbage():
 def test_qasm_rejects_a_second_qreg(second):
     with pytest.raises(ValueError, match=rf"^second qreg in line '{re.escape(second)}'"):
         circuit_from_qasm(f"qreg q[2];\nh q[0];\n{second}\n")
+
+
+@pytest.mark.parametrize("line", ["h q[3];", "rx(0.5) q[0];", "cx q[0],q[1];"])
+def test_qasm_rejects_a_gate_before_the_qreg(line):
+    message = rf"^gate line '{re.escape(line)}' comes before the qreg declaration$"
+    with pytest.raises(ValueError, match=message):
+        circuit_from_qasm(f"OPENQASM 2.0;\n{line}\nqreg q[5];\n")
+    assert circuit_from_qasm(f"qreg q[5];\n{line}\n").n == 5
 
 
 def test_synthesis_plan_validation():
