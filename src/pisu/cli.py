@@ -103,11 +103,20 @@ def _parse_type(text: str, n: int) -> TypeVector:
     return tv
 
 
+def _mode_count(text: str, form: str) -> int:
+    """The integer after the colon of ``text``, a mode of the form ``form``."""
+    try:
+        return int(text.split(":", 1)[1])
+    except ValueError:
+        message = f"malformed mode {text!r}; expected {form}, an integer after the colon"
+        raise ValueError(message) from None
+
+
 def _parse_mode(text: str) -> synthesis.SynthesisPlan:
     if text == "exact":
         return synthesis.SynthesisPlan("exact-product")
     if text.startswith("trotter:"):
-        return synthesis.SynthesisPlan("trotter", steps=int(text.split(":", 1)[1]))
+        return synthesis.SynthesisPlan("trotter", steps=_mode_count(text, "trotter:<k>"))
     raise ValueError(f"unknown mode {text!r}; expected exact or trotter:<k>")
 
 
@@ -166,7 +175,7 @@ def _cmd_ansatz(args) -> int:
         defect = symmetry.swap_invariance_defect(u, circuit.n)
         report = {"mode": "full", "max_transposition_defect": defect, "invariant": defect < args.tol}
     elif args.mode.startswith("blocks:"):
-        blocks = int(args.mode.split(":", 1)[1])
+        blocks = _mode_count(args.mode, "blocks:<b>")
         circuit = ansatz_mod.symmetrize_by_extension(base, blocks, choice)
         bs = ansatz_mod.BlockStructure.for_extension(args.qubits, blocks)
         u = simulator.circuit_unitary(circuit)

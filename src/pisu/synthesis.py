@@ -138,7 +138,8 @@ class SynthesisPlan:
     ``exact-product`` multiplies the orbit's string exponentials (valid only
     for pairwise-commuting orbits); ``trotter`` repeats the orbit product
     over ``steps`` slices.  ``pivot`` (1..n, else ``synth_generator`` raises)
-    pins the central-rotation qubit of each string not idle on it.
+    pins the central-rotation qubit of each string not idle on it.  Both
+    are plain ints (not booleans); ``pivot`` may also be None.
     """
 
     mode: str = "exact-product"
@@ -148,8 +149,12 @@ class SynthesisPlan:
     def __post_init__(self) -> None:
         if self.mode not in ("exact-product", "trotter"):
             raise ValueError(f"unknown synthesis mode {self.mode!r}")
+        if type(self.steps) is not int:  # bool is a subclass of int
+            raise ValueError(f"steps must be an int, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("trotter steps must be >= 1")
+        if self.pivot is not None and type(self.pivot) is not int:
+            raise ValueError(f"pivot must be an int or None, got {self.pivot!r}")
 
 
 # Basis-change wrappers: letter -> (first gate kind, last gate kind) so the
@@ -347,7 +352,16 @@ def circuit_to_json(c: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    """Inverse of ``circuit_to_json``; a malformed gate is reported by its index."""
+    """Inverse of ``circuit_to_json``; a malformed gate is reported by its index.
+
+    Text in the writer's layout is read by ``_writer_layout``, which parses
+    each distinct gate once; any other text, and any text it cannot read,
+    takes the general reader below, which gives the same circuit and every
+    error message.
+    """
+    read = _writer_layout(text)
+    if read is not None:
+        return Circuit(*read)
     data = json.loads(text)
     if not (
         isinstance(data, dict)
@@ -363,16 +377,63 @@ def circuit_from_json(text: str) -> Circuit:
     gates = []
     for k, g in enumerate(data["gates"]):
         try:
-            qubits = tuple(g["qubits"])
-            # 1.0 == 1 and True == 1 would hit the memo entry of an integer
-            # index.  A valid gate has one or two qubits, so its two ends are
-            # all of them; a longer list misses the memo and Gate rejects it.
-            if qubits and not type(qubits[0]) is type(qubits[-1]) is int:
-                raise ValueError(f"qubit indices must be integers, got {qubits!r}")
-            gates.append(_gate(memo, g["kind"], qubits, g.get("param")))
+            gates.append(_json_gate(memo, g))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"gate {k}: {_json_gate_fault(g, exc)}") from None
     return Circuit(data["n"], gates, data.get("params", {}))
+
+
+def _json_gate(memo: dict, g) -> Gate:
+    """The gate of one parsed JSON gate object, through the ``_gate`` memo."""
+    qubits = tuple(g["qubits"])
+    # 1.0 == 1 and True == 1 would hit the memo entry of an integer index.
+    # A valid gate has one or two qubits, so its two ends are all of them;
+    # a longer list misses the memo and Gate rejects it.
+    if qubits and not type(qubits[0]) is type(qubits[-1]) is int:
+        raise ValueError(f"qubit indices must be integers, got {qubits!r}")
+    return _gate(memo, g["kind"], qubits, g.get("param"))
+
+
+def _writer_layout(text: str) -> tuple | None:
+    """``(n, gates, params)`` of text laid out as ``circuit_to_json`` writes it, else None.
+
+    The layout is ``{"n": N, "gates": [{F}, {F}, ...], "params": P}``,
+    perhaps with JSON whitespace around it.  The text is cut at the first
+    ``, "gates": [``, the last ``], "params": `` and every ``}, {`` between
+    them.  Each piece must parse on its own, a gate piece as ``{F}``, and
+    each distinct gate piece is parsed once.  This is sound: if every piece
+    parses, the text is these values joined by the cuts, so it is valid JSON
+    and means what ``json.loads`` makes of it.  A cut inside a string literal
+    leaves an unterminated string in a piece, which fails to parse.  In the
+    writer's text the envelope cuts never fall in a string, as they hold a
+    ``"``, which JSON escapes there; only a parameter name holding ``}, {``
+    is cut, and that text takes the general reader.  So does text whose
+    pieces do not parse, such as another spacing between gates or in the
+    envelope, another envelope key order, duplicate envelope keys or a list
+    of objects inside a gate, and text whose gates or envelope are not valid.
+    """
+    text = text.strip(" \t\n\r")  # the whitespace json.loads allows around a value
+    if not (text.startswith('{"n": ') and text.endswith("}")):
+        return None
+    n_text, cut, rest = text[6:-1].partition(', "gates": [')
+    body, cut2, params_text = rest.rpartition('], "params": ')
+    if not (cut and cut2) or body and not (body[0] == "{" and body[-1] == "}"):
+        return None
+    memo: dict = {}
+    seen: dict[str, Gate] = {}
+    gates = []
+    try:
+        n, params = json.loads(n_text), json.loads(params_text)
+        if type(n) is not int or not isinstance(params, dict):
+            return None
+        for piece in body[1:-1].split("}, {") if body else ():
+            gate = seen.get(piece)
+            if gate is None:
+                gate = seen[piece] = _json_gate(memo, json.loads("{" + piece + "}"))
+            gates.append(gate)
+    except (KeyError, TypeError, ValueError):  # a JSONDecodeError is a ValueError
+        return None
+    return n, gates, params
 
 
 def _json_gate_fault(g, exc: Exception) -> str:
@@ -409,22 +470,22 @@ def circuit_to_qasm(c: Circuit) -> str:
     return "\n".join(lines + _per_distinct_gate(c.gates, line)) + "\n"
 
 
+# [0-9], not \d: \d also matches other scripts' digits, which int and float read
 _QASM_GATE_RE = re.compile(
-    r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[\d+\](?:,q\[\d+\])*);$"
+    r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[[0-9]+\](?:,q\[[0-9]+\])*);$"
 )
+_QASM_FLOAT = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_QASM_FLOAT_RE = re.compile(rf"[+-]?{_QASM_FLOAT}")
 _QASM_PI_RE = re.compile(
-    r"^(?P<sign>-)?(?:(?P<coeff>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*)?"
-    r"pi(?:/(?P<denom>[1-9]\d*))?$"
+    rf"(?P<sign>-)?(?:(?P<coeff>{_QASM_FLOAT})\*)?pi(?:/(?P<denom>[1-9][0-9]*))?"
 )
 
 
 def _qasm_angle(angle: str, line: str) -> float:
     """A QASM angle: a float literal or ``sign * coeff * pi / denom``."""
-    try:
+    if _QASM_FLOAT_RE.fullmatch(angle):
         return float(angle)
-    except ValueError:
-        pass
-    m = _QASM_PI_RE.match(angle)
+    m = _QASM_PI_RE.fullmatch(angle)
     if m is None:
         raise ValueError(
             f"unsupported QASM angle {angle!r} in line {line!r}; expected a float literal, "
@@ -457,7 +518,7 @@ def circuit_from_qasm(text: str) -> Circuit:
         if seen is None:
             if not line or line.startswith(("OPENQASM", "include", "//")):
                 continue
-            m = re.match(r"^qreg\s+q\[(\d+)\];$", line)
+            m = re.match(r"^qreg\s+q\[([0-9]+)\];$", line)
             if m:
                 if n is not None:
                     raise ValueError(f"second qreg in line {line!r}; only one qreg is supported")
@@ -471,7 +532,7 @@ def circuit_from_qasm(text: str) -> Circuit:
             kind = _QASM_KINDS.get(m.group("name"))
             if kind is None:
                 raise ValueError(f"unsupported QASM gate {m.group('name')!r}")
-            qubits = tuple(int(q) + 1 for q in re.findall(r"q\[(\d+)\]", m.group("args")))
+            qubits = tuple(int(q) + 1 for q in re.findall(r"q\[([0-9]+)\]", m.group("args")))
             if m.group("angle") is None:
                 seen = memo[line] = Gate(kind, qubits)
             else:

@@ -447,3 +447,42 @@ def test_verify_rejects_a_qasm_register_of_no_qubits(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: a circuit needs at least one qubit"]
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        (("synth", "--qubits", "2", "--type", "x:1,y:1", "--theta", "0.1", "--mode", "trotter:x"),
+         "trotter:<k>"),
+        (("synth", "--qubits", "2", "--type", "x:1,y:1", "--theta", "0.1", "--mode", "trotter:"),
+         "trotter:<k>"),
+        (("synth", "--qubits", "2", "--type", "x:1,y:1", "--theta", "0.1", "--mode", "trotter:1.5"),
+         "trotter:<k>"),
+        (("ansatz", "--qubits", "2", "--mode", "blocks:x"), "blocks:<b>"),
+        (("ansatz", "--qubits", "2", "--mode", "blocks:"), "blocks:<b>"),
+    ],
+)
+def test_a_malformed_mode_count_names_the_mode(capsys, argv, form):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: malformed mode {argv[-1]!r}; expected {form}, an integer after the colon"
+    ]
+
+
+@pytest.mark.parametrize("command", ["export", "verify"])
+def test_synth_json_file_is_read_once_per_distinct_gate(tmp_path, capsys, monkeypatch, command):
+    argv = ("synth", "--qubits", "3", "--type", "x:1,y:1", "--theta", "0.4", "--mode", "trotter:2",
+            "--out", "json")
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0 and text.endswith("}\n")
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    real, seen = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: seen.append(s) or real(s, *a, **k))
+    code, out, _ = run_cli(capsys, command, "--circuit", str(path))
+    assert code in (0, 1) and out
+    # "n", "params" and each distinct gate, never the whole file
+    assert text not in seen and text.strip() not in seen
+    assert 2 < len(seen) < text.count('"kind"')

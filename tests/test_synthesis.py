@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from pisu import (
     synth_string,
     unitarity_defect,
 )
+from pisu import synthesis
 from pisu.synthesis import _WRAPPERS, GATE_KINDS
 
 import oracles
@@ -491,6 +493,18 @@ def test_synthesis_plan_validation():
         SynthesisPlan("trotter", steps=0)
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, False, "3", None, np.int64(2)])
+def test_synthesis_plan_steps_must_be_an_int(steps):
+    with pytest.raises(ValueError, match=r"^steps must be an int, got "):
+        SynthesisPlan("trotter", steps)
+
+
+@pytest.mark.parametrize("pivot", [1.0, True, False, "2", np.int64(2)])
+def test_synthesis_plan_pivot_must_be_an_int_or_none(pivot):
+    with pytest.raises(ValueError, match=r"^pivot must be an int or None, got "):
+        SynthesisPlan("trotter", 2, pivot)
+
+
 def test_synth_generator_returns_only_circuits():
     # the exact matrix comes from dense_exponential, not from a plan mode
     with pytest.raises(ValueError, match="unknown synthesis mode 'dense-exponential'"):
@@ -525,10 +539,9 @@ angles = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, names=st.sampled_from(("a", "b", "theta"))):
     """Random circuits over all gate kinds; a few shared names make gates repeat."""
     n = draw(st.integers(1, 6))
-    names = ("a", "b", "theta")
     gates = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from([k for k in GATE_KINDS if n > 1 or k != "CNOT"]))
@@ -537,7 +550,7 @@ def circuits(draw):
             target = draw(st.integers(1, n).filter(lambda q: q != qubit))
             gates.append(Gate(kind, (qubit, target)))
         elif kind in ("RX", "RY", "RZ"):
-            gates.append(Gate(kind, (qubit,), draw(st.sampled_from(names))))
+            gates.append(Gate(kind, (qubit,), draw(names)))
         else:
             gates.append(Gate(kind, (qubit,)))
     used = {g.param for g in gates if g.param is not None}
@@ -625,7 +638,12 @@ def test_qasm_accepts_pi_angles(angle, want):
     assert c.params["p0"].hex() == c.params["p1"].hex() == want.hex()
 
 
-@pytest.mark.parametrize("angle", ["2pi", "pi*2", "pi/0", "pi/2.5", "pi/-2", "tau", "--pi", "pi+1"])
+@pytest.mark.parametrize(
+    "angle",
+    ["2pi", "pi*2", "pi/0", "pi/2.5", "pi/-2", "tau", "--pi", "pi+1",
+     # Python's float and int read these, but they are not in the grammar
+     "1_0", "\u0661", "\u0661*pi", "pi/\u0662"],
+)
 def test_qasm_rejects_other_angles(angle):
     line = f"rz({angle}) q[0];"
     with pytest.raises(ValueError) as info:
@@ -633,6 +651,12 @@ def test_qasm_rejects_other_angles(angle):
     message = str(info.value)
     assert repr(line) in message
     assert "pi, -pi, pi/<int>, <float>*pi or <float>*pi/<int>" in message
+
+
+@pytest.mark.parametrize("line", ["h q[\u0661];", "cx q[0],q[\u0661];", "qreg q[\u0662];"])
+def test_qasm_indices_are_ascii_digits(line):
+    with pytest.raises(ValueError, match="cannot parse QASM line"):
+        circuit_from_qasm(f"OPENQASM 2.0;\nqreg q[3];\n{line}\n")
 
 
 def test_json_reader_keeps_gate_errors():
@@ -700,6 +724,118 @@ def test_json_reader_names_the_malformed_gate(gates, message):
 def test_json_reader_rejects_a_malformed_envelope(data):
     with pytest.raises(ValueError, match='integer "n", a "gates" list'):
         circuit_from_json(json.dumps(data))
+
+
+def _general_reader(text):
+    """circuit_from_json with the writer-layout path switched off."""
+    with mock.patch.object(synthesis, "_writer_layout", lambda text: None):
+        return circuit_from_json(text)
+
+
+def _outcome(read, text):
+    """The circuit's bits, or the type and message of the error."""
+    try:
+        return _bits(read(text))
+    except Exception as exc:  # any error: its type and message are the outcome
+        return type(exc), str(exc)
+
+
+def _json_loads_inputs(text):
+    """The texts json.loads sees while circuit_from_json reads ``text``."""
+    real, seen = json.loads, []
+
+    def counting(s, *args, **kwargs):
+        seen.append(s)
+        return real(s, *args, **kwargs)
+
+    with mock.patch.object(json, "loads", counting):
+        circuit_from_json(text)
+    return seen
+
+
+# names the reader's cuts could meet: quotes, backslashes, the cut texts
+# themselves, and non-ASCII (which json.dumps writes as \u escapes)
+_awkward_names = st.sampled_from(
+    ["a", "theta", '"', "\\", "}, {", '}], "params": ', '], "params": {', ", \"gates\": [",
+     "\u03b8", "\u2028", "a\u0661", '\\"}, {"']
+) | st.text(min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits(names=_awkward_names))
+def test_json_writer_layout_and_general_reader_agree(c):
+    text = circuit_to_json(c)
+    relaid = json.dumps(json.loads(text), indent=1)
+    for t in (text, text + "\n", relaid):
+        assert _bits(circuit_from_json(t)) == _bits(_general_reader(t)) == _bits(c)
+    # only a gate's parameter name holding the gate cut moves the writer's
+    # own text off the per-fragment path
+    cut = any("}, {" in g.param for g in c.gates if g.param is not None)
+    assert (text in _json_loads_inputs(text)) == cut
+    assert (text + "\n" in _json_loads_inputs(text + "\n")) == cut
+    assert relaid in _json_loads_inputs(relaid)
+
+
+def test_json_writer_layout_parses_each_distinct_gate_once():
+    c = synth_generator(_generator(1, 1, 0, 1), 0.3)
+    text = circuit_to_json(c) + "\n"  # as pisu synth --out json writes it
+    distinct = {(g.kind, g.qubits, g.param) for g in c.gates}
+    seen = _json_loads_inputs(text)
+    assert len(seen) == len(distinct) + 2 < len(c.gates)  # plus "n" and "params"
+    assert circuit_from_json(text) == c
+    # spacing inside a gate only changes the fragments; between gates it
+    # leaves no cut, and the general reader takes the text
+    inner = text.replace('"qubits": ', '"qubits":')
+    assert len(_json_loads_inputs(inner)) == len(seen)
+    outer = text.replace("}, {", "},{")
+    assert outer in _json_loads_inputs(outer)
+    assert circuit_from_json(inner) == circuit_from_json(outer) == c
+
+
+_H = '{"kind": "H", "qubits": [1], "param": null}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 1, "gates": [{}}',  # the cuts never found: invalid JSON
+        '{"n": 1, "gates": [], "params": {}} {}',
+        '{"n": 1, "gates": [' + _H + '], "params":{}}',
+        '{"n": 1, "gates": [' + _H + ', {"kind": "H"], "params": {}}',
+        '{"n": 1, "gates": [' + _H + '], "params": {"a": 1}]}',
+        # duplicate envelope keys: json.loads keeps the last
+        '{"n": 1, "n": 2, "gates": [], "params": {}}',
+        '{"n": 1, "gates": [' + _H + '], "params": {}, "params": {"a": 1}}',
+        '{"n": 1, "gates": [' + _H + '], "gates": [], "params": {}}',
+        # a cut inside a string literal
+        '{"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": "a}, {b"}], "params": {"a}, {b": 1}}',
+        '{"n": "1, \\"gates\\": [", "gates": [], "params": {}}',
+        '{"n": "x, "gates": [], "params": {}}',
+        # nested values, and another spacing or key order
+        '{"n": 1, "gates": [{"kind": "H", "qubits": [1], "x": [{"a": 1}, {"b": 2}]}], "params": {}}',
+        '{"n": 1, "gates": [{"qubits": [1], "kind": "H"}], "params": {}}',
+        '{"n":1, "gates": [' + _H + '], "params": {}}',
+        '{"n": 1, "gates": [ ], "params": {}}',
+        '{"n": 1, "gates": [], "params": {}}',
+        # whitespace: JSON's own is stripped, other Unicode spaces are errors
+        "\t\r\n " + '{"n": 1, "gates": [' + _H + '], "params": {}}' + "\n\n",
+        "\u00a0" + '{"n": 1, "gates": [], "params": {}}',
+        '{"n": 1, "gates": [], "params": {}}' + "\u2003",
+        # envelopes and gates that parse but are not valid
+        '{"n": true, "gates": [], "params": {}}',
+        '{"n": 1.0, "gates": [], "params": {}}',
+        '{"n": 0, "gates": [], "params": {}}',
+        '{"n": 1, "gates": [], "params": []}',
+        '{"n": 1, "gates": [], "params": {"a": NaN}}',
+        '{"n": 1, "gates": [{"kind": "H", "qubits": [2], "param": null}], "params": {}}',
+        '{"n": 1, "gates": [' + _H + ", " + _H.replace("[1]", "[1.0]") + '], "params": {}}',
+        '{"n": 1, "gates": [' + _H + ", " + _H.replace("[1]", "[true]") + '], "params": {}}',
+        '{"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": "a"}], "params": {}}',
+        '{"n": 1, "gates": [{}], "params": {}}',
+    ],
+)
+def test_json_reader_outcome_matches_the_general_reader(text):
+    assert _outcome(circuit_from_json, text) == _outcome(_general_reader, text)
 
 
 def test_non_numeric_angle_rejected():
