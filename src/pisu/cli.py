@@ -21,17 +21,29 @@ from .pauli import check_qubit_cap
 from .symmetry import TypeVector
 
 
-def _positive(kind):
-    """argparse type for a finite ``kind`` value > 0; other text keeps argparse's message."""
+def _number(kind, positive: bool = False):
+    """argparse type reading ``kind``, ``int`` or ``float``, from ASCII text without ``_``.
+
+    Both also read other scripts' digits and spaces, and ``_`` between
+    digits; on the rest of ASCII they read signed decimals (float also
+    ``inf`` and ``nan``) with spaces around them.  ``positive`` asks for a
+    finite value > 0.  Text that is not such a number keeps argparse's
+    message, such as ``invalid int value: '٣'``.
+    """
 
     def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"not an ASCII number: {text!r}")
         value = kind(text)
-        if not 0 < value < float("inf"):  # false for nan
+        if positive and not 0 < value < float("inf"):  # false for nan
             raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
         return value
 
-    parse.__name__ = kind.__name__
+    parse.__name__ = kind.__name__  # the type argparse names in its message
     return parse
+
+
+_int, _float = _number(int), _number(float)
 
 
 def _json_out(obj) -> str:
@@ -91,9 +103,9 @@ def _parse_type(text: str, n: int) -> TypeVector:
         for part in text.split(","):
             key, _, value = part.partition(":")
             key = key.strip().lower()
-            if key not in counts or not value.strip().isdigit():
+            if key not in counts or not (value.isascii() and value.strip().isdigit()):
                 raise ValueError(f"malformed type entry {part!r}; expected x:a,y:b,z:c")
-            counts[key] += int(value)
+            counts[key] += _int(value)
     n_i = n - counts["x"] - counts["y"] - counts["z"]
     if n_i < 0:
         raise ValueError(f"letter counts exceed {n} qubits")
@@ -106,7 +118,7 @@ def _parse_type(text: str, n: int) -> TypeVector:
 def _mode_count(text: str, form: str) -> int:
     """The integer after the colon of ``text``, a mode of the form ``form``."""
     try:
-        return int(text.split(":", 1)[1])
+        return _int(text.split(":", 1)[1])
     except ValueError:
         message = f"malformed mode {text!r}; expected {form}, an integer after the colon"
         raise ValueError(message) from None
@@ -239,45 +251,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dim", help="dimension formula vs. enumerated basis size")
-    p.add_argument("--qubits", type=int, default=2)
-    p.add_argument("--table", type=_positive(int), metavar="N", help="print the scaling table for n=1..N")
+    p.add_argument("--qubits", type=_int, default=2)
+    p.add_argument("--table", type=_number(int, positive=True), metavar="N", help="print the scaling table for n=1..N")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("basis", help="enumerate the symmetrized-string basis")
-    p.add_argument("--qubits", type=int, required=True)
+    p.add_argument("--qubits", type=_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("closure", help="verify Lie closure by exhaustive brackets")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--tol", type=_positive(float), default=1e-12)
+    p.add_argument("--qubits", type=_int, required=True)
+    p.add_argument("--tol", type=_number(float, positive=True), default=1e-12)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("synth", help="synthesize a generator exponential")
-    p.add_argument("--qubits", type=int, required=True)
+    p.add_argument("--qubits", type=_int, required=True)
     p.add_argument("--type", required=True, help="letter counts, e.g. x:1,y:1 (rest identity)")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_float, required=True)
     p.add_argument("--mode", default="exact", help="exact or trotter:<k>")
-    p.add_argument("--pivot", type=int)
+    p.add_argument("--pivot", type=_int)
     p.add_argument("--out", choices=("qasm", "json"), default="qasm")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("verify", help="check SWAP invariance of a circuit file")
     p.add_argument("--circuit", required=True, help="path to a .json or .qasm circuit")
-    p.add_argument("--tol", type=_positive(float), default=1e-10)
+    p.add_argument("--tol", type=_number(float, positive=True), default=1e-10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ansatz", help="symmetrize the base variational circuit")
-    p.add_argument("--qubits", type=int, required=True)
+    p.add_argument("--qubits", type=_int, required=True)
     p.add_argument("--mode", required=True, help="blocks:<b> or full")
     p.add_argument("--choice", choices=("tie", "couple"), default="tie")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_positive(float), default=1e-10)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--tol", type=_number(float, positive=True), default=1e-10)
     p.add_argument("--out", choices=("qasm", "json"), default="json")
     p.set_defaults(func=_cmd_ansatz)
 
     p = sub.add_parser("count-cnots", help="actual CNOT counts vs. the naive formula")
-    p.add_argument("--qubits", type=int, required=True)
+    p.add_argument("--qubits", type=_int, required=True)
     p.set_defaults(func=_cmd_count_cnots)
 
     p = sub.add_parser("export", help="convert a circuit file between formats")
@@ -294,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(len(argv) - 1, 0, -1):  # argparse takes -1e-3 or -inf for a flag: pass --opt=-1e-3
         prev = argv[i - 1]  # every long option but --help takes one value
         long_option = prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
-        if long_option and re.match(r"-(\.?\d|inf|nan)", argv[i], re.I):
+        if long_option and re.match(r"-(\.?[0-9]|inf|nan)", argv[i], re.I):
             argv[i - 1 : i + 1] = [f"{prev}={argv[i]}"]
     try:
         args = parser.parse_args(argv)

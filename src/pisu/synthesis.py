@@ -13,6 +13,7 @@ k steps approximates the sum exponential.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -135,11 +136,12 @@ def _angle(name: str, value) -> float:
 class SynthesisPlan:
     """How to turn a generator into gates.
 
-    ``exact-product`` multiplies the orbit's string exponentials (valid only
-    for pairwise-commuting orbits); ``trotter`` repeats the orbit product
-    over ``steps`` slices.  ``pivot`` (1..n, else ``synth_generator`` raises)
-    pins the central-rotation qubit of each string not idle on it.  Both
-    are plain ints (not booleans); ``pivot`` may also be None.
+    ``exact-product`` multiplies the orbit's string exponentials once (valid
+    only for pairwise-commuting orbits, and only with ``steps=1``);
+    ``trotter`` repeats the orbit product over ``steps`` slices.  ``pivot``
+    (1..n, else ``synth_generator`` raises) pins the central-rotation qubit
+    of each string not idle on it.  Both are plain ints (not booleans);
+    ``pivot`` may also be None.
     """
 
     mode: str = "exact-product"
@@ -153,6 +155,8 @@ class SynthesisPlan:
             raise ValueError(f"steps must be an int, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("trotter steps must be >= 1")
+        if self.mode == "exact-product" and self.steps != 1:
+            raise ValueError(f"exact-product takes steps=1, got steps={self.steps}")
         if self.pivot is not None and type(self.pivot) is not int:
             raise ValueError(f"pivot must be an int or None, got {self.pivot!r}")
 
@@ -163,21 +167,12 @@ class SynthesisPlan:
 _WRAPPERS = {"X": None, "Y": ("Sdg", "S"), "Z": ("H", "H")}
 
 
-def _gate(memo: dict, kind: str, qubits: tuple, param: str | None = None) -> Gate:
-    """``Gate(kind, qubits, param)``, built and validated once per distinct triple.
-
-    ``memo`` belongs to one call and maps plain ``(kind, qubits, param)``
-    tuples to gates; keying on the dataclass would run its slow generated
-    ``__hash__``/``__eq__`` on every lookup.
-    """
-    key = (kind, qubits, param)
-    try:
-        gate = memo.get(key)
-    except TypeError:  # an unhashable field: let Gate report it
-        return Gate(kind, qubits, param)
-    if gate is None:
-        gate = memo[key] = Gate(kind, qubits, param)
-    return gate
+# _gate(kind, qubits, param) is Gate(kind, qubits, param), built and validated
+# once per process for each distinct triple; synthesis and the JSON and QASM
+# readers call it with all three fields positionally, so each triple has one
+# key.  It is bounded because a file may hold any number of parameter names.
+# Keys compare as tuples, where 1.0 == True == 1: check outside qubits first.
+_gate = functools.lru_cache(maxsize=4096)(Gate)
 
 
 def synth_string(
@@ -197,16 +192,12 @@ def synth_string(
             lowest-index non-identity qubit.  Must sit on a non-identity
             letter.
     """
-    gates = _string_gates(s, pivot, param_name, {})
+    gates = _string_gates(s, pivot, param_name)
     return Circuit(s.n, tuple(gates), {param_name: theta})
 
 
-def _string_gates(s: PauliString, pivot: int | None, param_name: str, memo: dict) -> list[Gate]:
-    """The gates of ``synth_string``, validated the same way.
-
-    A caller emitting many strings passes one ``memo`` (see ``_gate``) so
-    each distinct gate is built once.
-    """
+def _string_gates(s: PauliString, pivot: int | None, param_name: str) -> list[Gate]:
+    """The gates of ``synth_string``, validated the same way, through ``_gate``."""
     if s.coeff != 1:
         raise ValueError(f"string coefficient must be 1, got {s.coeff}")
     support = s.support()
@@ -226,11 +217,11 @@ def _string_gates(s: PauliString, pivot: int | None, param_name: str, memo: dict
         wrap = _WRAPPERS[s.letter(q)]
         if wrap is not None:
             first, last = wrap
-            opening.append(_gate(memo, first, (q,)))
-            closing.append(_gate(memo, last, (q,)))
+            opening.append(_gate(first, (q,), None))
+            closing.append(_gate(last, (q,), None))
 
-    fan = [_gate(memo, "CNOT", (pivot, t)) for t in targets]
-    return opening + fan + [_gate(memo, "RX", (pivot,), param_name)] + fan[::-1] + closing[::-1]
+    fan = [_gate("CNOT", (pivot, t), None) for t in targets]
+    return opening + fan + [_gate("RX", (pivot,), param_name)] + fan[::-1] + closing[::-1]
 
 
 def commuting_orbit(g: SymmetrizedGenerator) -> bool:
@@ -279,19 +270,17 @@ def synth_generator(
                 f"orbit of {g.label} does not pairwise commute; "
                 f"exact-product order would matter"
             )
-        steps, angle, name = 1, theta, param_name
+        angle, name = theta, param_name
     else:
         # first-order product formula: k passes over the orbit at theta / k
-        steps, angle, name = plan.steps, theta / plan.steps, f"{param_name}_step"
-    # one gate list for the whole circuit, each distinct gate built once;
-    # Circuit validates and copies it once
-    memo: dict = {}
+        angle, name = theta / plan.steps, f"{param_name}_step"
+    # one gate list for the whole circuit; Circuit validates and copies it once
     one_pass: list[Gate] = []
     for s in g.orbit:
         # a string idle on the plan's pivot keeps its lowest support qubit
         pivot = plan.pivot if plan.pivot and s.letter(plan.pivot) != "I" else None
-        one_pass += _string_gates(s, pivot, name, memo)
-    return Circuit(g.n, tuple(one_pass) * steps, {name: angle})
+        one_pass += _string_gates(s, pivot, name)
+    return Circuit(g.n, tuple(one_pass) * plan.steps, {name: angle})
 
 
 def dense_exponential(g: SymmetrizedGenerator, theta: float) -> np.ndarray:
@@ -373,25 +362,34 @@ def circuit_from_json(text: str) -> Circuit:
             'circuit JSON must be an object with an integer "n", a "gates" list '
             'and an optional "params" object'
         )
-    memo: dict = {}
     gates = []
     for k, g in enumerate(data["gates"]):
         try:
-            gates.append(_json_gate(memo, g))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"gate {k}: {_json_gate_fault(g, exc)}") from None
+            gates.append(_json_gate(g))
+        except ValueError as exc:
+            raise ValueError(f"gate {k}: {exc}") from None
     return Circuit(data["n"], gates, data.get("params", {}))
 
 
-def _json_gate(memo: dict, g) -> Gate:
-    """The gate of one parsed JSON gate object, through the ``_gate`` memo."""
+def _json_gate(g) -> Gate:
+    """The gate of one parsed JSON gate object, through ``_gate``; any fault is a ValueError."""
+    if not isinstance(g, dict):
+        raise ValueError(f'expected an object with "kind" and "qubits", got {g!r}')
+    for name in ("kind", "qubits"):
+        if name not in g:
+            raise ValueError(f"missing field {name!r}")
+    if not isinstance(g["qubits"], list):
+        raise ValueError(f"field 'qubits' must be a list of qubit indices, got {g['qubits']!r}")
     qubits = tuple(g["qubits"])
-    # 1.0 == 1 and True == 1 would hit the memo entry of an integer index.
+    # 1.0 == 1 and True == 1 would find the cached gate of an integer index.
     # A valid gate has one or two qubits, so its two ends are all of them;
-    # a longer list misses the memo and Gate rejects it.
+    # a longer list is never cached and Gate rejects it.
     if qubits and not type(qubits[0]) is type(qubits[-1]) is int:
         raise ValueError(f"qubit indices must be integers, got {qubits!r}")
-    return _gate(memo, g["kind"], qubits, g.get("param"))
+    try:
+        return _gate(g["kind"], qubits, g.get("param"))
+    except TypeError:  # an unhashable field: let Gate report it
+        return Gate(g["kind"], qubits, g.get("param"))
 
 
 def _writer_layout(text: str) -> tuple | None:
@@ -419,7 +417,6 @@ def _writer_layout(text: str) -> tuple | None:
     body, cut2, params_text = rest.rpartition('], "params": ')
     if not (cut and cut2) or body and not (body[0] == "{" and body[-1] == "}"):
         return None
-    memo: dict = {}
     seen: dict[str, Gate] = {}
     gates = []
     try:
@@ -429,22 +426,11 @@ def _writer_layout(text: str) -> tuple | None:
         for piece in body[1:-1].split("}, {") if body else ():
             gate = seen.get(piece)
             if gate is None:
-                gate = seen[piece] = _json_gate(memo, json.loads("{" + piece + "}"))
+                gate = seen[piece] = _json_gate(json.loads("{" + piece + "}"))
             gates.append(gate)
-    except (KeyError, TypeError, ValueError):  # a JSONDecodeError is a ValueError
+    except ValueError:  # a JSONDecodeError is a ValueError
         return None
     return n, gates, params
-
-
-def _json_gate_fault(g, exc: Exception) -> str:
-    if not isinstance(g, dict):
-        return f'expected an object with "kind" and "qubits", got {g!r}'
-    for name in ("kind", "qubits"):
-        if name not in g:
-            return f"missing field {name!r}"
-    if not isinstance(g["qubits"], list):
-        return f"field 'qubits' must be a list of qubit indices, got {g['qubits']!r}"
-    return str(exc)
 
 
 _QASM_NAMES = {"H": "h", "S": "s", "Sdg": "sdg", "CNOT": "cx", "RX": "rx", "RY": "ry", "RZ": "rz"}
@@ -534,7 +520,7 @@ def circuit_from_qasm(text: str) -> Circuit:
                 raise ValueError(f"unsupported QASM gate {m.group('name')!r}")
             qubits = tuple(int(q) + 1 for q in re.findall(r"q\[([0-9]+)\]", m.group("args")))
             if m.group("angle") is None:
-                seen = memo[line] = Gate(kind, qubits)
+                seen = memo[line] = _gate(kind, qubits, None)
             else:
                 seen = memo[line] = (kind, qubits, _qasm_angle(m.group("angle"), line))
         if type(seen) is Gate:
@@ -543,7 +529,7 @@ def circuit_from_qasm(text: str) -> Circuit:
             kind, qubits, angle = seen
             name = f"p{len(params)}"
             params[name] = angle
-            gates.append(Gate(kind, qubits, name))
+            gates.append(Gate(kind, qubits, name))  # a fresh name would only evict cached gates
     if n is None:
         raise ValueError("QASM text declares no qreg")
     return Circuit(n, gates, params)

@@ -279,3 +279,28 @@ def test_rotation_layers_rotate_about_their_own_letter(x_layer, y_layer):
     want = _rotation_layers_unitary(3, layers, full.params)
     got = circuit_unitary(Circuit(3, full.gates[:-entangler], full.params))
     assert np.abs(got - want).max() < 1e-10
+
+
+def _rotation_layers_swapped(n):
+    c = base_variational_circuit(n)
+    return Circuit(n, c.gates[n : 2 * n] + c.gates[:n] + c.gates[2 * n :], c.params)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: BlockStructure(0, 0, 1), "block_size and blocks must be positive", id="size"),
+        pytest.param(lambda: BlockStructure.for_extension(2, 2).qubit(3, 1),
+                     "block 3 / position 1 out of range", id="block"),
+        pytest.param(lambda: BlockStructure.for_extension(2, 2).qubit(1, 3),
+                     "block 1 / position 3 out of range", id="position"),
+        pytest.param(lambda: SymmetrizationChoice("tie", "braid"),
+                     "choice must be 'tie' or 'couple', got 'braid'", id="choice"),
+        pytest.param(lambda: symmetrize_by_extension(_rotation_layers_swapped(2), 2),
+                     "not a base variational circuit (RX layer malformed)", id="layer"),
+    ],
+)
+def test_recipes_reject_bad_structure(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

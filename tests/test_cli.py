@@ -460,6 +460,12 @@ def test_verify_rejects_a_qasm_register_of_no_qubits(tmp_path, capsys):
          "trotter:<k>"),
         (("ansatz", "--qubits", "2", "--mode", "blocks:x"), "blocks:<b>"),
         (("ansatz", "--qubits", "2", "--mode", "blocks:"), "blocks:<b>"),
+        # int reads these, but mode counts are ASCII digits
+        (("synth", "--qubits", "3", "--type", "x:1,y:1,z:1", "--theta", "0.1", "--mode", "trotter:1_0"),
+         "trotter:<k>"),
+        (("synth", "--qubits", "3", "--type", "x:1,y:1,z:1", "--theta", "0.1", "--mode", "trotter:\u0662"),
+         "trotter:<k>"),
+        (("ansatz", "--qubits", "2", "--mode", "blocks:1_0"), "blocks:<b>"),
     ],
 )
 def test_a_malformed_mode_count_names_the_mode(capsys, argv, form):
@@ -486,3 +492,59 @@ def test_synth_json_file_is_read_once_per_distinct_gate(tmp_path, capsys, monkey
     # "n", "params" and each distinct gate, never the whole file
     assert text not in seen and text.strip() not in seen
     assert 2 < len(seen) < text.count('"kind"')
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("synth", "--qubits", "\u0663", "--type", "x:1", "--theta", "0.1"),
+         "argument --qubits: invalid int value: '\u0663'"),
+        (("dim", "--table", "1_0"), "argument --table: invalid int value: '1_0'"),
+        (("dim", "--qubits", "\uff13"), "argument --qubits: invalid int value: '\uff13'"),
+        (("synth", "--qubits", "3", "--type", "x:1", "--theta", "1_0"),
+         "argument --theta: invalid float value: '1_0'"),
+        (("synth", "--qubits", "3", "--type", "x:1", "--theta", "\u0661.\u0665"),
+         "argument --theta: invalid float value: '\u0661.\u0665'"),
+        (("synth", "--qubits", "3", "--type", "x:1", "--theta", "-\u0661"),
+         "argument --theta: invalid float value: '-\u0661'"),
+        (("synth", "--qubits", "3", "--type", "x:1", "--theta", "0.1", "--pivot", "\u0661"),
+         "argument --pivot: invalid int value: '\u0661'"),
+        (("closure", "--qubits", "2", "--tol", "\u0661e-3"),
+         "argument --tol: invalid float value: '\u0661e-3'"),
+        (("ansatz", "--qubits", "2", "--mode", "full", "--seed", "\u0663"),
+         "argument --seed: invalid int value: '\u0663'"),
+    ],
+    ids=["qubits", "table", "fullwidth", "theta-separator", "theta", "negative-theta", "pivot", "tol",
+         "seed"],
+)
+def test_cli_numbers_are_ascii(capsys, argv, line):
+    # Python's int and float read other scripts' digits and "_" separators
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: {line}")
+    # the spaced and the equals form agree
+    assert run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}") == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "types, entry",
+    [("x:\u00b2", "x:\u00b2"), ("x:\u0661,y:1", "x:\u0661"), ("x:1,y:1_0", "y:1_0"), ("w:1", "w:1"),
+     ("x:-1", "x:-1"), ("x:+1", "x:+1"), ("x", "x"), ("x:1,,y:1", "")],
+    ids=["superscript", "arabic", "separator", "letter", "minus", "plus", "no-count", "empty"],
+)
+def test_a_malformed_type_entry_is_named(capsys, types, entry):
+    code, out, err = run_cli(capsys, "synth", "--qubits", "3", "--type", types, "--theta", "0.1")
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed type entry {entry!r}; expected x:a,y:b,z:c\n"
+
+
+def test_ascii_numbers_keep_their_readings(capsys):
+    # signs, spaces and exponents that int and float read in ASCII still work
+    plain = run_cli(capsys, "synth", "--qubits", "3", "--type", "x:1,y:1", "--theta", "0.1",
+                    "--mode", "trotter:2", "--pivot", "2")
+    assert plain[0] == 0 and plain[1].startswith("OPENQASM 2.0;")
+    spaced = run_cli(capsys, "synth", "--qubits", " 3 ", "--type", " X: 1 ,y:01", "--theta", "+1E-1",
+                     "--mode", "trotter: +2", "--pivot", "+2")
+    assert spaced == plain
+    assert run_cli(capsys, "dim", "--table", " +3\t") == run_cli(capsys, "dim", "--table", "3")
+    assert run_cli(capsys, "closure", "--qubits", "2", "--tol", " 1e-3 ")[0] == 0

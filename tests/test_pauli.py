@@ -344,3 +344,24 @@ def test_commutator_is_the_matrix_bracket(pair):
     a, b = pair
     ma, mb = a.matrix(), b.matrix()
     assert np.array_equal(commutator(a, b).matrix(), ma @ mb - mb @ ma)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: PauliString(0, 0, 0), "a Pauli string needs at least one qubit", id="empty"),
+        pytest.param(lambda: PauliString(1, 2, 0), "x/z bits fall outside the qubit range", id="bits"),
+        pytest.param(lambda: PauliString.from_letters("XQ"), "unknown Pauli letter 'Q'", id="letter"),
+        pytest.param(lambda: PauliSum.from_strings([PauliString.from_letters(w) for w in ("X", "XX")]),
+                     "qubit counts differ: 2 != 1", id="sum-sizes"),
+        pytest.param(lambda: PauliSum.from_strings([]),
+                     "cannot infer qubit count from an empty iterable", id="sum-empty"),
+        pytest.param(lambda: commutator(*(PauliSum.from_strings([PauliString.from_letters(w)])
+                                          for w in ("X", "XX"))),
+                     "qubit counts differ: 1 != 2", id="commutator"),
+    ],
+)
+def test_pauli_types_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -335,3 +335,10 @@ def test_import_leaves_the_thread_pool_unloaded():
     probe = "import sys, pisu; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("kind", ["T", "rx", "cx"])
+def test_gate_matrix_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError) as info:
+        gate_matrix(kind, 0.5)
+    assert str(info.value) == f"unknown gate kind {kind!r}"

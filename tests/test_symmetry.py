@@ -504,3 +504,24 @@ def test_symmetrized_generator_is_read_only_and_caches_its_orbit():
         assert clone.orbit is clone.orbit and clone.as_sum is clone.as_sum
         with pytest.raises(dataclasses.FrozenInstanceError):
             clone.label = "bogus"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: swap_matrix(0, 1, 2), "qubit indices (0, 1) out of range 1..2", id="swap"),
+        pytest.param(lambda: swap_matrix(1, 3, 2), "qubit indices (1, 3) out of range 1..2", id="swap-high"),
+        pytest.param(lambda: TypeVector(0, 0, 0, 0), "type vector must cover at least one qubit", id="type"),
+        pytest.param(lambda: enumerate_basis(0), "need at least one qubit", id="basis"),
+        pytest.param(lambda: dim_pisu(0), "need at least one qubit", id="dim"),
+        pytest.param(lambda: swap_invariance_defect(np.eye(4), 3), "matrix shape (4, 4) does not match n=3",
+                     id="defect"),
+        pytest.param(lambda: project_onto_basis(PauliSum.from_strings([PauliString.from_letters("X")]),
+                                                enumerate_basis(2)),
+                     "qubit counts differ: 1 != 2", id="project"),
+    ],
+)
+def test_symmetry_rejects_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

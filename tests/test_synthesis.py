@@ -1,6 +1,7 @@
 """Circuit synthesis: string exponentials, generator products, CNOT accounting."""
 
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -847,3 +848,88 @@ def test_non_numeric_angle_rejected():
 def test_gate_qubits_are_plain_ints():
     g = Gate("CNOT", (np.int64(2), True))
     assert g == Gate("CNOT", (2, 1)) and all(type(q) is int for q in g.qubits)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Gate("H", ("1",)), "qubit indices must be integers, got ('1',)",
+                     id="gate-qubit"),
+        pytest.param(lambda: Circuit(1).concat(Circuit(2)), "qubit counts differ: 1 != 2", id="concat"),
+        pytest.param(lambda: circuit_from_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n'),
+                     "QASM text declares no qreg", id="no-qreg"),
+        pytest.param(lambda: SynthesisPlan("exact-product", 2), "exact-product takes steps=1, got steps=2",
+                     id="exact-steps"),
+    ],
+)
+def test_synthesis_rejects_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_synthesized_circuits_keep_their_bytes():
+    # the JSON and QASM of every generator at n <= 5 under each plan
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        for gen in enumerate_basis(n):
+            plans = [None, SynthesisPlan("trotter", 2)]
+            plans += [SynthesisPlan("trotter", 1, p) for p in range(1, n + 1)]
+            if commuting_orbit(gen):
+                plans += [SynthesisPlan("exact-product", 1, p) for p in (None, *range(1, n + 1))]
+            for plan in plans:
+                c = synth_generator(gen, 0.37, plan)
+                digest.update(circuit_to_json(c).encode())
+                digest.update(circuit_to_qasm(c).encode())
+                count += 1
+    assert count == 1089
+    assert digest.hexdigest() == "1ad09a51dabd03217f116cf4364494e5b62d9cf227be2caeab4d9a44ed730af0"
+
+
+def test_two_syntheses_share_their_gates():
+    gen = _generator(0, 1, 2, 1)
+    a, b = synth_generator(gen, 0.4), synth_generator(gen, -1.1)
+    assert len(a.gates) == len(b.gates) and all(x is y for x, y in zip(a.gates, b.gates))
+    # a reader builds through the same cache
+    assert all(x is y for x, y in zip(circuit_from_json(circuit_to_json(a)).gates, a.gates))
+
+
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        ({"kind": "H", "qubits": [1]}, {"kind": "H", "qubits": [True]},
+         "qubit indices must be integers, got (True,)"),
+        ({"kind": "H", "qubits": [1]}, {"kind": "H", "qubits": [1.0]},
+         "qubit indices must be integers, got (1.0,)"),
+        ({"kind": "CNOT", "qubits": [1, 2]}, {"kind": "CNOT", "qubits": [1, [2], 2]},
+         "qubit indices must be integers, got (1, [2], 2)"),
+        ({"kind": "RX", "qubits": [1], "param": "t"}, {"kind": "RX", "qubits": [1], "param": ["t"]},
+         "RX requires a parameter name, got ['t']"),
+    ],
+)
+def test_json_gate_errors_do_not_depend_on_the_gate_cache(good, bad, message):
+    cached = synthesis._gate(good["kind"], tuple(good["qubits"]), good.get("param"))
+    for indent in (None, 1):  # the writer's layout, and the general reader
+        good_text, bad_text = (json.dumps({"n": 2, "gates": [g], "params": {"t": 0.5}}, indent=indent)
+                               for g in (good, bad))
+        assert circuit_from_json(good_text).gates[0] is cached
+        with pytest.raises(ValueError) as info:
+            circuit_from_json(bad_text)
+        assert str(info.value) == f"gate 0: {message}"
+
+
+def test_gate_cache_stays_bounded():
+    bound = synthesis._gate.cache_info().maxsize
+    assert type(bound) is int
+    names = [f"t{k}" for k in range(bound + 100)]
+    gates = [{"kind": "RX", "qubits": [1], "param": name} for name in names]
+    c = circuit_from_json(json.dumps({"n": 1, "gates": gates, "params": dict.fromkeys(names, 0.5)}))
+    assert c.param_names == tuple(names)
+    assert synthesis._gate.cache_info().currsize <= bound
+
+
+def test_qasm_rotation_lines_stay_out_of_the_gate_cache():
+    synthesis._gate.cache_clear()
+    c = circuit_from_qasm("OPENQASM 2.0;\nqreg q[2];\n" + "rx(0.5) q[0];\nry(0.1) q[1];\nh q[0];\n" * 3)
+    assert [g.param for g in c.gates if g.param] == [f"p{k}" for k in range(6)]
+    assert synthesis._gate.cache_info().currsize == 1  # the h line alone
