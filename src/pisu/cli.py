@@ -21,22 +21,23 @@ from .pauli import check_qubit_cap
 from .symmetry import TypeVector
 
 
-def _number(kind, positive: bool = False):
+def _number(kind, bound: str | None = None):
     """argparse type reading ``kind``, ``int`` or ``float``, from ASCII text without ``_``.
 
     Both also read other scripts' digits and spaces, and ``_`` between
     digits; on the rest of ASCII they read signed decimals (float also
-    ``inf`` and ``nan``) with spaces around them.  ``positive`` asks for a
-    finite value > 0.  Text that is not such a number keeps argparse's
-    message, such as ``invalid int value: '٣'``.
+    ``inf`` and ``nan``) with spaces around them.  ``bound``, ``"> 0"`` or
+    ``">= 0"``, asks for a finite value on that side of 0.  Text that is not
+    such a number keeps argparse's message, such as ``invalid int value: '٣'``.
     """
 
     def parse(text: str):
         if not text.isascii() or "_" in text:
             raise ValueError(f"not an ASCII number: {text!r}")
         value = kind(text)
-        if positive and not 0 < value < float("inf"):  # false for nan
-            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        signed = value > 0 if bound == "> 0" else value >= 0  # false for nan
+        if bound and not (signed and value < float("inf")):
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # the type argparse names in its message
@@ -98,18 +99,21 @@ def _cmd_closure(args) -> int:
 
 
 def _parse_type(text: str, n: int) -> TypeVector:
-    counts = {"x": 0, "y": 0, "z": 0}
+    counts: dict[str, int] = {}
     if text:
         for part in text.split(","):
             key, _, value = part.partition(":")
             key = key.strip().lower()
-            if key not in counts or not (value.isascii() and value.strip().isdigit()):
+            if key not in ("x", "y", "z") or not (value.isascii() and value.strip().isdigit()):
                 raise ValueError(f"malformed type entry {part!r}; expected x:a,y:b,z:c")
-            counts[key] += _int(value)
-    n_i = n - counts["x"] - counts["y"] - counts["z"]
+            if key in counts:
+                raise ValueError(f"letter {key!r} appears twice in type {text!r}")
+            counts[key] = _int(value)
+    n_x, n_y, n_z = (counts.get(key, 0) for key in "xyz")
+    n_i = n - n_x - n_y - n_z
     if n_i < 0:
         raise ValueError(f"letter counts exceed {n} qubits")
-    tv = TypeVector(counts["x"], counts["y"], counts["z"], n_i)
+    tv = TypeVector(n_x, n_y, n_z, n_i)
     if tv.is_identity:
         raise ValueError("the all-identity type has no generator")
     return tv
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="dimension formula vs. enumerated basis size")
     p.add_argument("--qubits", type=_int, default=2)
-    p.add_argument("--table", type=_number(int, positive=True), metavar="N", help="print the scaling table for n=1..N")
+    p.add_argument("--table", type=_number(int, "> 0"), metavar="N", help="print the scaling table for n=1..N")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("basis", help="enumerate the symmetrized-string basis")
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="verify Lie closure by exhaustive brackets")
     p.add_argument("--qubits", type=_int, required=True)
-    p.add_argument("--tol", type=_number(float, positive=True), default=1e-12)
+    p.add_argument("--tol", type=_number(float, "> 0"), default=1e-12)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("synth", help="synthesize a generator exponential")
@@ -276,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check SWAP invariance of a circuit file")
     p.add_argument("--circuit", required=True, help="path to a .json or .qasm circuit")
-    p.add_argument("--tol", type=_number(float, positive=True), default=1e-10)
+    p.add_argument("--tol", type=_number(float, "> 0"), default=1e-10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ansatz", help="symmetrize the base variational circuit")
     p.add_argument("--qubits", type=_int, required=True)
     p.add_argument("--mode", required=True, help="blocks:<b> or full")
     p.add_argument("--choice", choices=("tie", "couple"), default="tie")
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--tol", type=_number(float, positive=True), default=1e-10)
+    p.add_argument("--seed", type=_number(int, ">= 0"), default=0)
+    p.add_argument("--tol", type=_number(float, "> 0"), default=1e-10)
     p.add_argument("--out", choices=("qasm", "json"), default="json")
     p.set_defaults(func=_cmd_ansatz)
 

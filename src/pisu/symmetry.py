@@ -98,25 +98,7 @@ class TypeVector:
         return sum(1 for c in (self.n_x, self.n_y, self.n_z) if c > 0)
 
 
-def _arrangements(counts: Sequence[int]) -> Iterator[str]:
-    """Distinct letter words of the multiset, lexicographic in X < Y < Z < I."""
-    letters = "XYZI"
-    remaining = list(counts)
-
-    def rec(prefix: list[str], left: int) -> Iterator[str]:
-        if left == 0:
-            yield "".join(prefix)
-            return
-        for idx, letter in enumerate(letters):
-            if remaining[idx] == 0:
-                continue
-            remaining[idx] -= 1
-            prefix.append(letter)
-            yield from rec(prefix, left - 1)
-            prefix.pop()
-            remaining[idx] += 1
-
-    yield from rec([], sum(counts))
+_LETTERS = "XYZI"  # code k of an orbit letter array is the letter _LETTERS[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +117,34 @@ class SymmetrizedGenerator:
         return self.type_vector.n
 
     @cached_property
-    def orbit(self) -> tuple[PauliString, ...]:
+    def _letters(self) -> np.ndarray:
+        """The orbit as a read-only ``(S, n)`` uint8 array of letter codes (``_LETTERS``).
+
+        Rows ascend as base-4 numbers with qubit 1 the most significant
+        digit, which is lexicographic order in X < Y < Z < I.  X, Y and Z in
+        turn are placed on every combination of each row's free (identity)
+        positions, and one sort puts the rows in order.
+        """
         tv = self.type_vector
-        return tuple(
-            PauliString.from_letters(word)
-            for word in _arrangements((tv.n_x, tv.n_y, tv.n_z, tv.n_i))
-        )
+        words = np.full((1, tv.n), 3, dtype=np.uint8)
+        for code, count in enumerate((tv.n_x, tv.n_y, tv.n_z)):
+            if count:
+                free = (words == 3).nonzero()[1].reshape(len(words), -1)  # each row's, ascending
+                combos = np.array(list(itertools.combinations(range(free.shape[1]), count)))
+                words = words.repeat(len(combos), axis=0)
+                words[np.arange(len(words))[:, None], free[:, combos].reshape(len(words), count)] = code
+        words = words[np.lexsort(words.T[::-1])]  # the last key, column 0, sorts first
+        words.flags.writeable = False
+        return words
+
+    @cached_property
+    def orbit(self) -> tuple[PauliString, ...]:
+        """The orbit strings, coefficient 1, in the row order of ``_letters``."""
+        letters, n = self._letters, self.n
+        weights = np.array([1 << q for q in range(n)], dtype=np.int64 if n < 63 else object)
+        xs = ((letters < 2) @ weights).tolist()  # X or Y
+        zs = (((letters == 1) | (letters == 2)) @ weights).tolist()  # Y or Z
+        return tuple(PauliString(n, x, z) for x, z in zip(xs, zs))
 
     def orbit_size(self) -> int:
         return self.type_vector.orbit_size()

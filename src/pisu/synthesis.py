@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .pauli import PauliString, check_qubit_cap
-from .symmetry import SymmetrizedGenerator
+from .symmetry import _LETTERS, SymmetrizedGenerator
 
 GATE_KINDS = ("H", "S", "Sdg", "CNOT", "RX", "RY", "RZ")
 ROTATION_KINDS = ("RX", "RY", "RZ")
@@ -192,12 +192,6 @@ def synth_string(
             lowest-index non-identity qubit.  Must sit on a non-identity
             letter.
     """
-    gates = _string_gates(s, pivot, param_name)
-    return Circuit(s.n, tuple(gates), {param_name: theta})
-
-
-def _string_gates(s: PauliString, pivot: int | None, param_name: str) -> list[Gate]:
-    """The gates of ``synth_string``, validated the same way, through ``_gate``."""
     if s.coeff != 1:
         raise ValueError(f"string coefficient must be 1, got {s.coeff}")
     support = s.support()
@@ -209,19 +203,53 @@ def _string_gates(s: PauliString, pivot: int | None, param_name: str) -> list[Ga
         raise ValueError(f"pivot {pivot} out of range 1..{s.n}")
     if s.letter(pivot) == "I":
         raise ValueError(f"pivot qubit {pivot} carries an identity letter")
+    letters = np.array([[_LETTERS.index(letter) for letter in s.letters]], dtype=np.uint8)
+    gates = _ladder_gates(letters, np.array([pivot - 1]), param_name)
+    return Circuit(s.n, tuple(gates), {param_name: theta})
 
-    targets = [q for q in support if q != pivot]
-    opening: list[Gate] = []
-    closing: list[Gate] = []
-    for q in support:
-        wrap = _WRAPPERS[s.letter(q)]
-        if wrap is not None:
-            first, last = wrap
-            opening.append(_gate(first, (q,), None))
-            closing.append(_gate(last, (q,), None))
 
-    fan = [_gate("CNOT", (pivot, t), None) for t in targets]
-    return opening + fan + [_gate("RX", (pivot,), param_name)] + fan[::-1] + closing[::-1]
+# A ladder gate is an integer id: _ONE_QUBIT[k] on 0-based qubit q is k*n + q,
+# and CNOT(p, t) is 4n + p*n + t.  _WRAP_IDS[0 or 1, code] is the k of the
+# opening or closing basis change of letter code Y or Z (X takes none).
+_ONE_QUBIT = ("Sdg", "S", "H", "RX")
+_WRAP_IDS = np.array(
+    [[_ONE_QUBIT.index(_WRAPPERS[c][end]) if _WRAPPERS[c] else -1 for c in _LETTERS[:3]] for end in (0, 1)]
+)
+
+
+def _ladder_gates(letters: np.ndarray, pivots: np.ndarray, name: str) -> list[Gate]:
+    """The gates of one string exponential per row of ``letters``, in row order.
+
+    ``letters`` is an ``(S, n)`` array of letter codes (``_LETTERS``) whose
+    rows share their numbers of identity and of Y-or-Z letters, as one
+    orbit's strings do; ``pivots`` holds each row's 0-based pivot, a qubit
+    off the identity.  A row is opened by Sdg/H on its Y/Z qubits, then
+    CNOTs fan out from the pivot to its other support qubits, RX(``name``)
+    sits on the pivot, and the fan and basis changes are mirrored.  All
+    rows form one ``(S, G)`` matrix of gate ids, and each distinct id
+    becomes a Gate once, through ``_gate``.
+    """
+    rows, n = letters.shape
+    wrap = (letters == 1) | (letters == 2)
+    shape = (rows, np.count_nonzero(wrap[0]))
+    # each row's Y/Z qubits, ascending, and the ids of their opening and closing gates
+    wrapped = wrap.nonzero()[1].reshape(shape)
+    ends = _WRAP_IDS[:, letters[wrap].reshape(shape)] * n + wrapped
+    support = letters != 3
+    support[np.arange(rows), pivots] = False
+    targets = support.nonzero()[1].reshape(rows, np.count_nonzero(support[0]))
+    fan = (4 + pivots[:, None]) * n + targets
+    ids = np.concatenate([ends[0], fan, (3 * n + pivots)[:, None], fan[:, ::-1], ends[1][:, ::-1]], axis=1)
+    used = np.zeros((4 + n) * n, dtype=bool)
+    used[ids] = True
+    table = np.empty(len(used), dtype=object)
+    for i in used.nonzero()[0].tolist():
+        if i >= 4 * n:
+            table[i] = _gate("CNOT", (i // n - 3, i % n + 1), None)
+        else:
+            kind = _ONE_QUBIT[i // n]
+            table[i] = _gate(kind, (i % n + 1,), name if kind == "RX" else None)
+    return table[ids].ravel().tolist()
 
 
 def commuting_orbit(g: SymmetrizedGenerator) -> bool:
@@ -274,12 +302,11 @@ def synth_generator(
     else:
         # first-order product formula: k passes over the orbit at theta / k
         angle, name = theta / plan.steps, f"{param_name}_step"
-    # one gate list for the whole circuit; Circuit validates and copies it once
-    one_pass: list[Gate] = []
-    for s in g.orbit:
-        # a string idle on the plan's pivot keeps its lowest support qubit
-        pivot = plan.pivot if plan.pivot and s.letter(plan.pivot) != "I" else None
-        one_pass += _string_gates(s, pivot, name)
+    letters = g._letters
+    pivots = (letters != 3).argmax(axis=1)  # each string's lowest support qubit
+    if plan.pivot:  # or the plan's pivot, where the string is not idle on it
+        pivots[letters[:, plan.pivot - 1] != 3] = plan.pivot - 1
+    one_pass = _ladder_gates(letters, pivots, name)
     return Circuit(g.n, tuple(one_pass) * plan.steps, {name: angle})
 
 

@@ -22,7 +22,11 @@ them byte for byte and the readers gate for gate.  ``letter_matrix`` and
 pair of orbit strings, where ``commuting_orbit`` reads the answer off the
 type vector.  ``conjugate_by_swap`` exchanges the letters of a string at two
 qubits, the symbolic form of conjugating it by a SWAP; the package itself
-only checks invariance densely.
+only checks invariance densely.  ``_arrangements`` (each orbit word by
+recursion) and ``_string_gates`` (one string's ladder as a Python gate
+list) are the per-string builders that ``SymmetrizedGenerator.orbit`` and
+``_ladder_gates`` replace with whole-orbit letter and gate-id arrays; the
+orbit and every circuit must equal theirs, order and Gate objects included.
 """
 
 import functools
@@ -31,6 +35,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -46,6 +51,7 @@ from pisu import (
     swap_matrix,
     transpositions,
 )
+from pisu.synthesis import _WRAPPERS, _gate
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -367,3 +373,52 @@ def per_gate_circuit_from_qasm(text):
     if n is None:
         raise ValueError("QASM text declares no qreg")
     return Circuit(n, tuple(gates), params)
+
+
+def _arrangements(counts: Sequence[int]) -> Iterator[str]:
+    """Distinct letter words of the multiset, lexicographic in X < Y < Z < I."""
+    letters = "XYZI"
+    remaining = list(counts)
+
+    def rec(prefix: list[str], left: int) -> Iterator[str]:
+        if left == 0:
+            yield "".join(prefix)
+            return
+        for idx, letter in enumerate(letters):
+            if remaining[idx] == 0:
+                continue
+            remaining[idx] -= 1
+            prefix.append(letter)
+            yield from rec(prefix, left - 1)
+            prefix.pop()
+            remaining[idx] += 1
+
+    yield from rec([], sum(counts))
+
+
+def _string_gates(s: PauliString, pivot: int | None, param_name: str) -> list[Gate]:
+    """The gates of ``synth_string``, validated the same way, through ``_gate``."""
+    if s.coeff != 1:
+        raise ValueError(f"string coefficient must be 1, got {s.coeff}")
+    support = s.support()
+    if not support:
+        raise ValueError("cannot exponentiate the all-identity string")
+    if pivot is None:
+        pivot = support[0]
+    if not 1 <= pivot <= s.n:
+        raise ValueError(f"pivot {pivot} out of range 1..{s.n}")
+    if s.letter(pivot) == "I":
+        raise ValueError(f"pivot qubit {pivot} carries an identity letter")
+
+    targets = [q for q in support if q != pivot]
+    opening: list[Gate] = []
+    closing: list[Gate] = []
+    for q in support:
+        wrap = _WRAPPERS[s.letter(q)]
+        if wrap is not None:
+            first, last = wrap
+            opening.append(_gate(first, (q,), None))
+            closing.append(_gate(last, (q,), None))
+
+    fan = [_gate("CNOT", (pivot, t), None) for t in targets]
+    return opening + fan + [_gate("RX", (pivot,), param_name)] + fan[::-1] + closing[::-1]

@@ -158,6 +158,28 @@ def test_dim_table_must_be_positive(capsys, table):
     assert f"argument --table: must be finite and > 0, got '{table}'" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-12"])
+def test_ansatz_seed_must_be_non_negative(capsys, seed):
+    argv = ("ansatz", "--qubits", "2", "--mode", "full")
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"pisu ansatz: error: argument --seed: must be finite and >= 0, got '{seed}'"
+    ]
+    assert run_cli(capsys, *argv, f"--seed={seed}") == (code, out, err)
+    assert run_cli(capsys, *argv, "--seed", "0")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "types, letter", [("x:1,x:1", "x"), ("y:1,x:1,Y:0", "y"), ("z:0, z:2", "z")]
+)
+def test_a_repeated_type_letter_is_rejected(capsys, types, letter):
+    # the counts were added up: x:1,x:1 read as x:2
+    code, out, err = run_cli(capsys, "synth", "--qubits", "3", "--type", types, "--theta", "0.1")
+    assert (code, out) == (2, "")
+    assert err == f"error: letter {letter!r} appears twice in type {types!r}\n"
+
+
 def test_numeric_options_keep_their_parse_errors(capsys):
     code, _, err = run_cli(capsys, "closure", "--qubits", "2", "--tol", "tiny")
     assert code == 2 and "argument --tol: invalid float value: 'tiny'" in err
@@ -548,3 +570,23 @@ def test_ascii_numbers_keep_their_readings(capsys):
     assert spaced == plain
     assert run_cli(capsys, "dim", "--table", " +3\t") == run_cli(capsys, "dim", "--table", "3")
     assert run_cli(capsys, "closure", "--qubits", "2", "--tol", " 1e-3 ")[0] == 0
+
+
+# sha256 of stdout, pinned before orbits and their ladder circuits were built
+# from one letter array per orbit
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("basis", "--qubits", "5", "--format", "text"),
+         "3bd2d53495a1fe641de0596cdeff36f7ab6ab961ebde50aca4dbd07173eb5a0a"),
+        (("basis", "--qubits", "5", "--format", "json"),
+         "a3b63befe37414db2e121729b34fa9cf41fa12fb3dd0025aaebdd0268d1b7d45"),
+        (("count-cnots", "--qubits", "7"),
+         "692797189e93d4ea958435f2b774ee1acfdc23f97f1e36245b7b48c4ad2459ef"),
+    ],
+    ids=["basis-text", "basis-json", "count-cnots"],
+)
+def test_orbit_commands_golden_stdout(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

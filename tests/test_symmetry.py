@@ -133,6 +133,23 @@ def test_orbit_sizes_are_multinomials():
             assert len({s.letters for s in gen.orbit}) == len(gen.orbit)
 
 
+def test_orbit_equals_the_recursive_oracle():
+    # order included: the letter-array builder lists each orbit as the recursion does
+    for n in range(1, 8):
+        for gen in enumerate_basis(n):
+            tv = gen.type_vector
+            words = oracles._arrangements((tv.n_x, tv.n_y, tv.n_z, tv.n_i))
+            assert gen.orbit == tuple(map(PauliString.from_letters, words)), gen
+            assert gen._letters.shape == (gen.orbit_size(), n) and not gen._letters.flags.writeable
+
+
+def test_orbit_masks_beyond_64_qubits():
+    # qubit 64 and up do not fit an int64 mask; the masks are Python ints
+    tv = TypeVector(1, 0, 1, 68)
+    gen = symmetry.SymmetrizedGenerator(tv, tv.label)
+    assert gen.orbit == tuple(map(PauliString.from_letters, oracles._arrangements((1, 0, 1, 68))))
+
+
 def test_orbit_sizes_sum_to_full_basis():
     for n in range(1, 9):
         assert sum(g.orbit_size() for g in enumerate_basis(n)) == 4**n - 1

@@ -198,13 +198,13 @@ def test_synth_string_single_letter_wrappers():
 
 
 def test_synth_string_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cannot exponentiate the all-identity string$"):
         synth_string(PauliString.from_letters("II"), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^string coefficient must be 1, got \(-1\+0j\)$"):
         synth_string(PauliString.from_letters("XX", coeff=-1), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pivot qubit 2 carries an identity letter$"):
         synth_string(PauliString.from_letters("XIX"), 0.5, pivot=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pivot 5 out of range 1\.\.2$"):
         synth_string(PauliString.from_letters("XX"), 0.5, pivot=5)
 
 
@@ -933,3 +933,51 @@ def test_qasm_rotation_lines_stay_out_of_the_gate_cache():
     c = circuit_from_qasm("OPENQASM 2.0;\nqreg q[2];\n" + "rx(0.5) q[0];\nry(0.1) q[1];\nh q[0];\n" * 3)
     assert [g.param for g in c.gates if g.param] == [f"p{k}" for k in range(6)]
     assert synthesis._gate.cache_info().currsize == 1  # the h line alone
+
+
+def _oracle_pass(g, pivot, name):
+    """One orbit pass built string by string by the oracles, each pivot picked as synth_generator does."""
+    tv = g.type_vector
+    gates = []
+    for word in oracles._arrangements((tv.n_x, tv.n_y, tv.n_z, tv.n_i)):
+        s = PauliString.from_letters(word)
+        gates += oracles._string_gates(s, pivot if pivot and s.letter(pivot) != "I" else None, name)
+    return gates
+
+
+def _assert_same_gate_objects(got, want):
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+
+
+def test_synth_generator_builds_the_oracle_gates():
+    # every plan and pivot; the gates are the very objects the per-string oracle gets from _gate
+    for n in range(1, 7):
+        for g in enumerate_basis(n):
+            for pivot in (None, *range(1, n + 1)):
+                trotter = _oracle_pass(g, pivot, "phi_step")
+                for steps in (1, 2):
+                    got = synth_generator(g, 0.37, SynthesisPlan("trotter", steps, pivot), param_name="phi")
+                    _assert_same_gate_objects(got.gates, trotter * steps)
+                if commuting_orbit(g):
+                    got = synth_generator(g, 0.37, SynthesisPlan(pivot=pivot), param_name="phi")
+                    _assert_same_gate_objects(got.gates, _oracle_pass(g, pivot, "phi"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_orbits_and_ladders_match_the_oracles(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    n_x = data.draw(st.integers(0, n), label="n_x")
+    n_y = data.draw(st.integers(0, n - n_x), label="n_y")
+    n_z = data.draw(st.integers(0 if n_x + n_y else 1, n - n_x - n_y), label="n_z")
+    pivot = data.draw(st.none() | st.integers(1, n), label="pivot")
+    g = _generator(n_x, n_y, n_z, n - n_x - n_y - n_z)
+    strings = tuple(map(PauliString.from_letters, oracles._arrangements((n_x, n_y, n_z, g.type_vector.n_i))))
+    assert g.orbit == strings
+    got = synth_generator(g, 0.5, SynthesisPlan("trotter", steps=1, pivot=pivot))
+    _assert_same_gate_objects(got.gates, _oracle_pass(g, pivot, "theta_step"))
+    s = data.draw(st.sampled_from(strings), label="string")
+    string_pivot = data.draw(st.none() | st.sampled_from(s.support()), label="string pivot")
+    got = synth_string(s, 0.5, string_pivot, param_name="t")
+    _assert_same_gate_objects(got.gates, oracles._string_gates(s, string_pivot, "t"))
