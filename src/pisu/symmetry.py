@@ -8,8 +8,9 @@ off them, as distinct Pauli strings are trace-orthogonal; closure is checked
 that way in integer arithmetic on (x, z) mask arrays: bracket coefficients
 are Gaussian integers and each squared residual is a rational, so a closed
 algebra reports a residual of exactly zero.  Invariance of a dense unitary
-under a qubit permutation is measured by permuting the axes of its
-``(2,)*2n`` tensor, which moves entries exactly as a SWAP product would.
+under a permutation is measured by moving or comparing its entries (axes of
+its ``(2,)*2n`` tensor, slices of it, or an index gather), which gives the
+same float as conjugating by the permutation matrix.
 """
 
 from __future__ import annotations
@@ -194,11 +195,52 @@ def scaling_table(max_n: int) -> list[tuple[int, int, int]]:
     return [(n, dim_pisu(n), 4**n - 1) for n in range(1, max_n + 1)]
 
 
+def _check_finite(**arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of any argument.
+
+    A NaN would otherwise read as invariant (``max(0.0, nan)`` is ``0.0``),
+    and ``0 * inf`` inside a product is NaN where an index move keeps ``inf``.
+    """
+    for name, a in arrays.items():
+        bad = ~np.isfinite(a)
+        if bad.any():
+            index = np.unravel_index(bad.argmax(), a.shape)
+            raise ValueError(f"{name} has a non-finite entry {a[index].item()!r} at {tuple(map(int, index))}")
+
+
+def _permutation_of(s: np.ndarray) -> np.ndarray | None:
+    """Each row's column if ``s`` is a permutation matrix, else None.
+
+    A permutation matrix has one nonzero per row and per column, each exactly 1.
+    """
+    dim = len(s)
+    if np.count_nonzero(s) != dim:
+        return None
+    rows, cols = s.nonzero()  # row-major, so rows ascend
+    if (s[rows, cols] != 1).any() or (np.bincount(rows, minlength=dim) != 1).any():
+        return None
+    if (np.bincount(cols, minlength=dim) != 1).any():
+        return None
+    return cols
+
+
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
-    """max |S U S^dag - U|: zero iff U commutes with the unitary S."""
+    """max |S U S^dag - U|: zero iff U commutes with the unitary S.
+
+    When ``s`` is a permutation matrix with ``s[r, p[r]] == 1``, this is
+    ``max |u[p][:, p] - u|``: every entry of the two products is one product
+    ``1 * u`` plus exact zeros, so moving entries gives the same float.  Any
+    other ``s`` is multiplied out.  Non-finite entries are a ``ValueError``.
+    """
     if u.shape != s.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {s.shape}")
-    return float(np.abs(s @ u @ s.conj().T - u).max())
+    _check_finite(u=u, s=s)
+    p = _permutation_of(s)
+    if p is None:
+        return float(np.abs(s @ u @ s.conj().T - u).max())
+    moved = u[np.ix_(p, p)].astype(np.result_type(u, s), copy=False)  # the products' dtype
+    moved -= u
+    return float(np.abs(moved).max())
 
 
 def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
@@ -208,28 +250,57 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     moves tensor factor ``perm[k]`` to position ``k``.  Conjugating by a
     permutation matrix only moves entries, so P U P^dag is ``u`` with its
     ``(2,)*2n`` row and column axes transposed by ``perm``, and the result
-    equals ``invariance_defect(u, P)`` exactly.
+    equals ``invariance_defect(u, P)`` exactly.  Non-finite entries are a
+    ``ValueError``.
     """
     n = len(perm)
     if u.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {u.shape} does not match n={n}")
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{list(perm)} is not a permutation of range({n})")
+    _check_finite(u=u)
     t = u.reshape((2,) * (2 * n))
     axes = [*perm, *(n + k for k in perm)]
     return float(np.abs(t.transpose(axes) - t).max())
 
 
+# (r_i, r_j, c_i, c_j) bit values of one SWAP-moved sub-block per +- pair
+_MOVED_BLOCKS = [k for k in itertools.product((0, 1), repeat=4) if k < (k[1], k[0], k[3], k[2])]
+
+
+def _transposition_defect(u: np.ndarray, n: int, i: int, j: int) -> float:
+    """``permutation_defect`` of the SWAP of qubits i < j (1-based), by slicing.
+
+    With ``u`` viewed as ``(2^(i-1), 2, 2^(j-i-1), 2, 2^(n-j))`` for rows
+    and again for columns, the SWAP maps the sub-block of bits
+    ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j, c_i)``.  The 4 blocks
+    with ``r_i == r_j`` and ``c_i == c_j`` are fixed (difference exactly 0);
+    the other 12 form 6 pairs whose differences are exact negatives, so the
+    6 differences below hold every nonzero magnitude of the full one.
+    """
+    shape = (2 ** (i - 1), 2, 2 ** (j - i - 1), 2, 2 ** (n - j))
+    t = u.reshape(shape + shape)
+    everything = slice(None)
+    worst = 0.0
+    for ri, rj, ci, cj in _MOVED_BLOCKS:
+        a = t[everything, ri, everything, rj, everything, everything, ci, everything, cj]
+        b = t[everything, rj, everything, ri, everything, everything, cj, everything, ci]
+        worst = max(worst, float(np.abs(a - b).max()))
+    return worst
+
+
 def swap_invariance_defect(u: np.ndarray, n: int) -> float:
-    """Worst conjugation defect over all transposition SWAPs."""
+    """Worst conjugation defect over all transposition SWAPs.
+
+    Equals the largest ``permutation_defect`` over the transpositions
+    exactly, and reads each SWAP-moved entry once without a transposed copy
+    of ``u`` (see ``_transposition_defect``).  Non-finite entries are a
+    ``ValueError``.
+    """
     if u.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {u.shape} does not match n={n}")
-    worst = 0.0
-    for i, j in transpositions(n):
-        perm = list(range(n))
-        perm[i - 1], perm[j - 1] = j - 1, i - 1
-        worst = max(worst, permutation_defect(u, perm))
-    return worst
+    _check_finite(u=u)
+    return max((_transposition_defect(u, n, i, j) for i, j in transpositions(n)), default=0.0)
 
 
 def _type_of(n: int, x: int, z: int) -> TypeVector:

@@ -8,11 +8,13 @@ the object-level bracket-and-project loop that the closure kernel replaces,
 and ``closure_by_pair_grids`` (with ``bracket_masks`` and ``orbit_masks``)
 is the earlier mask kernel that sorts one full term-pair grid per generator
 pair; the batched kernel must equal it exactly.
-``tensordot_circuit_unitary``, ``kron_pauli_sum_matrix`` and
-``dense_swap_invariance_defect`` are the dense-arithmetic versions of
-``circuit_unitary``, ``PauliSum.matrix`` and ``swap_invariance_defect`` that
-the index-permutation kernels replace; the kernels must equal them bit for
-bit.  ``per_gate_circuit_to_json``, ``per_gate_circuit_from_json``,
+``tensordot_circuit_unitary``, ``kron_pauli_sum_matrix``,
+``dense_invariance_defect`` and ``dense_swap_invariance_defect`` are the
+dense-arithmetic versions of ``circuit_unitary``, ``PauliSum.matrix``,
+``invariance_defect`` and ``swap_invariance_defect`` that the index kernels
+replace; the kernels must equal them bit for bit.  ``eigh_exponential`` is
+``dense_exponential`` by the eigensolver alone, before diagonal types got
+their own path.  ``per_gate_circuit_to_json``, ``per_gate_circuit_from_json``,
 ``per_gate_circuit_to_qasm`` and ``per_gate_circuit_from_qasm`` build,
 encode or parse every gate on its own, as the interchange functions did
 before they kept a per-call memo of distinct gates; the writers must match
@@ -46,7 +48,6 @@ from pisu import (
     PauliString,
     commutator,
     gate_matrix,
-    invariance_defect,
     project_onto_basis,
     swap_matrix,
     transpositions,
@@ -294,12 +295,26 @@ def kron_pauli_sum_matrix(v):
     return out
 
 
+def dense_invariance_defect(u, s):
+    """invariance_defect by two dense matrix products, whatever ``s`` is."""
+    return float(np.abs(s @ u @ s.conj().T - u).max())
+
+
 def dense_swap_invariance_defect(u, n):
     """swap_invariance_defect by conjugating with every dense transposition SWAP."""
     worst = 0.0
     for i, j in transpositions(n):
-        worst = max(worst, invariance_defect(u, swap_matrix(i, j, n)))
+        worst = max(worst, dense_invariance_defect(u, swap_matrix(i, j, n)))
     return worst
+
+
+def eigh_exponential(g, theta):
+    """dense_exponential by the eigensolver for every type, diagonal ones included."""
+    m = g.matrix()
+    if not m.imag.any():
+        m = m.real
+    eigenvalues, vectors = np.linalg.eigh(m)
+    return (vectors * np.exp(-0.5j * theta * eigenvalues)) @ vectors.conj().T
 
 
 _QASM_NAMES = {"H": "h", "S": "s", "Sdg": "sdg", "CNOT": "cx", "RX": "rx", "RY": "ry", "RZ": "rz"}

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisu import (
+    BlockStructure,
     Circuit,
     Gate,
     SymmetrizationChoice,
@@ -20,6 +21,9 @@ from pisu import (
     circuit_unitary,
     equal_up_to_global_phase,
     gate_matrix,
+    invariance_defect,
+    swap_invariance_defect,
+    swap_matrix,
     symmetrize_by_extension,
     symmetrize_fully,
     unitarity_defect,
@@ -267,6 +271,22 @@ def test_verify_sized_circuits_bit_identical_to_tensordot(monkeypatch):
             monkeypatch.undo()
             assert sorted(seen) == blocks, (cpus, seen)
             assert u.flags.c_contiguous and np.array_equal(u, want), (cpus, len(c.gates))
+
+
+def test_verify_sized_defects_equal_the_dense_oracles():
+    # the benchmark's transposition and block-exchange checks on its four unitaries
+    layout = BlockStructure.for_extension(3, 3)
+    exchanges = []
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        s = np.eye(512, dtype=complex)
+        for i, j in layout.exchange_pairs(a, b):
+            s = s @ swap_matrix(i, j, 9)
+        exchanges.append(s)
+    for c in _verify_circuits():
+        u = circuit_unitary(c)
+        assert swap_invariance_defect(u, 9) == oracles.dense_swap_invariance_defect(u, 9), len(c.gates)
+        for s in exchanges:
+            assert invariance_defect(u, s) == oracles.dense_invariance_defect(u, s), len(c.gates)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])

@@ -457,7 +457,7 @@ def test_permutation_defect_equals_dense_conjugation_exactly():
     for n in range(1, 6):
         for perm in itertools.permutations(range(n)):
             u = _random_matrix(rng, n)
-            want = invariance_defect(u, _permutation_matrix(perm))
+            want = oracles.dense_invariance_defect(u, _permutation_matrix(perm))
             assert permutation_defect(u, perm) == want, perm
 
 
@@ -467,7 +467,7 @@ def test_permutation_defect_of_swap_matches_swap_matrix():
     for i, j in transpositions(4):
         perm = list(range(4))
         perm[i - 1], perm[j - 1] = j - 1, i - 1
-        assert permutation_defect(u, perm) == invariance_defect(u, swap_matrix(i, j, 4))
+        assert permutation_defect(u, perm) == oracles.dense_invariance_defect(u, swap_matrix(i, j, 4))
 
 
 def test_permutation_defect_rejects_bad_input():
@@ -497,6 +497,95 @@ def test_swap_invariance_defect_bit_identical_at_verify_width():
     defect = swap_invariance_defect(u, 9)
     assert 0 < defect < 1e-10
     assert defect == oracles.dense_swap_invariance_defect(u, 9)
+
+
+def test_transposition_kernel_equals_dense_conjugation_exactly():
+    rng = np.random.default_rng(73)
+    for n in range(1, 7):
+        u = _random_matrix(rng, n)
+        each = []
+        for i, j in transpositions(n):
+            perm = list(range(n))
+            perm[i - 1], perm[j - 1] = j - 1, i - 1
+            s = swap_matrix(i, j, n)
+            want = oracles.dense_invariance_defect(u, s)
+            assert symmetry._transposition_defect(u, n, i, j) == want, (n, i, j)
+            assert permutation_defect(u, perm) == want, (n, i, j)
+            assert invariance_defect(u, s) == want, (n, i, j)
+            each.append(want)
+        assert swap_invariance_defect(u, n) == max(each, default=0.0)
+
+
+def _basis_permutation(perm):
+    """Dense S with S[perm[c], c] = 1: any permutation of basis states."""
+    out = np.zeros((len(perm), len(perm)), dtype=complex)
+    out[perm, np.arange(len(perm))] = 1.0
+    return out
+
+
+def test_invariance_defect_moves_entries_for_any_basis_permutation():
+    rng = np.random.default_rng(79)
+    for n in range(1, 7):
+        for _ in range(4):
+            u = _random_matrix(rng, n)
+            i, j = sorted(int(q) for q in rng.choice(np.arange(1, n + 1), size=2))
+            s = _basis_permutation(rng.permutation(2**n)) @ swap_matrix(i, j, n)
+            assert symmetry._permutation_of(s) is not None
+            # a real or boolean u compares in the dtype the products would have
+            for a, b in ((u, s), (u.real, s), (u, s.real), (u.real > 0, s.real)):
+                assert invariance_defect(a, b) == oracles.dense_invariance_defect(a, b), n
+
+
+def _near_permutations(dim):
+    """Matrices one entry away from a permutation matrix; each must be multiplied out."""
+    rng = np.random.default_rng(83 + dim)
+    for value in (-1, 1j, 0.5):
+        s = _basis_permutation(rng.permutation(dim))
+        s[rng.integers(dim), :] *= value
+        yield s
+    s = _basis_permutation(rng.permutation(dim))
+    s[0, (s[0].nonzero()[0][0] + 1) % dim] = 1  # a row with two ones
+    yield s
+    s = _basis_permutation(rng.permutation(dim))
+    s[0], s[1] = 0, s[0] + s[1]  # one row empty, the next with two ones
+    yield s
+    s = _basis_permutation(rng.permutation(dim))
+    s[1] = s[0]  # two rows share a column
+    yield s
+
+
+def test_invariance_defect_multiplies_out_near_permutations():
+    rng = np.random.default_rng(89)
+    for n in range(1, 6):
+        u = _random_matrix(rng, n)
+        for s in _near_permutations(2**n):
+            assert symmetry._permutation_of(s) is None
+            assert invariance_defect(u, s) == oracles.dense_invariance_defect(u, s), n
+
+
+def _non_finite(value, where):
+    u = np.eye(8, dtype=complex)
+    u[where] = value
+    return u
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)],
+                         ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+def test_defects_reject_non_finite_entries(value):
+    u = _non_finite(value, (0, 1))
+    message = f"u has a non-finite entry {complex(value)!r} at (0, 1)"
+    for check in (
+        lambda: swap_invariance_defect(u, 3),
+        lambda: permutation_defect(u, [2, 0, 1]),
+        lambda: invariance_defect(u, swap_matrix(1, 2, 3)),
+        lambda: invariance_defect(u, np.eye(8) * 0.5),
+    ):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        invariance_defect(np.eye(8, dtype=complex), _non_finite(value, (5, 2)))
+    assert str(info.value) == f"s has a non-finite entry {complex(value)!r} at (5, 2)"
 
 
 def test_is_invariant_under_thresholds_invariance_defect():

@@ -669,10 +669,25 @@ def test_json_reader_keeps_gate_errors():
         circuit_from_json(json.dumps(twice))
 
 
+def test_diagonal_dense_exponential_matches_expm_and_the_eigensolver():
+    # a type of Z letters only is diagonal and skips the eigensolver; it
+    # matches expm, and the eigensolver route bit for bit
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            gen = _generator(0, 0, k, n - k)
+            m = gen.matrix()
+            for theta in (0.0, 0.37, -2.2, np.pi, 5.9):
+                u = dense_exponential(gen, theta)
+                assert np.abs(u - oracles.expm_oracle(m, theta)).max() < 1e-12, (gen.label, theta)
+                assert np.array_equal(u, oracles.eigh_exponential(gen, theta)), (gen.label, theta)
+                assert np.array_equal(u, np.diag(np.exp(-0.5j * theta * np.diag(m).real)))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_dense_exponential_matches_expm_for_both_y_parities(n):
     # an even number of Y letters makes the generator real and takes the
-    # real symmetric eigensolver; an odd number keeps the complex one
+    # real symmetric eigensolver (or, with Z letters only, no eigensolver);
+    # an odd number keeps the complex one
     rng = np.random.default_rng(71 + n)
     parities = set()
     for gen in enumerate_basis(n):
