@@ -15,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmetry import SymmetrizedGenerator, TypeVector, transpositions
-from .synthesis import (
-    Circuit,
-    Gate,
-    SynthesisPlan,
-    commuting_orbit,
-    synth_generator,
-    synth_string,
-)
-from .pauli import PauliString
+from .symmetry import _LETTERS, SymmetrizedGenerator, TypeVector, transpositions
+from .synthesis import Circuit, Gate, SynthesisPlan, _ladder_gates, commuting_orbit, synth_generator
 
 # product-formula steps of a non-commuting replacement entangler
 REPLACEMENT_TROTTER_STEPS = 8
@@ -196,14 +188,14 @@ def _rotation(
     """The base RX/RY rotation spread over its qubit copies under ``param``.
 
     ``tie`` puts one single-qubit rotation on each copy; ``couple`` emits
-    one multi-qubit rotation about the X...X (or Y...Y) string on the copies.
+    one multi-qubit rotation about the X...X (or Y...Y) string on the copies,
+    the ladder ``synth_string`` builds with its pivot on the lowest copy.
     """
     if mode == "tie":
         return tuple(Gate(base.kind, (q,), param) for q in copies)
-    word = ["I"] * n
-    for q in copies:
-        word[q - 1] = base.kind[1]  # RX -> X, RY -> Y
-    return synth_string(PauliString.from_letters("".join(word)), 0.0, param_name=param).gates
+    letters = np.full((1, n), _LETTERS.index("I"), dtype=np.uint8)
+    letters[0, np.subtract(copies, 1)] = _LETTERS.index(base.kind[1])  # RX -> X, RY -> Y
+    return tuple(_ladder_gates(letters, np.array([min(copies) - 1]), param))
 
 
 def symmetrize_by_extension(

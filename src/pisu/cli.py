@@ -64,31 +64,26 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    check_qubit_cap(args.qubits)  # every orbit string is built, as in closure
-    basis = symmetry.enumerate_basis(args.qubits)
+    check_qubit_cap(args.qubits)  # all 4^n - 1 orbit strings are printed
+    n = args.qubits
+    basis = symmetry.enumerate_basis(n)
     if args.format == "text":
+        # paper notation, "x2 y1" for YX: each row's tokens sorted by (letter, qubit), identity last
+        tokens = np.array([f"{c.lower()}{q}" for c in symmetry._LETTERS for q in range(1, n + 1)], dtype=object)
         for idx, gen in enumerate(basis, start=1):
-            orbit = " + ".join(s.paper_notation() for s in gen.orbit)
+            keys = np.sort(gen._letters * np.intp(n) + np.arange(n), axis=1)[:, : n - gen.type_vector.n_i]
+            orbit = " + ".join(map(" ".join, tokens[keys].tolist()))
             print(f"{idx}: {gen.label} = {orbit}")
-    else:
-        payload = {
-            "n": args.qubits,
-            "generators": [
-                {
-                    "index": idx,
-                    "label": gen.label,
-                    "type": [
-                        gen.type_vector.n_x,
-                        gen.type_vector.n_y,
-                        gen.type_vector.n_z,
-                        gen.type_vector.n_i,
-                    ],
-                    "orbit": [s.letters for s in gen.orbit],
-                }
-                for idx, gen in enumerate(basis, start=1)
-            ],
-        }
-        print(_json_out(payload))
+        return 0
+    ascii_letters = np.frombuffer(symmetry._LETTERS.encode(), dtype=np.uint8)
+    generators = []
+    for idx, gen in enumerate(basis, start=1):
+        tv = gen.type_vector
+        words = ascii_letters[gen._letters].view(f"S{n}").ravel().astype(str)  # one word per row
+        generators.append(
+            {"index": idx, "label": gen.label, "type": [tv.n_x, tv.n_y, tv.n_z, tv.n_i], "orbit": words.tolist()}
+        )
+    print(_json_out({"n": n, "generators": generators}))
     return 0
 
 
@@ -221,18 +216,13 @@ def _cmd_ansatz(args) -> int:
 
 
 def _cmd_count_cnots(args) -> int:
-    check_qubit_cap(args.qubits)
+    check_qubit_cap(args.qubits)  # the cap of basis, which prints every orbit string
     total = 0
     for gen in symmetry.enumerate_basis(args.qubits):
-        if synthesis.commuting_orbit(gen):
-            circuit = synthesis.synth_generator(gen, 0.0, synthesis.SynthesisPlan("exact-product"))
-            suffix = ""
-        else:
-            circuit = synthesis.synth_generator(
-                gen, 0.0, synthesis.SynthesisPlan("trotter", steps=1)
-            )
-            suffix = " (per product-formula step)"
-        count = synthesis.cnot_count(circuit)
+        # one ladder pass (exact product, or one product-formula step) of 2(w - 1) CNOTs per string
+        tv = gen.type_vector
+        count = tv.orbit_size() * 2 * (tv.n - tv.n_i - 1)
+        suffix = "" if synthesis.commuting_orbit(gen) else " (per product-formula step)"
         total += count
         print(f"{gen.label}: {count}{suffix}")
     print(f"total: {total}")

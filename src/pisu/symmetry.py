@@ -243,6 +243,9 @@ def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     return float(np.abs(moved).max())
 
 
+_SLICE_BITS = 18  # permutation_defect compares 2^18 entries at a time: one slice up to n = 9
+
+
 def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     """max |P U P^dag - U| for the qubit permutation P given by ``perm``.
 
@@ -250,7 +253,9 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     moves tensor factor ``perm[k]`` to position ``k``.  Conjugating by a
     permutation matrix only moves entries, so P U P^dag is ``u`` with its
     ``(2,)*2n`` row and column axes transposed by ``perm``, and the result
-    equals ``invariance_defect(u, P)`` exactly.  Non-finite entries are a
+    equals ``invariance_defect(u, P)`` exactly.  The two are compared a
+    slice of at most ``2**_SLICE_BITS`` entries at a time, over the leading
+    row axes, so no temporary holds all of ``u``.  Non-finite entries are a
     ``ValueError``.
     """
     n = len(perm)
@@ -260,8 +265,9 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
         raise ValueError(f"{list(perm)} is not a permutation of range({n})")
     _check_finite(u=u)
     t = u.reshape((2,) * (2 * n))
-    axes = [*perm, *(n + k for k in perm)]
-    return float(np.abs(t.transpose(axes) - t).max())
+    moved = t.transpose([*perm, *(n + k for k in perm)])  # a view
+    slices = itertools.product((0, 1), repeat=max(0, 2 * n - _SLICE_BITS))
+    return max(float(np.abs(moved[b] - t[b]).max()) for b in slices)
 
 
 # (r_i, r_j, c_i, c_j) bit values of one SWAP-moved sub-block per +- pair

@@ -29,6 +29,10 @@ recursion) and ``_string_gates`` (one string's ladder as a Python gate
 list) are the per-string builders that ``SymmetrizedGenerator.orbit`` and
 ``_ladder_gates`` replace with whole-orbit letter and gate-id arrays; the
 orbit and every circuit must equal theirs, order and Gate objects included.
+``basis_by_strings`` prints ``pisu basis`` from each orbit string's
+``paper_notation`` or ``letters``, as the command did before it rendered the
+orbit letter arrays, and ``transposed_permutation_defect`` is
+``permutation_defect`` as one transposed difference of the whole unitary.
 """
 
 import functools
@@ -47,6 +51,7 @@ from pisu import (
     Gate,
     PauliString,
     commutator,
+    enumerate_basis,
     gate_matrix,
     project_onto_basis,
     swap_matrix,
@@ -437,3 +442,31 @@ def _string_gates(s: PauliString, pivot: int | None, param_name: str) -> list[Ga
 
     fan = [_gate("CNOT", (pivot, t), None) for t in targets]
     return opening + fan + [_gate("RX", (pivot,), param_name)] + fan[::-1] + closing[::-1]
+
+
+def basis_by_strings(n: int, fmt: str) -> str:
+    """The stdout of ``pisu basis --qubits n --format fmt``, one orbit string at a time."""
+    basis = enumerate_basis(n)
+    if fmt == "text":
+        lines = [
+            f"{idx}: {gen.label} = {' + '.join(s.paper_notation() for s in gen.orbit)}"
+            for idx, gen in enumerate(basis, start=1)
+        ]
+        return "".join(line + "\n" for line in lines)
+    generators = [
+        {
+            "index": idx,
+            "label": gen.label,
+            "type": [gen.type_vector.n_x, gen.type_vector.n_y, gen.type_vector.n_z, gen.type_vector.n_i],
+            "orbit": [s.letters for s in gen.orbit],
+        }
+        for idx, gen in enumerate(basis, start=1)
+    ]
+    return json.dumps({"n": n, "generators": generators}, sort_keys=True) + "\n"
+
+
+def transposed_permutation_defect(u, perm):
+    """max |P U P^dag - U| from the whole transposed ``(2,)*2n`` tensor of ``u``."""
+    n = len(perm)
+    t = u.reshape((2,) * (2 * n))
+    return float(np.abs(t.transpose([*perm, *(n + k for k in perm)]) - t).max())

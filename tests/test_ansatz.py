@@ -6,6 +6,7 @@ import pytest
 from pisu import (
     BlockStructure,
     Circuit,
+    Gate,
     NonAbelianEntanglerError,
     PauliString,
     SymmetrizationChoice,
@@ -21,9 +22,10 @@ from pisu import (
     symmetrize_by_extension,
     symmetrize_fully,
     synth_generator,
+    synth_string,
     transpositions,
 )
-from pisu.ansatz import augment_entangler, cnots_commute
+from pisu.ansatz import _rotation, augment_entangler, cnots_commute
 
 import oracles
 
@@ -105,6 +107,16 @@ def test_extension_three_blocks_all_exchanges():
     u = circuit_unitary(_random_binding(ext, rng))
     for a, b in ((1, 2), (1, 3), (2, 3)):
         assert invariance_defect(u, _block_exchange_matrix(bs, a, b)) < 1e-10
+
+
+def test_coupled_rotation_equals_the_synth_string_ladder():
+    for n in range(1, 7):
+        for mask in range(1, 2**n):
+            copies = tuple(q for q in range(1, n + 1) if mask >> (q - 1) & 1)
+            for kind in ("RX", "RY"):
+                word = "".join(kind[1] if q in copies else "I" for q in range(1, n + 1))
+                want = synth_string(PauliString.from_letters(word), 0.0, param_name="a").gates
+                assert _rotation(n, Gate(kind, (1,), "b"), copies, "couple", "a") == want, word
 
 
 def test_extension_couple_mode():

@@ -1,23 +1,33 @@
 """Command-line surface: outputs, exit codes, round trips, byte stability."""
 
+import contextlib
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pisu import (
+    Circuit,
+    PauliString,
+    PauliSum,
     SymmetrizedGenerator,
+    SynthesisPlan,
     TypeVector,
     circuit_from_json,
     circuit_from_qasm,
     circuit_to_json,
     circuit_unitary,
+    cnot_count,
+    commuting_orbit,
     dense_exponential,
     enumerate_basis,
     synth_generator,
 )
 from pisu.cli import main
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -140,7 +150,8 @@ def test_closure_respects_the_qubit_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [("basis", "--format", "json"), ("basis",), ("count-cnots",)])
 def test_orbit_expanding_commands_respect_the_qubit_cap(capsys, monkeypatch, argv):
-    # both expand all 4^n - 1 orbit strings, as closure does; dim only counts types
+    # basis prints all 4^n - 1 orbit strings; count-cnots counts them in closed form
+    # and keeps the same cap, so its behaviour did not change; dim only counts types
     monkeypatch.setenv("PISU_MAX_QUBITS", "3")
     code, out, err = run_cli(capsys, *argv, "--qubits", "4")
     assert code == 2
@@ -275,6 +286,48 @@ def test_count_cnots(capsys):
     assert "XX: 2" in lines
     assert lines[-2] == "total: 18"
     assert lines[-1] == "naive budget: 4"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_count_cnots_equals_the_built_circuits(capsys, n):
+    # each line is one ladder pass: exact product, or one trotter step
+    code, out, _ = run_cli(capsys, "count-cnots", "--qubits", str(n))
+    assert code == 0
+    want, total = [], 0
+    for gen in enumerate_basis(n):
+        commuting = commuting_orbit(gen)
+        plan = SynthesisPlan("exact-product") if commuting else SynthesisPlan("trotter", steps=1)
+        count = cnot_count(synth_generator(gen, 0.0, plan))
+        want.append(f"{gen.label}: {count}{'' if commuting else ' (per product-formula step)'}")
+        total += count
+    assert out.splitlines()[:-1] == [*want, f"total: {total}"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_basis_equals_the_per_string_renderers(capsys, n, fmt):
+    assert run_cli(capsys, "basis", "--qubits", str(n), "--format", fmt) == (
+        0, oracles.basis_by_strings(n, fmt), ""
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("basis", "--qubits", "4"), (PauliString, PauliSum, Circuit)),
+        (("basis", "--qubits", "4", "--format", "json"), (PauliString, PauliSum, Circuit)),
+        (("count-cnots", "--qubits", "4"), (PauliString, PauliSum, Circuit)),
+        (("ansatz", "--qubits", "3", "--mode", "blocks:2", "--choice", "couple"), (PauliString, PauliSum)),
+        (("ansatz", "--qubits", "3", "--mode", "full", "--choice", "couple"), (PauliString, PauliSum)),
+    ],
+)
+def test_orbit_commands_build_no_string_objects(capsys, argv, built):
+    # they read the orbit letter arrays; building one of these objects raises
+    with contextlib.ExitStack() as stack:
+        for cls in built:
+            stack.enter_context(mock.patch.object(cls, "__post_init__", side_effect=AssertionError(cls)))
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_count_cnots_marks_product_formula(capsys):

@@ -470,6 +470,25 @@ def test_permutation_defect_of_swap_matches_swap_matrix():
         assert permutation_defect(u, perm) == oracles.dense_invariance_defect(u, swap_matrix(i, j, 4))
 
 
+@pytest.mark.parametrize("bits", [0, 1, 3, 5])
+def test_permutation_defect_slices_equal_the_whole_transposed_difference(monkeypatch, bits):
+    rng = np.random.default_rng(83 + bits)
+    monkeypatch.setattr(symmetry, "_SLICE_BITS", bits)
+    for n in range(1, 7):
+        u = _random_matrix(rng, n)
+        for _ in range(4):
+            perm = rng.permutation(n).tolist()
+            assert permutation_defect(u, perm) == oracles.transposed_permutation_defect(u, perm), (n, perm)
+
+
+def test_permutation_defect_is_one_slice_up_to_eight_qubits():
+    assert 2 * 8 <= symmetry._SLICE_BITS  # the CLI's blocks check at n = 8 stays one comparison
+    rng = np.random.default_rng(89)
+    u = _random_matrix(rng, 8)
+    for perm in ([1, 0, 3, 2, 5, 4, 7, 6], rng.permutation(8).tolist()):
+        assert permutation_defect(u, perm) == oracles.transposed_permutation_defect(u, perm)
+
+
 def test_permutation_defect_rejects_bad_input():
     with pytest.raises(ValueError, match="does not match n=3"):
         permutation_defect(np.eye(4), [0, 1, 2])

@@ -584,6 +584,12 @@ def test_random_circuits_interchange_matches_per_gate_oracles(c):
     assert [h.param for _, h in rotations] == [f"p{k}" for k in range(len(rotations))]
 
 
+@settings(max_examples=100, deadline=None)
+@given(circuits())
+def test_cnot_count_equals_a_count_over_every_gate(c):
+    assert cnot_count(c) == sum(1 for g in c.gates if g.kind == "CNOT")
+
+
 def test_basis_interchange_matches_per_gate_oracles():
     for n in (3, 4):
         for k, gen in enumerate(enumerate_basis(n)):
