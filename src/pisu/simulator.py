@@ -7,21 +7,33 @@ C-contiguous ``(2,)*n + (width,)`` tensor and one spare buffer.  With
 extra blocks run on worker threads while numpy releases the GIL; the blocks
 are joined side by side at the end.
 
-Gates act on their qubit axes in place of a full 2^n x 2^n embedding: CNOT
-swaps two index slices and S and S-dagger scale one slice by +-i, both in
-place; H and the rotations are one batched 2x2 matmul into the spare buffer.
-Each matmul batch item is a 2 x 2 @ 2 x C zgemm with C <= 8192 columns.
-From 2 x 16384 columns on, OpenBLAS hands a zgemm to its own thread pool,
-and while the other core is busy (as it is with a second block) such a call
-stalls for milliseconds: on a 2-core host, 2 x 2 @ 2 x 16384 took a median
-12 ms against 73 us with OpenBLAS held to one thread.  Slice permutations
-and scalings by +-i only move or re-sign entries, and every entry sees the
-same zgemm arithmetic whatever the blocking, so whole-basis verification
-stays exact and fast up to the qubit cap.
+Gates act on their qubit axes in place of a full 2^n x 2^n embedding.  A run
+of CNOTs that share a control and have distinct targets (the fan of a
+phase gadget) flips all its targets in the control=1 half: one swap of the
+first target's two quarters, each read with the other target axes reversed,
+so three quarter copies whatever the run's length.  S and S-dagger scale
+one slice by +-i in place.  H and the rotations are one batched 2x2 matmul
+into the spare buffer: a matrix with no imaginary part (H, RY, or a
+rotation whose angle makes it real, such as RX(0)) multiplies the float64
+view of the state, and RX and complex RZ keep the complex product.  Each matmul batch
+item is a 2 x 2 @ 2 x C product with C <= 8192 columns, of complex or of
+float64 entries.  From 2 x 16384 columns on, OpenBLAS hands a zgemm to its
+own thread pool, and while the other core is busy (as it is with a second
+block) such a call stalls for milliseconds: on a 2-core host, 2 x 2 @
+2 x 16384 took a median 12 ms against 73 us with OpenBLAS held to one
+thread.
+
+No step changes a bit of the result.  Swaps, reversed reads and scalings by
++-i only move or re-sign entries.  A real 2x2 matrix gives each output the
+same two-term sum, in the same order, as the complex product, which only
+adds exact +-0 terms for the zero imaginary part.  Every entry sees the same
+arithmetic whatever the blocking, so whole-basis verification stays exact
+and fast up to the qubit cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -79,7 +91,8 @@ def _gate_angle(gate: Gate, params: Mapping[str, float]) -> float | None:
 _BLOCK_COLUMNS = 256
 # circuits this short finish before a worker thread would start
 _MIN_THREADED_GATES = 16
-# most columns per 2x2 zgemm: 2 x 2 x 8192 stays under OpenBLAS's threading threshold
+# most columns per 2x2 gemm (float64 columns on the real path): 2 x 2 x 8192 stays
+# under OpenBLAS's threading threshold
 _ZGEMM_COLUMNS = 8192
 
 
@@ -90,75 +103,127 @@ def _cpu_count() -> int:
 
 
 def _gate_ops(c: Circuit) -> list[tuple]:
-    """Each gate as ``(kind, a, b)``, every distinct gate resolved once.
+    """The circuit as a list of ops, every distinct op resolved once.
 
-    ``("swap", low, high)`` exchanges two index slices (CNOT), ``("scale",
-    index, factor)`` multiplies one slice (S, Sdg) and ``("matmul", q, m)``
-    applies the 2x2 ``m`` to qubit axis ``q``.
+    ``("scale", index, factor)`` multiplies one slice (S, Sdg), ``("real",
+    q, m)`` applies the real 2x2 ``m`` to qubit axis ``q`` (H, RY and any
+    rotation whose matrix is real) and ``("matmul", q, m)`` the complex one.
+    Each run of consecutive CNOTs that share a control and have distinct
+    targets is one ``("fan", low, high, low_flipped, high_flipped)``: in the
+    control=1 half, ``low``/``high`` are the first target's 0/1 quarters and
+    the ``_flipped`` forms read them with every other target axis reversed.
     """
     whole = (slice(None),) * c.n
 
     def op(gate: Gate) -> tuple:
         q = gate.qubits[0] - 1
         if gate.kind == "CNOT":
-            flip = list(whole)
-            flip[q] = 1
-            flip[gate.qubits[1] - 1] = 0
-            low = tuple(flip)
-            flip[gate.qubits[1] - 1] = 1
-            return ("swap", low, tuple(flip))
+            return ("cnot", q, gate.qubits[1] - 1)
         if gate.kind in ("S", "Sdg"):
             return ("scale", whole[:q] + (1,), 1j if gate.kind == "S" else -1j)
-        return ("matmul", q, gate_matrix(gate.kind, _gate_angle(gate, c.params)))
+        m = gate_matrix(gate.kind, _gate_angle(gate, c.params))
+        return ("matmul", q, m) if m.imag.any() else ("real", q, np.ascontiguousarray(m.real))
 
-    return _per_distinct_gate(c.gates, op)
+    @functools.cache
+    def fan(run: tuple) -> tuple:
+        ctrl, first, *others = run
+        index = list(whole)
+        index[ctrl] = 1
+        index[first] = 0
+        low = tuple(index)
+        index[first] = 1
+        high = tuple(index)
+        for q in others:
+            index[q] = slice(None, None, -1)
+        high_flipped = tuple(index)
+        index[first] = 0
+        return ("fan", low, high, tuple(index), high_flipped)
+
+    ops = []
+    run: list = []  # control, then targets, of the open CNOT run
+    for g in _per_distinct_gate(c.gates, op):
+        if g[0] == "cnot" and run[:1] == [g[1]] and g[2] not in run:
+            run.append(g[2])
+            continue
+        if run:
+            ops.append(fan(tuple(run)))
+        run = list(g[1:]) if g[0] == "cnot" else []
+        if not run:
+            ops.append(g)
+    if run:
+        ops.append(fan(tuple(run)))
+    return ops
+
+
+def _views(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple:
+    """The arrays that ``op`` reads and writes when ``t`` holds the state."""
+    kind, a, b = op[:3]
+    if kind == "fan":
+        return (t[a], t[b], t[op[4]], spare[a], spare[op[3]])
+    if kind == "scale":
+        return t[a]
+    if kind == "real":
+        t, spare = t.view(np.float64), spare.view(np.float64)
+    # (2^q, 2, rest) as batches of 2 x C column panels
+    rest = t.size >> (a + 1)
+    cols = math.gcd(rest, _ZGEMM_COLUMNS)
+    shape = (2**a, 2, rest // cols, cols)
+    return (t.reshape(shape).transpose(0, 2, 1, 3), spare.reshape(shape).transpose(0, 2, 1, 3))
 
 
 def _evolve_columns(n: int, ops: list[tuple], start: int, stop: int) -> np.ndarray:
-    """Columns ``start:stop`` of the circuit's unitary, as a (2^n, width) array."""
+    """Columns ``start:stop`` of the circuit's unitary, as a (2^n, width) array.
+
+    The state alternates between two buffers, so each distinct op's views
+    are built once per buffer that can hold the state.
+    """
     dim = 2**n
     width = stop - start
     t = np.eye(dim, width, -start, dtype=complex).reshape((2,) * n + (width,))
-    spare = np.empty_like(t)
-    for kind, a, b in ops:
-        if kind == "swap":
-            kept = spare[a]
-            kept[...] = t[a]
-            t[a] = t[b]
-            t[b] = kept
+    buffers = (t, np.empty_like(t))
+    parity = 0  # buffers[parity] holds the state
+    views: dict = {}
+    for op in ops:
+        key = (id(op), parity)
+        v = views.get(key)
+        if v is None:
+            v = views[key] = _views(op, buffers[parity], buffers[1 - parity])
+        kind = op[0]
+        if kind == "fan":
+            low, high, high_flipped, kept, kept_flipped = v
+            np.copyto(kept, low)
+            np.copyto(low, high_flipped)
+            np.copyto(high, kept_flipped)
         elif kind == "scale":
-            t[a] *= b
+            v *= op[2]
         else:
-            # (2^q, 2, rest) as batches of 2 x C column panels
-            rest = t.size >> (a + 1)
-            cols = math.gcd(rest, _ZGEMM_COLUMNS)
-            shape = (2**a, 2, rest // cols, cols)
-            np.matmul(
-                b,
-                t.reshape(shape).transpose(0, 2, 1, 3),
-                out=spare.reshape(shape).transpose(0, 2, 1, 3),
-            )
-            t, spare = spare, t
-    return t.reshape(dim, width)
+            np.matmul(op[2], v[0], out=v[1])
+            parity = 1 - parity
+    return buffers[parity].reshape(dim, width)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of gate matrices; the leftmost gate acts first.
 
     Row indices are tensor-structured with qubit 1 as the most significant
-    bit.  CNOT exchanges the ``[ctrl=1, tgt=0]`` and ``[ctrl=1, tgt=1]``
-    slices and S/Sdg multiply the ``[q=1]`` slice by +-i, both in place; the
-    other kinds are a 2x2 matmul over the qubit's axis, batched over the more
+    bit.  Each run of CNOTs that share a control and have distinct targets
+    is one swap of the ``[ctrl=1, first target=0]`` and ``[ctrl=1, first
+    target=1]`` slices, each read with the other targets' axes reversed, and
+    S/Sdg multiply the ``[q=1]`` slice by +-i, both in place.  The other
+    kinds are a 2x2 matmul over the qubit's axis, batched over the more
     significant qubits and over panels of at most 8192 columns, so that no
-    zgemm is large enough for OpenBLAS to thread it.  The columns are split
-    into ``min(CPUs, 2^n // 256)`` blocks of whole 256-column units (one block
-    under 16 gates); blocks past the first run on worker threads, and an
-    exception raised in one is re-raised here.
+    gemm is large enough for OpenBLAS to thread it; a matrix with no
+    imaginary part is applied as a real matrix to the float64 view of the
+    state.  The result equals the gate-by-gate complex product bit for bit:
+    the fans only move entries, and a zero imaginary part only adds exact
+    zeros.  The columns are split into ``min(CPUs, 2^n // 256)`` blocks of
+    whole 256-column units (one block under 16 gates); blocks past the first
+    run on worker threads, and an exception raised in one is re-raised here.
     """
     check_qubit_cap(c.n)
     dim = 2**c.n
     ops = _gate_ops(c)
-    parts = min(_cpu_count(), dim // _BLOCK_COLUMNS) if len(ops) >= _MIN_THREADED_GATES else 1
+    parts = min(_cpu_count(), dim // _BLOCK_COLUMNS) if len(c.gates) >= _MIN_THREADED_GATES else 1
     if parts <= 1:
         return _evolve_columns(c.n, ops, 0, dim)
     from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import

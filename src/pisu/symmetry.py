@@ -155,7 +155,32 @@ class SymmetrizedGenerator:
         return PauliSum.from_strings(self.orbit)
 
     def matrix(self) -> np.ndarray:
-        return self.as_sum.matrix()
+        """The dense orbit sum, bit for bit ``as_sum.matrix()``, with no string objects.
+
+        Every orbit string has the type's ``n_y`` Y letters, so it maps column
+        ``c`` to row ``c ^ x`` with the value ``i^n_y (-1)^popcount(c & z)``:
+        a real entry for even ``n_y`` and an imaginary one for odd.  The +-1
+        terms are scattered into that part of a zero matrix by ``np.add.at``,
+        at most ``2**_SLICE_BITS`` at a time.  Their sums are exact integers,
+        and a zero sum is +0.0, as in the string-by-string sum.
+        """
+        n, n_y = self.n, self.type_vector.n_y
+        check_qubit_cap(n)
+        dim = 2**n
+        letters = self._letters
+        weights = 1 << np.arange(n - 1, -1, -1)  # qubit 1 is the most significant index bit
+        x = (letters < 2) @ weights  # X or Y
+        z = ((letters == 1) | (letters == 2)) @ weights  # Y or Z
+        cols = np.arange(dim)
+        out = np.zeros((dim, dim), dtype=complex)
+        parts = out.view(np.float64).reshape(-1)  # (real, imag) of each entry, row by row
+        phase = -1.0 if n_y % 4 > 1 else 1.0  # i^n_y is phase or phase * i
+        step = max(1, (1 << _SLICE_BITS) // dim)
+        for k in range(0, len(x), step):
+            xs, zs = x[k : k + step, None], z[k : k + step, None]
+            signs = phase * (1.0 - 2.0 * (np.bitwise_count(cols & zs) & 1))
+            np.add.at(parts, ((cols ^ xs) * dim + cols) * 2 + n_y % 2, signs)
+        return out
 
     def __repr__(self) -> str:
         return f"SymmetrizedGenerator({self.label!r})"
@@ -224,13 +249,18 @@ def _permutation_of(s: np.ndarray) -> np.ndarray | None:
     return cols
 
 
+_SLICE_BITS = 18  # defects and generator matrices take 2^18 entries at a time: one slice up to n = 9
+
+
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     """max |S U S^dag - U|: zero iff U commutes with the unitary S.
 
     When ``s`` is a permutation matrix with ``s[r, p[r]] == 1``, this is
     ``max |u[p][:, p] - u|``: every entry of the two products is one product
-    ``1 * u`` plus exact zeros, so moving entries gives the same float.  Any
-    other ``s`` is multiplied out.  Non-finite entries are a ``ValueError``.
+    ``1 * u`` plus exact zeros, so moving entries gives the same float.  The
+    rows are compared a slice of at most ``2**_SLICE_BITS`` entries at a time,
+    so no temporary holds all of ``u``.  Any other ``s`` is multiplied out.
+    Non-finite entries are a ``ValueError``.
     """
     if u.shape != s.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {s.shape}")
@@ -238,12 +268,12 @@ def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     p = _permutation_of(s)
     if p is None:
         return float(np.abs(s @ u @ s.conj().T - u).max())
-    moved = u[np.ix_(p, p)].astype(np.result_type(u, s), copy=False)  # the products' dtype
-    moved -= u
-    return float(np.abs(moved).max())
-
-
-_SLICE_BITS = 18  # permutation_defect compares 2^18 entries at a time: one slice up to n = 9
+    dtype = np.result_type(u, s)  # the products' dtype
+    rows = max(1, (1 << _SLICE_BITS) // len(u))
+    return max(
+        float(np.abs(np.subtract(u[np.ix_(p[r : r + rows], p)], u[r : r + rows], dtype=dtype)).max())
+        for r in range(0, len(u), rows)
+    )
 
 
 def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:

@@ -262,6 +262,15 @@ def test_sum_matrix_bit_identical_at_verify_width():
         assert _same_bits(gen.matrix(), oracles.kron_pauli_sum_matrix(gen.as_sum)), tv
 
 
+def test_generator_matrix_in_small_scatter_slices_bit_identical(monkeypatch):
+    from pisu import enumerate_basis, symmetry
+
+    monkeypatch.setattr(symmetry, "_SLICE_BITS", 3)
+    for n in range(1, 6):
+        for gen in enumerate_basis(n):
+            assert _same_bits(gen.matrix(), oracles.kron_pauli_sum_matrix(gen.as_sum)), gen
+
+
 @st.composite
 def pauli_sums(draw):
     n = draw(st.integers(1, 6))

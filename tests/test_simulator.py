@@ -362,3 +362,132 @@ def test_gate_matrix_rejects_an_unknown_kind(kind):
     with pytest.raises(ValueError) as info:
         gate_matrix(kind, 0.5)
     assert str(info.value) == f"unknown gate kind {kind!r}"
+
+
+# CNOTs that share a control run as one fan op, and real 2x2 matrices take a
+# float64 matmul; neither may change a single bit against the tensordot oracle
+
+
+def _fan(n, ctrl, targets):
+    return Circuit(n, tuple(Gate("CNOT", (ctrl, t)) for t in targets))
+
+
+def test_cnot_runs_sharing_a_control_bit_identical_as_one_fan():
+    # 2 to n-1 targets in random order, so most runs have targets on both sides
+    rng = np.random.default_rng(71)
+    both_sides = 0
+    for n in range(3, 8):
+        for ctrl in range(1, n + 1):
+            others = [q for q in range(1, n + 1) if q != ctrl]
+            for k in range(2, n):
+                targets = [int(q) for q in rng.permutation(others)[:k]]
+                both_sides += min(targets) < ctrl < max(targets)
+                run = _fan(n, ctrl, targets)
+                assert [op[0] for op in simulator._gate_ops(run)] == ["fan"], (n, ctrl, targets)
+                assert np.array_equal(circuit_unitary(run), oracles.tensordot_circuit_unitary(run))
+                mixed = _random_circuit(rng, n, 10).concat(run)
+                assert np.array_equal(
+                    circuit_unitary(mixed), oracles.tensordot_circuit_unitary(mixed)
+                ), (n, ctrl, targets)
+    assert both_sides >= 40
+
+
+def test_repeated_target_closes_the_fan():
+    # CNOT(1,2) twice is the identity on its own; the run splits at the repeat
+    rng = np.random.default_rng(79)
+    for targets, fans in (([2, 3, 2, 4], 2), ([2, 2], 2), ([3, 4, 5, 3, 4], 2), ([2, 3, 4, 2, 3, 4, 2], 3)):
+        c = _fan(5, 1, targets)
+        assert [op[0] for op in simulator._gate_ops(c)] == ["fan"] * fans, targets
+        for whole in (c, _random_circuit(rng, 5, 10).concat(c)):
+            assert np.array_equal(circuit_unitary(whole), oracles.tensordot_circuit_unitary(whole)), targets
+
+
+def test_fans_break_at_other_gates_and_other_controls():
+    c = Circuit(4, (Gate("CNOT", (1, 2)), Gate("H", (3,)), Gate("CNOT", (1, 3)), Gate("CNOT", (2, 4)),
+                    Gate("CNOT", (2, 1)), Gate("CNOT", (2, 3))))
+    assert [op[0] for op in simulator._gate_ops(c)] == ["fan", "real", "fan", "fan"]
+    assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+
+
+def _fan_circuit(rng, n, runs):
+    """A random prefix, then runs of CNOTs that share a control (targets may repeat), each followed by an H."""
+    c = _random_circuit(rng, n, 4)
+    for _ in range(runs):
+        ctrl = int(rng.integers(1, n + 1))
+        others = [q for q in range(1, n + 1) if q != ctrl]
+        targets = [int(q) for q in rng.choice(others, size=int(rng.integers(1, n)))]
+        c = c.concat(_fan(n, ctrl, targets)).concat(Circuit(n, (Gate("H", (int(rng.integers(1, n + 1)),)),)))
+    return c
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_fans_across_small_blocks_and_panels_bit_identical(monkeypatch, cpus):
+    monkeypatch.setattr(simulator, "_BLOCK_COLUMNS", 4)
+    monkeypatch.setattr(simulator, "_ZGEMM_COLUMNS", 8)
+    _cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(83 + cpus)
+    for _ in range(20):
+        c = _fan_circuit(rng, int(rng.integers(3, 8)), int(rng.integers(6, 12)))
+        assert len(c.gates) >= simulator._MIN_THREADED_GATES
+        assert "fan" in {op[0] for op in simulator._gate_ops(c)}
+        assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+
+
+def _spy_matmul_dtypes(monkeypatch):
+    """Record the dtype of the state operand of every matmul the simulator runs."""
+    seen = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(m, state, out):
+            seen.append(state.dtype)
+            return np.matmul(m, state, out=out)
+
+    monkeypatch.setattr(simulator, "np", Numpy())
+    return seen
+
+
+def test_real_gates_on_every_qubit_take_the_float64_path(monkeypatch):
+    rng = np.random.default_rng(89)
+    seen = _spy_matmul_dtypes(monkeypatch)
+    for n in range(1, 7):
+        for kind, angle in (("H", None), ("RY", float(rng.uniform(-7, 7))), ("RX", 0.0), ("RZ", 0.0)):
+            for qubit in range(1, n + 1):
+                c = _one_gate(kind, n, qubit, None, angle)
+                seen.clear()
+                assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+                assert seen == [np.float64], (kind, n, qubit)
+                mixed = _random_circuit(rng, n, 12).concat(c)
+                assert np.array_equal(circuit_unitary(mixed), oracles.tensordot_circuit_unitary(mixed))
+
+
+def test_complex_rotations_keep_the_complex_path(monkeypatch):
+    seen = _spy_matmul_dtypes(monkeypatch)
+    for kind in ("RX", "RZ"):
+        c = _one_gate(kind, 3, 2, None, 0.4)
+        assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+    assert seen == [np.complex128, np.complex128]
+
+
+def _cli_circuit():
+    # the n=7 trotter:4 circuit that the benchmark's cli workload verifies twice
+    from pisu import SymmetrizedGenerator, SynthesisPlan, TypeVector, synth_generator
+
+    tv = TypeVector(1, 1, 1, 4)
+    return synth_generator(SymmetrizedGenerator(tv, tv.label), 0.4, SynthesisPlan("trotter", steps=4))
+
+
+def test_cli_sized_circuit_bit_identical_with_fans_and_real_gates(monkeypatch):
+    c = _cli_circuit()
+    ops = simulator._gate_ops(c)
+    assert (len(c.gates), len(ops)) == (7560, 5880)
+    kinds = [g.kind for g in c.gates]
+    seen = _spy_matmul_dtypes(monkeypatch)
+    u = circuit_unitary(c)
+    monkeypatch.undo()
+    assert seen.count(np.float64) == kinds.count("H") + kinds.count("RY") == 1680
+    assert seen.count(np.complex128) == kinds.count("RX") + kinds.count("RZ")
+    assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))

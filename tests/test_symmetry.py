@@ -555,6 +555,18 @@ def test_invariance_defect_moves_entries_for_any_basis_permutation():
                 assert invariance_defect(a, b) == oracles.dense_invariance_defect(a, b), n
 
 
+@pytest.mark.parametrize("bits", [0, 1, 3, 5])
+def test_invariance_defect_slices_equal_the_dense_oracle(monkeypatch, bits):
+    # shrunk slices split the gathered rows into several comparisons
+    rng = np.random.default_rng(97 + bits)
+    monkeypatch.setattr(symmetry, "_SLICE_BITS", bits)
+    for n in range(1, 6):
+        u = _random_matrix(rng, n)
+        s = _basis_permutation(rng.permutation(2**n))
+        for a, b in ((u, s), (u.real, s), (u, s.real), (u.real > 0, s.real)):
+            assert invariance_defect(a, b) == oracles.dense_invariance_defect(a, b), (n, bits)
+
+
 def _near_permutations(dim):
     """Matrices one entry away from a permutation matrix; each must be multiplied out."""
     rng = np.random.default_rng(83 + dim)

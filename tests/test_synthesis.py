@@ -19,6 +19,7 @@ from pisu import (
     Gate,
     NonCommutingOrbitError,
     PauliString,
+    PauliSum,
     SymmetrizedGenerator,
     SynthesisPlan,
     TypeVector,
@@ -687,6 +688,17 @@ def test_diagonal_dense_exponential_matches_expm_and_the_eigensolver():
                 assert np.abs(u - oracles.expm_oracle(m, theta)).max() < 1e-12, (gen.label, theta)
                 assert np.array_equal(u, oracles.eigh_exponential(gen, theta)), (gen.label, theta)
                 assert np.array_equal(u, np.diag(np.exp(-0.5j * theta * np.diag(m).real)))
+
+
+@pytest.mark.parametrize("counts", [(2, 0, 0, 2), (1, 1, 1, 1), (0, 3, 0, 1)], ids=["XX", "XYZ", "YYY"])
+def test_dense_exponential_builds_no_string_objects(counts):
+    # the generator matrix is scattered from the orbit letter array
+    gen = _generator(*counts)
+    want = oracles.expm_oracle(oracles.kron_pauli_sum_matrix(gen.as_sum), 0.7)
+    with mock.patch.object(PauliString, "__post_init__", side_effect=AssertionError(PauliString)), \
+            mock.patch.object(PauliSum, "__post_init__", side_effect=AssertionError(PauliSum)):
+        u = dense_exponential(gen, 0.7)
+    assert np.abs(u - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4])
