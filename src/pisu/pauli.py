@@ -108,15 +108,6 @@ class PauliString:
         occ = self.x | self.z
         return tuple(q + 1 for q in range(self.n) if (occ >> q) & 1)
 
-    def paper_notation(self) -> str:
-        """Subscripted rendering, e.g. ``"x2 y1"`` for Y on qubit 1, X on qubit 2."""
-        parts = sorted(
-            (self.letter(q).lower(), q) for q in self.support()
-        )
-        if not parts:
-            return "1"
-        return " ".join(f"{letter}{q}" for letter, q in parts)
-
     def __repr__(self) -> str:
         return f"PauliString({self.coeff:+g}, {self.letters!r})"
 
@@ -194,26 +185,32 @@ class PauliSum:
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n realization: the sum of coeff times the Kronecker product of letters.
 
-        A string maps column ``c`` to row ``c ^ x`` with the value
-        ``coeff * i^{#Y} * (-1)^{popcount(c & z)}``, where the masks are
-        bit-reversed because qubit 1 is the most significant bit.  Terms are
-        added in ``strings()`` order, so every entry equals the Kronecker sum's bit for bit.
+        Terms are added in ``strings()`` order, so every entry equals the
+        Kronecker sum's bit for bit.
         """
-        check_qubit_cap(self.n)
-        dim = 2**self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
-        for s in self.strings():
-            x = _index_mask(s.x, self.n)
-            z = _index_mask(s.z, self.n)
-            signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-            out[cols ^ x, cols] += s.coeff * _I_POW[_y_count(s.x, s.z) % 4] * signs
-        return out
+        strings = list(self.strings())
+        values = [s.coeff * _I_POW[_y_count(s.x, s.z) % 4] for s in strings]
+        return _dense_sum(self.n, [s.x for s in strings], [s.z for s in strings], values)
 
 
-def _index_mask(mask: int, n: int) -> int:
-    """A qubit mask (bit q-1 for qubit q) as a basis-state index mask (bit n-q)."""
-    return int(format(mask, f"0{n}b")[::-1], 2)
+def _dense_sum(n: int, x, z, values) -> np.ndarray:
+    """The dense 2^n x 2^n sum of Pauli terms, added one at a time in the order given.
+
+    Term k has masks ``x[k]``, ``z[k]`` in ``PauliString`` bit order and the
+    value ``values[k]``, its coefficient times ``i^{#Y}``.  It maps column
+    ``c`` to row ``c ^ x[k]`` with the value ``values[k] * (-1)^{popcount(c & z[k])}``,
+    the masks bit-reversed because qubit 1 is the most significant index bit.
+    """
+    check_qubit_cap(n)
+    dim = 2**n
+    reverse = 1 << np.arange(n - 1, -1, -1)  # bit q-1 of a mask -> bit n-q of an index
+    x, z = ((np.asarray(m, dtype=np.int64)[:, None] >> np.arange(n) & 1) @ reverse for m in (x, z))
+    out = np.zeros(dim * dim, dtype=complex)
+    cols = np.arange(dim)
+    for xk, zk, value in zip(x.tolist(), z.tolist(), values):
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & zk) & 1)
+        out[(cols ^ xk) * dim + cols] += value * signs  # flat indices gather faster than (row, column) pairs
+    return out.reshape(dim, dim)
 
 
 def _pruned(acc: dict) -> dict:

@@ -21,7 +21,10 @@ float64 entries.  From 2 x 16384 columns on, OpenBLAS hands a zgemm to its
 own thread pool, and while the other core is busy (as it is with a second
 block) such a call stalls for milliseconds: on a 2-core host, 2 x 2 @
 2 x 16384 took a median 12 ms against 73 us with OpenBLAS held to one
-thread.
+thread.  On the same host with both column blocks running, lifting the cap
+to 2^30 slowed four n=9 circuits of the benchmark's verify kind from
+0.25-0.42 s in all to 0.59-0.91 s, and three n=11 ones from 12.0-14.3 s to
+22.9-23.9 s.
 
 No step changes a bit of the result.  Swaps, reversed reads and scalings by
 +-i only move or re-sign entries.  A real 2x2 matrix gives each output the
@@ -42,7 +45,7 @@ from typing import Mapping
 import numpy as np
 
 from .pauli import check_qubit_cap
-from .synthesis import Circuit, Gate, _per_distinct_gate
+from .synthesis import Circuit, Gate, _angle, _per_distinct_gate
 
 
 class UnboundParameterError(ValueError):
@@ -58,7 +61,7 @@ _CNOT = np.array(
 
 
 def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
-    """2x2 (or 4x4 for CNOT) matrix of a gate kind; rotations need an angle."""
+    """2x2 (or 4x4 for CNOT) matrix of a gate kind; rotations need a finite angle."""
     if kind == "H":
         return _H.copy()
     if kind == "S":
@@ -69,6 +72,7 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
         return _CNOT.copy()
     if angle is None:
         raise UnboundParameterError(f"{kind} needs an angle")
+    angle = _angle("angle", angle)
     c, s = np.cos(angle / 2), np.sin(angle / 2)
     if kind == "RX":
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, check_qubit_cap
+from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, check_qubit_cap
 
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
@@ -113,6 +113,10 @@ class SymmetrizedGenerator:
     type_vector: TypeVector
     label: str
 
+    def __post_init__(self) -> None:
+        if self.label != self.type_vector.label:
+            raise ValueError(f"label {self.label!r} is not the type's label {self.type_vector.label!r}")
+
     @property
     def n(self) -> int:
         return self.type_vector.n
@@ -139,48 +143,36 @@ class SymmetrizedGenerator:
         return words
 
     @cached_property
-    def orbit(self) -> tuple[PauliString, ...]:
-        """The orbit strings, coefficient 1, in the row order of ``_letters``."""
+    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each orbit string's (x, z) masks in ``PauliString`` bit order, rows as in ``_letters``."""
         letters, n = self._letters, self.n
         weights = np.array([1 << q for q in range(n)], dtype=np.int64 if n < 63 else object)
-        xs = ((letters < 2) @ weights).tolist()  # X or Y
-        zs = (((letters == 1) | (letters == 2)) @ weights).tolist()  # Y or Z
-        return tuple(PauliString(n, x, z) for x, z in zip(xs, zs))
+        return (letters < 2) @ weights, ((letters == 1) | (letters == 2)) @ weights  # X or Y; Y or Z
+
+    @cached_property
+    def orbit(self) -> tuple[PauliString, ...]:
+        """The orbit strings, coefficient 1, in the row order of ``_letters``."""
+        x, z = self._masks
+        return tuple(PauliString(self.n, xk, zk) for xk, zk in zip(x.tolist(), z.tolist()))
 
     def orbit_size(self) -> int:
         return self.type_vector.orbit_size()
 
     @cached_property
     def as_sum(self) -> PauliSum:
-        return PauliSum.from_strings(self.orbit)
+        """The orbit sum, every coefficient 1, with its terms in the order of ``orbit``."""
+        x, z = self._masks
+        return PauliSum(self.n, dict.fromkeys(zip(x.tolist(), z.tolist()), 1.0 + 0j))
 
     def matrix(self) -> np.ndarray:
         """The dense orbit sum, bit for bit ``as_sum.matrix()``, with no string objects.
 
-        Every orbit string has the type's ``n_y`` Y letters, so it maps column
-        ``c`` to row ``c ^ x`` with the value ``i^n_y (-1)^popcount(c & z)``:
-        a real entry for even ``n_y`` and an imaginary one for odd.  The +-1
-        terms are scattered into that part of a zero matrix by ``np.add.at``,
-        at most ``2**_SLICE_BITS`` at a time.  Their sums are exact integers,
-        and a zero sum is +0.0, as in the string-by-string sum.
+        Each term's value is ``i^n_y``, and the entries are exact integer sums
+        whose zeros are +0.0, so the orbit order gives the bits of ``strings()`` order.
         """
-        n, n_y = self.n, self.type_vector.n_y
-        check_qubit_cap(n)
-        dim = 2**n
-        letters = self._letters
-        weights = 1 << np.arange(n - 1, -1, -1)  # qubit 1 is the most significant index bit
-        x = (letters < 2) @ weights  # X or Y
-        z = ((letters == 1) | (letters == 2)) @ weights  # Y or Z
-        cols = np.arange(dim)
-        out = np.zeros((dim, dim), dtype=complex)
-        parts = out.view(np.float64).reshape(-1)  # (real, imag) of each entry, row by row
-        phase = -1.0 if n_y % 4 > 1 else 1.0  # i^n_y is phase or phase * i
-        step = max(1, (1 << _SLICE_BITS) // dim)
-        for k in range(0, len(x), step):
-            xs, zs = x[k : k + step, None], z[k : k + step, None]
-            signs = phase * (1.0 - 2.0 * (np.bitwise_count(cols & zs) & 1))
-            np.add.at(parts, ((cols ^ xs) * dim + cols) * 2 + n_y % 2, signs)
-        return out
+        check_qubit_cap(self.n)  # before the orbit is expanded
+        x, z = self._masks
+        return _dense_sum(self.n, x, z, [_I_POW[self.type_vector.n_y % 4]] * len(x))
 
     def __repr__(self) -> str:
         return f"SymmetrizedGenerator({self.label!r})"
@@ -221,16 +213,20 @@ def scaling_table(max_n: int) -> list[tuple[int, int, int]]:
 
 
 def _check_finite(**arrays: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first non-finite entry of any argument.
+    """Raise ``ValueError`` naming the first non-finite entry of any 2-D argument.
 
     A NaN would otherwise read as invariant (``max(0.0, nan)`` is ``0.0``),
     and ``0 * inf`` inside a product is NaN where an index move keeps ``inf``.
+    Rows are scanned a slice of at most ``2**_SLICE_BITS`` entries at a time,
+    so no mask holds a whole argument; "first" is in row-major order.
     """
     for name, a in arrays.items():
-        bad = ~np.isfinite(a)
-        if bad.any():
-            index = np.unravel_index(bad.argmax(), a.shape)
-            raise ValueError(f"{name} has a non-finite entry {a[index].item()!r} at {tuple(map(int, index))}")
+        rows = max(1, (1 << _SLICE_BITS) // a.shape[1])
+        for r in range(0, len(a), rows):
+            finite = np.isfinite(a[r : r + rows])
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0] + (r, 0)  # argwhere is row-major
+                raise ValueError(f"{name} has a non-finite entry {a[i, j].item()!r} at {(int(i), int(j))}")
 
 
 def _permutation_of(s: np.ndarray) -> np.ndarray | None:
@@ -249,7 +245,7 @@ def _permutation_of(s: np.ndarray) -> np.ndarray | None:
     return cols
 
 
-_SLICE_BITS = 18  # defects and generator matrices take 2^18 entries at a time: one slice up to n = 9
+_SLICE_BITS = 18  # the defects and their finiteness scans take 2^18 entries at a time: one slice up to n = 9
 
 
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:

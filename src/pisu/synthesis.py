@@ -320,8 +320,10 @@ def dense_exponential(g: SymmetrizedGenerator, theta: float) -> np.ndarray:
     is the sum over the orbit's Z sets ``Q`` of ``(-1)^|Q & c|``, an exact
     integer that depends only on the popcount of ``c`` (a Krawtchouk number).
     Those integers are M's exact eigenvalues, and their phases are formed
-    by the same expression as on the eigensolver route.
+    by the same expression as on the eigensolver route.  ``theta`` must be
+    a finite real number and not a boolean.
     """
+    theta = _angle("theta", theta)
     check_qubit_cap(g.n)
     tv = g.type_vector
     if tv.n_x == tv.n_y == 0:

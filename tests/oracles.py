@@ -444,12 +444,20 @@ def _string_gates(s: PauliString, pivot: int | None, param_name: str) -> list[Ga
     return opening + fan + [_gate("RX", (pivot,), param_name)] + fan[::-1] + closing[::-1]
 
 
+def paper_notation(s: PauliString) -> str:
+    """Subscripted rendering, e.g. ``"x2 y1"`` for Y on qubit 1, X on qubit 2."""
+    parts = sorted((s.letter(q).lower(), q) for q in s.support())
+    if not parts:
+        return "1"
+    return " ".join(f"{letter}{q}" for letter, q in parts)
+
+
 def basis_by_strings(n: int, fmt: str) -> str:
     """The stdout of ``pisu basis --qubits n --format fmt``, one orbit string at a time."""
     basis = enumerate_basis(n)
     if fmt == "text":
         lines = [
-            f"{idx}: {gen.label} = {' + '.join(s.paper_notation() for s in gen.orbit)}"
+            f"{idx}: {gen.label} = {' + '.join(paper_notation(s) for s in gen.orbit)}"
             for idx, gen in enumerate(basis, start=1)
         ]
         return "".join(line + "\n" for line in lines)

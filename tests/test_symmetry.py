@@ -619,6 +619,42 @@ def test_defects_reject_non_finite_entries(value):
     assert str(info.value) == f"s has a non-finite entry {complex(value)!r} at (5, 2)"
 
 
+@pytest.mark.parametrize("bits", [0, 8, 10])
+def test_non_finite_entry_found_in_a_late_slice(monkeypatch, bits):
+    # slices of 1, 4 and 16 rows at n = 6; the first bad entry in row-major
+    # order is named, not the one in the lowest column
+    monkeypatch.setattr(symmetry, "_SLICE_BITS", bits)
+    u = np.eye(64, dtype=complex)
+    u[50, 7], u[52, 1], u[63, 63] = np.inf, np.nan, np.nan
+    message = "has a non-finite entry (inf+0j) at (50, 7)"
+    for check in (
+        lambda: swap_invariance_defect(u, 6),
+        lambda: permutation_defect(u, [1, 0, 2, 3, 4, 5]),
+        lambda: invariance_defect(u, swap_matrix(1, 2, 6)),
+    ):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == "u " + message
+    with pytest.raises(ValueError) as info:
+        invariance_defect(np.eye(64, dtype=complex), u)
+    assert str(info.value) == "s " + message
+
+
+def test_as_sum_equals_the_sum_of_the_orbit_strings():
+    for n in range(1, 7):
+        for gen in enumerate_basis(n):
+            want = PauliSum.from_strings(gen.orbit)
+            assert gen.as_sum == want and list(gen.as_sum.terms.items()) == list(want.terms.items()), gen
+
+
+def test_as_sum_builds_no_string_objects():
+    # the terms come straight from the orbit masks
+    gen = next(g for g in enumerate_basis(5) if g.label == "XYZII")
+    with mock.patch.object(PauliString, "__post_init__", side_effect=AssertionError(PauliString)):
+        total = gen.as_sum
+    assert total == PauliSum.from_strings(gen.orbit)
+
+
 def test_is_invariant_under_thresholds_invariance_defect():
     u = oracles.cnot_full(1, 2, 2)
     s = swap_matrix(1, 2, 2)
@@ -649,6 +685,8 @@ def test_symmetrized_generator_is_read_only_and_caches_its_orbit():
         pytest.param(lambda: swap_matrix(0, 1, 2), "qubit indices (0, 1) out of range 1..2", id="swap"),
         pytest.param(lambda: swap_matrix(1, 3, 2), "qubit indices (1, 3) out of range 1..2", id="swap-high"),
         pytest.param(lambda: TypeVector(0, 0, 0, 0), "type vector must cover at least one qubit", id="type"),
+        pytest.param(lambda: symmetry.SymmetrizedGenerator(TypeVector(2, 0, 0, 1), "ZZZ"),
+                     "label 'ZZZ' is not the type's label 'XXI'", id="label"),
         pytest.param(lambda: enumerate_basis(0), "need at least one qubit", id="basis"),
         pytest.param(lambda: dim_pisu(0), "need at least one qubit", id="dim"),
         pytest.param(lambda: swap_invariance_defect(np.eye(4), 3), "matrix shape (4, 4) does not match n=3",

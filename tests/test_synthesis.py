@@ -701,6 +701,18 @@ def test_dense_exponential_builds_no_string_objects(counts):
     assert np.abs(u - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "0.5"],
+                         ids=["nan", "inf", "-inf", "bool", "str"])
+def test_dense_exponential_and_gate_matrix_reject_bad_angles(bad):
+    # the eigensolver and the diagonal routes alike
+    for gen in (_generator(2, 0, 0, 1), _generator(0, 0, 2, 1)):
+        with pytest.raises(ValueError, match="parameter 'theta' must be a finite angle"):
+            dense_exponential(gen, bad)
+    for kind in ("RX", "RY", "RZ"):
+        with pytest.raises(ValueError, match="parameter 'angle' must be a finite angle"):
+            gate_matrix(kind, bad)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_dense_exponential_matches_expm_for_both_y_parities(n):
     # an even number of Y letters makes the generator real and takes the
