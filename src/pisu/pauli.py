@@ -175,9 +175,25 @@ class PauliSum:
 
     def strings(self) -> Iterator[PauliString]:
         """Terms as PauliStrings, sorted by letter word for determinism."""
-        items = sorted(self.terms.items(), key=lambda kv: PauliString(self.n, *kv[0]).letters)
-        for (x, z), coeff in items:
+        for (x, z), coeff in self._sorted_terms():
             yield PauliString(self.n, x, z, coeff)
+
+    def _sorted_terms(self) -> list:
+        """``terms`` items in ``strings()`` order, sorted straight from the masks.
+
+        A qubit's letter I, X, Y, Z has the code ``2z + (x ^ z)`` = 0, 1, 2, 3,
+        which sorts like the letter.  Reading a mask's bits with qubit 1 first
+        as base-4 digits puts those codes side by side, so the word ``2 *
+        spread(z) + spread(x ^ z)`` sorts like the letter word, for masks of
+        any width.
+        """
+        n = self.n
+
+        def word(item) -> int:
+            x, z = item[0]
+            return 2 * int(format(z, f"0{n}b")[::-1], 4) + int(format(x ^ z, f"0{n}b")[::-1], 4)
+
+        return sorted(self.terms.items(), key=word)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -188,9 +204,9 @@ class PauliSum:
         Terms are added in ``strings()`` order, so every entry equals the
         Kronecker sum's bit for bit.
         """
-        strings = list(self.strings())
-        values = [s.coeff * _I_POW[_y_count(s.x, s.z) % 4] for s in strings]
-        return _dense_sum(self.n, [s.x for s in strings], [s.z for s in strings], values)
+        items = self._sorted_terms()
+        values = [coeff * _I_POW[_y_count(x, z) % 4] for (x, z), coeff in items]
+        return _dense_sum(self.n, [x for (x, _), _ in items], [z for (_, z), _ in items], values)
 
 
 def _dense_sum(n: int, x, z, values) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Dense unitary evaluation of circuits and tolerance-aware comparisons.
 
 Each column of a circuit's unitary evolves on its own, so the columns are
-split into blocks and every block runs the whole gate list on its own
-C-contiguous ``(2,)*n + (width,)`` tensor and one spare buffer.  With
-``min(CPUs, 2^n // 256)`` blocks (one for circuits under 16 gates), the
-extra blocks run on worker threads while numpy releases the GIL; the blocks
-are joined side by side at the end.
+cut into panels of ``2^16 // 2^n`` columns: a panel is a C-contiguous
+``(2,)*n + (width,)`` tensor of 2^16 complex entries, 1 MiB, so it and its
+spare buffer stay in a 2 MiB per-core L2 cache while the whole gate list
+runs on them (all 2^n columns form one smaller panel for n <= 8, and a panel
+has at least 4 columns).  Workers take the panels round-robin: the calling
+thread and ``min(CPUs, panels) - 1`` pool threads (the calling thread alone
+for circuits under 16 gates), which run while numpy releases the GIL.  Each
+worker reuses its two buffers for every panel it runs and copies each
+finished panel into its columns of the one preallocated result, so memory
+beyond the result is two panel buffers per worker.
 
 Gates act on their qubit axes in place of a full 2^n x 2^n embedding.  A run
 of CNOTs that share a control and have distinct targets (the fan of a
@@ -15,23 +20,24 @@ so three quarter copies whatever the run's length.  S and S-dagger scale
 one slice by +-i in place.  H and the rotations are one batched 2x2 matmul
 into the spare buffer: a matrix with no imaginary part (H, RY, or a
 rotation whose angle makes it real, such as RX(0)) multiplies the float64
-view of the state, and RX and complex RZ keep the complex product.  Each matmul batch
-item is a 2 x 2 @ 2 x C product with C <= 8192 columns, of complex or of
-float64 entries.  From 2 x 16384 columns on, OpenBLAS hands a zgemm to its
-own thread pool, and while the other core is busy (as it is with a second
-block) such a call stalls for milliseconds: on a 2-core host, 2 x 2 @
-2 x 16384 took a median 12 ms against 73 us with OpenBLAS held to one
-thread.  On the same host with both column blocks running, lifting the cap
-to 2^30 slowed four n=9 circuits of the benchmark's verify kind from
-0.25-0.42 s in all to 0.59-0.91 s, and three n=11 ones from 12.0-14.3 s to
-22.9-23.9 s.
+view of the state, and RX and complex RZ keep the complex product.  Each
+matmul batch item is a 2 x 2 @ 2 x C product with C <= 8192 columns, of
+complex or of float64 entries.  From 2 x 16384 columns on, OpenBLAS hands a
+zgemm to its own thread pool, and while the other core is busy (as it is
+with a second worker) such a call stalls for milliseconds: on a 2-core
+host, 2 x 2 @ 2 x 16384 took a median 12 ms against 73 us with OpenBLAS
+held to one thread.  On the same host, when the columns ran as two
+half-width blocks, lifting the cap to 2^30 slowed four n=9 circuits of the
+benchmark's verify kind from 0.25-0.42 s in all to 0.59-0.91 s, and three
+n=11 ones from 12.0-14.3 s to 22.9-23.9 s.
 
 No step changes a bit of the result.  Swaps, reversed reads and scalings by
 +-i only move or re-sign entries.  A real 2x2 matrix gives each output the
 same two-term sum, in the same order, as the complex product, which only
-adds exact +-0 terms for the zero imaginary part.  Every entry sees the same
-arithmetic whatever the blocking, so whole-basis verification stays exact
-and fast up to the qubit cap.
+adds exact +-0 terms for the zero imaginary part.  A gemm of 4 or more
+columns gives each column the same bits whatever its width, so every entry
+sees the same arithmetic whatever the panelling, and whole-basis
+verification stays exact and fast up to the qubit cap.
 """
 
 from __future__ import annotations
@@ -91,8 +97,14 @@ def _gate_angle(gate: Gate, params: Mapping[str, float]) -> float | None:
     return params[gate.param]
 
 
-# columns per block when the unitary is split across threads
-_BLOCK_COLUMNS = 256
+# complex entries per column panel: 2^16 x 16 bytes is 1 MiB, so a panel and
+# its spare buffer fill a 2 MiB per-core L2 cache; a power of two, so every
+# panel has the same width
+_PANEL_ENTRIES = 2**16
+# fewest columns per panel: OpenBLAS computes a 2x2 @ 2x1 or 2x2 @ 2x2 complex
+# product (and a 2x2 @ 2x1 real one) with other kernels than wider ones, and
+# their low bits differ, so a narrower panel would change the result
+_MIN_PANEL_COLUMNS = 4
 # circuits this short finish before a worker thread would start
 _MIN_THREADED_GATES = 16
 # most columns per 2x2 gemm (float64 columns on the real path): 2 x 2 x 8192 stays
@@ -112,12 +124,15 @@ def _gate_ops(c: Circuit) -> list[tuple]:
     ``("scale", index, factor)`` multiplies one slice (S, Sdg), ``("real",
     q, m)`` applies the real 2x2 ``m`` to qubit axis ``q`` (H, RY and any
     rotation whose matrix is real) and ``("matmul", q, m)`` the complex one.
-    Each run of consecutive CNOTs that share a control and have distinct
-    targets is one ``("fan", low, high, low_flipped, high_flipped)``: in the
+    Rotations are keyed on their kind, qubit and bound angle, so gates whose
+    parameters differ in name but not in value share one op object.  Each
+    run of consecutive CNOTs that share a control and have distinct targets
+    is one ``("fan", low, high, low_flipped, high_flipped)``: in the
     control=1 half, ``low``/``high`` are the first target's 0/1 quarters and
     the ``_flipped`` forms read them with every other target axis reversed.
     """
     whole = (slice(None),) * c.n
+    by_angle: dict = {}
 
     def op(gate: Gate) -> tuple:
         q = gate.qubits[0] - 1
@@ -125,8 +140,17 @@ def _gate_ops(c: Circuit) -> list[tuple]:
             return ("cnot", q, gate.qubits[1] - 1)
         if gate.kind in ("S", "Sdg"):
             return ("scale", whole[:q] + (1,), 1j if gate.kind == "S" else -1j)
-        m = gate_matrix(gate.kind, _gate_angle(gate, c.params))
-        return ("matmul", q, m) if m.imag.any() else ("real", q, np.ascontiguousarray(m.real))
+        angle = _gate_angle(gate, c.params)
+        if angle is not None:
+            angle = _angle("angle", angle)
+        key = (gate.kind, q, None if angle is None else angle.hex())  # hex keeps -0.0 apart from 0.0
+        resolved = by_angle.get(key)
+        if resolved is None:
+            m = gate_matrix(gate.kind, angle)
+            resolved = by_angle[key] = (
+                ("matmul", q, m) if m.imag.any() else ("real", q, np.ascontiguousarray(m.real))
+            )
+        return resolved
 
     @functools.cache
     def fan(run: tuple) -> tuple:
@@ -175,35 +199,43 @@ def _views(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple:
     return (t.reshape(shape).transpose(0, 2, 1, 3), spare.reshape(shape).transpose(0, 2, 1, 3))
 
 
-def _evolve_columns(n: int, ops: list[tuple], start: int, stop: int) -> np.ndarray:
-    """Columns ``start:stop`` of the circuit's unitary, as a (2^n, width) array.
+def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
+    """Write columns ``s:s + width`` of the circuit's unitary into ``u``, for each ``s`` in ``starts``.
 
-    The state alternates between two buffers, so each distinct op's views
-    are built once per buffer that can hold the state.
+    One panel buffer and one spare serve every panel, the state alternating
+    between the two.  The op list is bound to its views once, each distinct
+    op's views built once per buffer that can hold the state; then every
+    panel starts as its identity columns and runs the bound list.
     """
-    dim = 2**n
-    width = stop - start
-    t = np.eye(dim, width, -start, dtype=complex).reshape((2,) * n + (width,))
-    buffers = (t, np.empty_like(t))
-    parity = 0  # buffers[parity] holds the state
+    dim = u.shape[0]
+    shape = (2,) * (dim.bit_length() - 1) + (width,)
+    buffers = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
     views: dict = {}
+    bound = []
+    parity = 0  # buffers[parity] holds the state
     for op in ops:
         key = (id(op), parity)
         v = views.get(key)
         if v is None:
             v = views[key] = _views(op, buffers[parity], buffers[1 - parity])
-        kind = op[0]
-        if kind == "fan":
-            low, high, high_flipped, kept, kept_flipped = v
-            np.copyto(kept, low)
-            np.copyto(low, high_flipped)
-            np.copyto(high, kept_flipped)
-        elif kind == "scale":
-            v *= op[2]
-        else:
-            np.matmul(op[2], v[0], out=v[1])
+        bound.append((op[0], op[2], v))
+        if op[0] in ("real", "matmul"):
             parity = 1 - parity
-    return buffers[parity].reshape(dim, width)
+    state, result = buffers[0].reshape(dim, width), buffers[parity].reshape(dim, width)
+    for start in starts:
+        state.fill(0)
+        np.fill_diagonal(state[start : start + width], 1)
+        for kind, arg, v in bound:
+            if kind == "fan":
+                low, high, high_flipped, kept, kept_flipped = v
+                np.copyto(kept, low)
+                np.copyto(low, high_flipped)
+                np.copyto(high, kept_flipped)
+            elif kind == "scale":
+                v *= arg
+            else:
+                np.matmul(arg, v[0], out=v[1])
+        u[:, start : start + width] = result
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -215,34 +247,46 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     target=1]`` slices, each read with the other targets' axes reversed, and
     S/Sdg multiply the ``[q=1]`` slice by +-i, both in place.  The other
     kinds are a 2x2 matmul over the qubit's axis, batched over the more
-    significant qubits and over panels of at most 8192 columns, so that no
+    significant qubits and over slices of at most 8192 columns, so that no
     gemm is large enough for OpenBLAS to thread it; a matrix with no
     imaginary part is applied as a real matrix to the float64 view of the
     state.  The result equals the gate-by-gate complex product bit for bit:
     the fans only move entries, and a zero imaginary part only adds exact
-    zeros.  The columns are split into ``min(CPUs, 2^n // 256)`` blocks of
-    whole 256-column units (one block under 16 gates); blocks past the first
-    run on worker threads, and an exception raised in one is re-raised here.
+    zeros.
+
+    The columns run in panels of ``2^16 // 2^n`` columns (at least 4, and
+    all of them for n <= 8), each written straight into its columns of the
+    result.  Workers take the panels round-robin: this thread and
+    ``min(CPUs, panels) - 1`` pool threads (this thread alone under 16
+    gates), each with two 1 MiB panel buffers that it reuses for every
+    panel, so memory beyond the result is two panel buffers per worker.  An
+    exception raised on a pool thread is re-raised here.
     """
     check_qubit_cap(c.n)
     dim = 2**c.n
     ops = _gate_ops(c)
-    parts = min(_cpu_count(), dim // _BLOCK_COLUMNS) if len(c.gates) >= _MIN_THREADED_GATES else 1
-    if parts <= 1:
-        return _evolve_columns(c.n, ops, 0, dim)
+    width = min(dim, max(_MIN_PANEL_COLUMNS, _PANEL_ENTRIES // dim))
+    workers = min(_cpu_count(), dim // width) if len(c.gates) >= _MIN_THREADED_GATES else 1
+    shares = [range(k * width, dim, workers * width) for k in range(workers)]
+    u = np.empty((dim, dim), dtype=complex)
+    if workers == 1:
+        _evolve_panels(ops, u, width, shares[0])
+        return u
     from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
 
-    edges = [_BLOCK_COLUMNS * (dim // _BLOCK_COLUMNS * k // parts) for k in range(parts + 1)]
-    with ThreadPoolExecutor(parts - 1) as pool:
-        rest = pool.map(lambda a, b: _evolve_columns(c.n, ops, a, b), edges[1:-1], edges[2:])
-        blocks = [_evolve_columns(c.n, ops, 0, edges[1]), *rest]
-    return np.concatenate(blocks, axis=1)
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(_evolve_panels, ops, u, width, share) for share in shares[1:]]
+        _evolve_panels(ops, u, width, shares[0])
+        for future in rest:
+            future.result()
+    return u
 
 
 def unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - I|; near zero for any matrix labeled unitary."""
-    dim = u.shape[0]
-    return float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    gram = u.conj().T @ u
+    gram.flat[:: u.shape[0] + 1] -= 1  # subtract I from the diagonal alone
+    return float(np.abs(gram).max())
 
 
 @dataclass(frozen=True)

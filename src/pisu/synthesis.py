@@ -311,29 +311,42 @@ def synth_generator(
 
 
 def dense_exponential(g: SymmetrizedGenerator, theta: float) -> np.ndarray:
-    """exp(-i theta/2 M) via Hermitian eigendecomposition of the generator sum.
+    """exp(-i theta/2 M) for the generator sum M, in closed form for single-letter types.
 
-    With an even number of Y letters M is real, and the real symmetric
-    eigensolver is used on it (about 3x faster than the complex one).  A
-    type with no X or Y letter has a diagonal M, and its exponential is the
-    diagonal of phases with no eigensolver: M's entry at basis state ``c``
-    is the sum over the orbit's Z sets ``Q`` of ``(-1)^|Q & c|``, an exact
-    integer that depends only on the popcount of ``c`` (a Krawtchouk number).
-    Those integers are M's exact eigenvalues, and their phases are formed
-    by the same expression as on the eigensolver route.  ``theta`` must be
-    a finite real number and not a boolean.
+    Write ``K[a][b] = sum_j (-1)^j C(a, j) C(n - a, b - j)`` (a Krawtchouk
+    number).  A type with no X or Y letter has a diagonal M whose entry at
+    basis state ``c`` is ``K[|c|][k]`` for k Z letters, so its exponential
+    is the diagonal of phases.  A type of k X letters is that diagonal
+    conjugated by H on every qubit, so its entry at ``(r, c)`` is
+    ``f(|r ^ c|)`` with ``f(d) = 2^-n sum_w K[d][w] exp(-i theta/2 K[w][k])``;
+    a type of k Y letters is S on every qubit times the X form times its
+    inverse, which multiplies that entry by ``i^(|r| - |c|)``.  None of
+    these calls an eigensolver.  Every other type uses the Hermitian
+    eigendecomposition of ``g.matrix()``; with an even number of Y letters
+    M is real, and the real symmetric eigensolver is used on it (about 3x
+    faster than the complex one).  ``theta`` must be a finite real number
+    and not a boolean.
     """
     theta = _angle("theta", theta)
     check_qubit_cap(g.n)
     tv = g.type_vector
-    if tv.n_x == tv.n_y == 0:
-        n, k = g.n, tv.n_z
-        by_weight = [
-            sum((-1) ** j * math.comb(w, j) * math.comb(n - w, k - j) for j in range(k + 1))
-            for w in range(n + 1)
-        ]
-        d = np.array(by_weight, dtype=float)[np.bitwise_count(np.arange(2**n))]
-        return np.diag(np.exp(-0.5j * theta * d))
+    n, k = g.n, max(tv.n_x, tv.n_y, tv.n_z)
+    if k == n - tv.n_i:  # one letter kind, or none
+        kraw = np.array(
+            [[sum((-1) ** j * math.comb(a, j) * math.comb(n - a, b - j) for j in range(b + 1)) for b in range(n + 1)]
+             for a in range(n + 1)],
+            dtype=float,
+        )
+        index = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
+        weight = np.bitwise_count(index)
+        if tv.n_x == tv.n_y == 0:
+            return np.diag(np.exp(-0.5j * theta * kraw[:, k][weight]))
+        f = kraw @ np.exp(-0.5j * theta * kraw[:, k]) / 2**n
+        distance = np.bitwise_count(index[:, None] ^ index)
+        if tv.n_y == 0:
+            return f[distance]
+        turn = (weight[:, None] - weight.astype(np.int8)) & 3
+        return (f[:, None] * np.array([1, 1j, -1, -1j]))[distance, turn]
     m = g.matrix()
     if not m.imag.any():
         m = m.real

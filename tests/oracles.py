@@ -291,6 +291,11 @@ def tensordot_circuit_unitary(c):
     return t.reshape(dim, dim)
 
 
+def eye_unitarity_defect(u):
+    """unitarity_defect as max |U^dag U - I| with the identity built by np.eye."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
 def kron_pauli_sum_matrix(v):
     """PauliSum.matrix as the sum of every term's Kronecker realization."""
     dim = 2**v.n

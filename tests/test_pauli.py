@@ -281,6 +281,23 @@ def test_random_sum_matrix_bit_identical_to_kronecker(v):
     assert _same_bits(v.matrix(), oracles.kron_pauli_sum_matrix(v))
 
 
+@pytest.mark.parametrize("n", [1, 3, 9, 62, 63, 64, 100])
+def test_strings_sorted_by_letter_word(n):
+    # the order comes from the masks; above 62 qubits they are Python ints
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        terms = {}
+        for _ in range(int(rng.integers(1, 40))):
+            x, z = (int.from_bytes(rng.bytes(13), "little") % (1 << n) for _ in range(2))
+            terms[(x, z)] = complex(rng.normal(), 1.0)
+        v = PauliSum(n, terms)
+        words = [s.letters for s in v.strings()]
+        assert words == sorted(PauliString(n, x, z).letters for x, z in terms)
+        assert [(s.x, s.z, s.coeff) for s in v.strings()] == [
+            (x, z, terms[x, z]) for x, z in sorted(terms, key=lambda k: PauliString(n, *k).letters)
+        ]
+
+
 def test_sum_terms_read_only_and_sum_hashable():
     s = PauliSum.from_strings([PauliString.from_letters("XY"), PauliString.from_letters("ZI", 2.0)])
     with pytest.raises(TypeError):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from pisu import (
     unitarity_defect,
 )
 from pisu import simulator
-from pisu.synthesis import GATE_KINDS
+from pisu.synthesis import GATE_KINDS, circuit_from_json, circuit_from_qasm, circuit_to_json, circuit_to_qasm
 
 import oracles
 
@@ -226,25 +227,25 @@ def test_random_circuits_bit_identical_to_tensordot(c):
     assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
 
 
-# circuit_unitary splits the columns into min(CPUs, 2^n // 256) blocks and
-# evolves the blocks past the first on worker threads; the blocking must not
-# change a single bit
+# circuit_unitary evolves the columns in panels of 2^16 // 2^n columns, dealt
+# round-robin to the calling thread and min(CPUs, panels) - 1 pool threads;
+# the panelling must not change a single bit
 
 
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def _spy_blocks(monkeypatch):
-    """Record the (start, stop) column range of every evolved block."""
+def _spy_workers(monkeypatch):
+    """Record (panel width, panel start columns) for every worker's share of the panels."""
     seen = []
-    evolve = simulator._evolve_columns
+    evolve = simulator._evolve_panels
 
-    def spy(n, ops, start, stop):
-        seen.append((start, stop))
-        return evolve(n, ops, start, stop)
+    def spy(ops, u, width, starts):
+        seen.append((width, tuple(starts)))
+        return evolve(ops, u, width, starts)
 
-    monkeypatch.setattr(simulator, "_evolve_columns", spy)
+    monkeypatch.setattr(simulator, "_evolve_panels", spy)
     return seen
 
 
@@ -262,14 +263,20 @@ def _verify_circuits():
 
 
 def test_verify_sized_circuits_bit_identical_to_tensordot(monkeypatch):
+    # n=9: four panels of 128 columns
+    workers = {
+        1: [(128, (0, 128, 256, 384))],
+        2: [(128, (0, 256)), (128, (128, 384))],
+        4: [(128, (0,)), (128, (128,)), (128, (256,)), (128, (384,))],
+    }
     for c in _verify_circuits():
         want = oracles.tensordot_circuit_unitary(c)
-        for cpus, blocks in ((1, [(0, 512)]), (2, [(0, 256), (256, 512)]), (4, [(0, 256), (256, 512)])):
+        for cpus, shares in workers.items():
             _cpus(monkeypatch, cpus)
-            seen = _spy_blocks(monkeypatch)
+            seen = _spy_workers(monkeypatch)
             u = circuit_unitary(c)
             monkeypatch.undo()
-            assert sorted(seen) == blocks, (cpus, seen)
+            assert sorted(seen) == shares, (cpus, seen)
             assert u.flags.c_contiguous and np.array_equal(u, want), (cpus, len(c.gates))
 
 
@@ -289,63 +296,107 @@ def test_verify_sized_defects_equal_the_dense_oracles():
             assert invariance_defect(u, s) == oracles.dense_invariance_defect(u, s), len(c.gates)
 
 
+def test_verify_sized_unitarity_defect_equals_the_eye_oracle():
+    for c in _verify_circuits():
+        u = circuit_unitary(c)
+        assert unitarity_defect(u) == oracles.eye_unitarity_defect(u), len(c.gates)
+
+
+def test_unitarity_defect_equals_the_eye_oracle_on_random_matrices():
+    rng = np.random.default_rng(53)
+    for dim in (1, 2, 5, 16, 64):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(z)
+        for u in (q, z, q.real.copy()):
+            assert unitarity_defect(u) == oracles.eye_unitarity_defect(u), dim
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_random_width_ten_circuit_bit_identical_in_blocks(monkeypatch, cpus):
+def test_random_width_ten_circuit_bit_identical_in_panels(monkeypatch, cpus):
+    # n=10: sixteen panels of 64 columns, dealt round-robin (unevenly to 3 workers)
     c = _random_circuit(np.random.default_rng(59), 10, 40)
     _cpus(monkeypatch, cpus)
-    seen = _spy_blocks(monkeypatch)
+    seen = _spy_workers(monkeypatch)
     u = circuit_unitary(c)
-    edges = {1: [0, 1024], 2: [0, 512, 1024], 3: [0, 256, 512, 1024], 4: [0, 256, 512, 768, 1024]}
-    assert sorted(seen) == list(zip(edges[cpus], edges[cpus][1:]))
+    assert sorted(seen) == [(64, tuple(range(64 * k, 1024, 64 * cpus))) for k in range(cpus)]
     assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_small_blocks_and_panels_bit_identical(monkeypatch, cpus):
-    # shrunk block and panel widths put the block edges and the column
-    # panels of every matmul inside small circuits, including uneven blocks
-    monkeypatch.setattr(simulator, "_BLOCK_COLUMNS", 4)
+def test_small_panels_bit_identical(monkeypatch, cpus):
+    # shrunk panel and gemm widths put the panel edges and the gemm column
+    # slices of every matmul inside small circuits, with panel counts that
+    # do not split evenly across three workers; panels asked to be 1, 2 or 4
+    # columns wide take the 4-column floor
     monkeypatch.setattr(simulator, "_ZGEMM_COLUMNS", 8)
     _cpus(monkeypatch, cpus)
     rng = np.random.default_rng(61 + cpus)
-    for _ in range(30):
-        c = _random_circuit(rng, int(rng.integers(2, 8)), int(rng.integers(16, 40)))
+    uneven = 0
+    for k in range(32):
+        n = int(rng.integers(2, 8))
+        asked = 1 << k % 4
+        monkeypatch.setattr(simulator, "_PANEL_ENTRIES", asked << n)
+        seen = _spy_workers(monkeypatch)
+        c = _random_circuit(rng, n, int(rng.integers(16, 40)))
         assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+        width = min(2**n, max(asked, 4))
+        assert {w for w, _ in seen} == {width}, (n, asked, seen)
+        assert sorted(start for _, starts in seen for start in starts) == list(range(0, 2**n, width))
+        assert len(seen) == min(cpus, 2**n // width)
+        uneven += len({len(starts) for _, starts in seen}) > 1
+    assert uneven >= (4 if cpus == 3 else 0)
 
 
-def test_short_circuit_takes_one_block(monkeypatch):
+def test_short_circuit_runs_on_the_calling_thread(monkeypatch):
     # the benchmark's two-gate warm-up at n=9 starts no worker thread
     _cpus(monkeypatch, 4)
-    seen = _spy_blocks(monkeypatch)
+    seen = _spy_workers(monkeypatch)
     c = Circuit(9, (Gate("H", (1,)), Gate("CNOT", (1, 2))))
+    before = threading.active_count()
     assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
-    assert seen == [(0, 512)]
+    assert seen == [(128, (0, 128, 256, 384))]
+    assert threading.active_count() == before
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
     _cpus(monkeypatch, 2)
-    evolve = simulator._evolve_columns
+    evolve = simulator._evolve_panels
 
-    def failing(n, ops, start, stop):
+    def failing(ops, u, width, starts):
         if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError(f"block {start}:{stop} failed")
-        return evolve(n, ops, start, stop)
+            raise RuntimeError(f"panels {tuple(starts)} failed")
+        return evolve(ops, u, width, starts)
 
-    monkeypatch.setattr(simulator, "_evolve_columns", failing)
+    monkeypatch.setattr(simulator, "_evolve_panels", failing)
     c = _random_circuit(np.random.default_rng(67), 9, 20)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="block 256:512 failed"):
+    with pytest.raises(RuntimeError, match=r"panels \(128, 384\) failed"):
         circuit_unitary(c)
     assert threading.active_count() == before
 
 
-def test_unbound_parameter_raises_before_any_block(monkeypatch):
+def test_unbound_parameter_raises_before_any_panel(monkeypatch):
     _cpus(monkeypatch, 2)
-    seen = _spy_blocks(monkeypatch)
+    seen = _spy_workers(monkeypatch)
     gates = (Gate("H", (1,)),) * 20 + (Gate("RX", (2,), "free"),)
     with pytest.raises(UnboundParameterError, match="free"):
         circuit_unitary(Circuit(9, gates))
     assert seen == []
+
+
+def test_memory_beyond_the_result_is_two_panel_buffers_per_worker(monkeypatch):
+    _cpus(monkeypatch, 2)
+    c = _random_circuit(np.random.default_rng(73), 10, 40)
+    circuit_unitary(c)  # warm the thread pool import and numpy's caches
+    tracemalloc.start()
+    try:
+        circuit_unitary(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = 16 * 4**10
+    buffers = 2 * 2 * 16 * simulator._PANEL_ENTRIES
+    assert result + buffers <= peak <= result + buffers + 2**20, peak
 
 
 def test_import_leaves_the_thread_pool_unloaded():
@@ -421,8 +472,8 @@ def _fan_circuit(rng, n, runs):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_fans_across_small_blocks_and_panels_bit_identical(monkeypatch, cpus):
-    monkeypatch.setattr(simulator, "_BLOCK_COLUMNS", 4)
+def test_fans_across_small_panels_bit_identical(monkeypatch, cpus):
+    monkeypatch.setattr(simulator, "_PANEL_ENTRIES", 2**9)
     monkeypatch.setattr(simulator, "_ZGEMM_COLUMNS", 8)
     _cpus(monkeypatch, cpus)
     rng = np.random.default_rng(83 + cpus)
@@ -491,3 +542,21 @@ def test_cli_sized_circuit_bit_identical_with_fans_and_real_gates(monkeypatch):
     assert seen.count(np.float64) == kinds.count("H") + kinds.count("RY") == 1680
     assert seen.count(np.complex128) == kinds.count("RX") + kinds.count("RZ")
     assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+
+
+def test_qasm_and_json_forms_share_one_op_per_angle(monkeypatch):
+    # QASM names every rotation p0, p1, ...; ops are keyed on the bound angle,
+    # so both forms resolve the same distinct ops and give the same bytes
+    c = _cli_circuit()
+    forms = [circuit_from_json(circuit_to_json(c)), circuit_from_qasm(circuit_to_qasm(c))]
+    assert len(forms[0].params) == 1 and len(forms[1].params) == 840
+    calls = []
+    matrix = simulator.gate_matrix
+    monkeypatch.setattr(simulator, "gate_matrix", lambda kind, angle=None: calls.append(kind) or matrix(kind, angle))
+    distinct = []
+    for form in forms:
+        calls.clear()
+        distinct.append((len({id(op) for op in simulator._gate_ops(form)}), len(calls)))
+    assert distinct[0] == distinct[1]
+    assert distinct[0][1] == len({(g.kind, g.qubits) for g in c.gates if g.kind not in ("CNOT", "S", "Sdg")})
+    assert np.array_equal(circuit_unitary(forms[0]), circuit_unitary(forms[1]))

@@ -690,6 +690,20 @@ def test_diagonal_dense_exponential_matches_expm_and_the_eigensolver():
                 assert np.array_equal(u, np.diag(np.exp(-0.5j * theta * np.diag(m).real)))
 
 
+def test_single_letter_dense_exponential_matches_expm_and_the_eigensolver():
+    # a type of X letters only (or Y letters only) is exponentiated in closed
+    # form from Krawtchouk numbers, with no eigensolver
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for gen in (_generator(k, 0, 0, n - k), _generator(0, k, 0, n - k)):
+                m = gen.matrix()
+                for theta in (0.0, 0.37, -2.2, np.pi, 5.9):
+                    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")):
+                        u = dense_exponential(gen, theta)
+                    assert np.abs(u - oracles.expm_oracle(m, theta)).max() < 1e-12, (gen.label, theta)
+                    assert np.abs(u - oracles.eigh_exponential(gen, theta)).max() < 1e-12, (gen.label, theta)
+
+
 @pytest.mark.parametrize("counts", [(2, 0, 0, 2), (1, 1, 1, 1), (0, 3, 0, 1)], ids=["XX", "XYZ", "YYY"])
 def test_dense_exponential_builds_no_string_objects(counts):
     # the generator matrix is scattered from the orbit letter array
