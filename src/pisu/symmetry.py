@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -405,19 +406,24 @@ def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
     orbit and zero off them; only a bracket that fails gets its projection
     residual, an exact rational.  So a closed algebra reports exactly zero,
     and a nonzero residual is at least ``2 / sqrt(M)`` (M the largest
-    orbit): any positive ``tol`` below that gives the exact verdict.  Orbit
-    masks come from one enumeration of the 4^n keys (no ``PauliString`` is
-    built), and each generator meets all later orbits in pieces of at most
-    2^14 term pairs; the keys and one window's 4^n count bins hold ``n`` to
-    the qubit cap.
+    orbit): any positive ``tol`` below that gives the exact verdict.  ``n``
+    must be an ``int`` and ``tol`` a real number, finite and > 0 (neither a
+    bool); anything else is a ``ValueError`` before any work.  Working
+    memory is the 4^n keys, three buffers of ``_PIECE`` (2^16) entries and
+    one window of count bins with its gathered copy (see ``_bracket_counts``),
+    so ``n`` is held to the qubit cap.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a real number, finite and > 0, got {tol!r}")
     check_qubit_cap(n)
     pairs, worst = _closure_residual(n, enumerate_basis(n))
-    return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=worst < tol)
+    return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=bool(worst < tol))
 
 
-_PIECE = 1 << 14  # term pairs per counted piece, and bins per window unless one generator has more
-_SIGN = np.array([0.0, 1.0, 0.0, -1.0])  # i^k / i for odd k; even k (commuting) is 0
+_PIECE = 1 << 16  # term pairs per counted piece, and bins per window unless one generator has more
+_SIGN = np.tile([0.0, 1.0, 0.0, -1.0], 64)  # i^k / i for odd k < 256 (a uint8); even k (commuting) is 0
 
 
 def _type_codes(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[np.ndarray, list[int]]:
@@ -439,9 +445,11 @@ def _bracket_counts(
     ``(a, b0, d)``: the bracket of ``basis[a]`` with ``basis[b0 + j]``
     is ``sum 2i * d[j, key] * P_key`` over keys ``x << n | z``; ``d`` holds
     exact integers, and an orbit's strings are the keys of its type, ascending.
-    The grid of ``a``'s orbit against a window of later orbits is cut into
-    pieces of at most ``_PIECE`` term pairs, splitting rows and columns where
-    one orbit is larger, and each piece is counted by one ``np.bincount``
+    A window holds as many later orbits as fit ``_PIECE`` bins (at least
+    one), and its ``d`` is allocated once.  The grid of ``a``'s orbit against
+    the window is cut into pieces of at most ``_PIECE`` term pairs, splitting
+    rows and columns where one orbit is larger; each piece works in three
+    reused buffers and adds into ``d`` by one unbuffered ``np.add.at``,
     weighted by the sign of the product's i-power (odd on anticommuting pairs).
     """
     keys = 1 << 2 * n
@@ -453,7 +461,7 @@ def _bracket_counts(
     offset = np.repeat(np.arange(len(basis)) * keys, sizes)  # first bin of each string's generator
     width = max(1, _PIECE // keys)
     # a piece's int64 and float arrays live in these buffers (its other temporaries are uint8),
-    # so only np.bincount allocates per piece and page faults do not hang on glibc's thresholds
+    # so no piece allocates bins and page faults do not hang on glibc's thresholds
     p_buf, t_buf = np.empty((2, _PIECE), dtype=np.int64)
     w_buf = np.empty(_PIECE)
     for a, end in enumerate(ends):
@@ -462,6 +470,7 @@ def _bracket_counts(
             c0, c1 = ends[b0 - 1], ends[b1 - 1]
             cols = min(c1 - c0, _PIECE)
             rows = _PIECE // cols
+            bins = offset[c0:c1] - b0 * keys  # each column's first bin in d
             d = np.zeros((b1 - b0) * keys)
             for r in range(end - sizes[a], end, rows):
                 rs = slice(r, min(r + rows, end))
@@ -474,9 +483,9 @@ def _bracket_counts(
                     k = ya + n_y[cs] + 2 * np.bitwise_count(np.bitwise_and(za, x[cs], out=t))
                     np.bitwise_xor(ka, key[cs], out=p)
                     k -= np.bitwise_count(np.bitwise_and(p, np.right_shift(p, n, out=t), out=t))
-                    p += offset[cs]  # product key -> bin in d
-                    p -= b0 * keys
-                    d += np.bincount(p.ravel(), np.take(_SIGN, k & 3, out=w).ravel(), d.size)
+                    p += bins[c - c0 : cs.stop - c0]  # product key -> bin in d
+                    np.copyto(t, k)  # as intp in a buffer: np.take would allocate the cast
+                    np.add.at(d, p.ravel(), np.take(_SIGN, t, out=w, mode="wrap").ravel())
             yield a, b0, d.reshape(b1 - b0, keys)
 
 
@@ -486,20 +495,22 @@ def _closure_residual(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[in
     Equal to looping ``commutator`` and ``project_onto_basis`` over the
     pairs.  A bracket ``sum 2i * d[key] * P_key`` is in the span iff each
     key's count equals the count at its orbit's lead (first) key, or is 0
-    for a key of no basis type; one comparison tests a whole window.  A row
-    that fails gets its exact squared residual, ``4 sum d^2`` less
-    ``4 (sum d)^2 / s`` per basis orbit of size ``s``, in Python ints.  Each
+    for a key of no basis type.  Such a key takes the identity key 0 as its
+    lead, which no real bracket reaches (distinct strings never multiply to
+    I), so one gather, one comparison and a test of column 0 check a whole
+    window.  A row that fails gets its exact squared residual, ``4 sum d^2``
+    less ``4 (sum d)^2 / s`` per basis orbit of size ``s``, in Python ints.  Each
     orbit adds 0 or at least ``4 / M`` (M the largest orbit), so a nonzero
     residual is at least ``2 / sqrt(M)``.
     """
     codes, basis_codes = _type_codes(n, basis)
     _, first, type_of_key = np.unique(codes, return_index=True, return_inverse=True)
-    lead = first[type_of_key]  # the first key of each key's type
-    in_basis = np.isin(codes, basis_codes).astype(float)  # 0: the key's count must be 0
+    # the first key of each key's type; a key of no basis type must count 0, as the identity key 0 does
+    lead = np.where(np.isin(codes, basis_codes), first[type_of_key], 0)
     size = {code: gen.orbit_size() for code, gen in zip(basis_codes, basis)}
     worst = Fraction(0)
     for _, _, d in _bracket_counts(n, basis, codes, basis_codes):
-        for row in d[(np.take(d, lead, axis=1) * in_basis != d).any(axis=1)]:
+        for row in d[(np.take(d, lead, axis=1) != d).any(axis=1) | (d[:, 0] != 0)]:
             nonzero = np.flatnonzero(row)
             counts = row[nonzero].astype(np.int64).tolist()
             total: dict[int, int] = {}  # sum d per type

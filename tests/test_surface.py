@@ -47,3 +47,10 @@ def test_benchmark_selftest_passes():
         [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

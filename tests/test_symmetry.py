@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -430,6 +431,30 @@ def test_closure_of_reordered_and_repeated_bases_matches_pair_grid_oracle():
             assert _closure_residual(n, reordered) == oracles.closure_by_pair_grids(n, reordered)
 
 
+@pytest.mark.parametrize("piece", [symmetry._PIECE, 1 << 12])
+def test_closure_working_memory_is_bounded_by_the_piece_budget(piece):
+    # 8-byte entries: three piece buffers, one window of count bins and its
+    # gathered copy (or, while the next window is counted, that window), and
+    # 12 arrays over the 4^n keys (the type codes, the lead keys, each orbit
+    # string's key, x, z and first bin, np.unique's outputs, with room for the
+    # transients); 1-byte entries: the i-powers of a piece and their
+    # temporaries, and the window's comparison
+    n = 6
+    basis = enumerate_basis(n)
+    keys = 4**n
+    window = max(piece // keys, 1) * keys
+    bound = 8 * (3 * piece + 2 * window + 12 * keys) + 4 * piece + window
+    with mock.patch.object(symmetry, "_PIECE", piece):
+        expected = _closure_residual(n, basis)
+        tracemalloc.start()
+        try:
+            assert _closure_residual(n, basis) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
 def test_closure_six_qubits():
     report = verify_closure(6)
     assert report.pairs == 3403
@@ -700,3 +725,39 @@ def test_symmetry_rejects_bad_input(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+_BAD_TOL = "tol must be a real number, finite and > 0, got "
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param((3, float("nan")), _BAD_TOL + "nan", id="tol-nan"),
+        pytest.param((3, float("inf")), _BAD_TOL + "inf", id="tol-inf"),
+        pytest.param((3, -1.0), _BAD_TOL + "-1.0", id="tol-negative"),
+        pytest.param((3, 0), _BAD_TOL + "0", id="tol-zero"),
+        pytest.param((3, True), _BAD_TOL + "True", id="tol-bool"),
+        pytest.param((3, "1e-12"), _BAD_TOL + "'1e-12'", id="tol-str"),
+        pytest.param((3, 1e-12 + 0j), _BAD_TOL + "(1e-12+0j)", id="tol-complex"),
+        pytest.param((True, 1e-12), "n must be an int, got True", id="n-bool"),
+        pytest.param((3.0, 1e-12), "n must be an int, got 3.0", id="n-float"),
+        pytest.param(("3", 1e-12), "n must be an int, got '3'", id="n-str"),
+        pytest.param((99, float("nan")), _BAD_TOL + "nan", id="tol-before-the-cap"),
+    ],
+)
+def test_verify_closure_rejects_bad_arguments_before_any_work(args, message):
+    work = mock.Mock(side_effect=AssertionError("work started"))
+    with mock.patch.object(symmetry, "check_qubit_cap", work), mock.patch.object(
+        symmetry, "_closure_residual", work
+    ):
+        with pytest.raises(ValueError) as info:
+            verify_closure(*args)
+    assert str(info.value) == message
+    work.assert_not_called()
+
+
+def test_verify_closure_takes_any_finite_positive_real_tolerance():
+    for tol in (1, Fraction(1, 10**12), np.float64(1e-12), 10**400):
+        report = verify_closure(2, tol=tol)
+        assert report == verify_closure(2) and type(report.passed) is bool, tol

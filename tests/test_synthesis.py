@@ -1040,3 +1040,19 @@ def test_random_orbits_and_ladders_match_the_oracles(data):
     string_pivot = data.draw(st.none() | st.sampled_from(s.support()), label="string pivot")
     got = synth_string(s, 0.5, string_pivot, param_name="t")
     _assert_same_gate_objects(got.gates, oracles._string_gates(s, string_pivot, "t"))
+
+
+@pytest.mark.parametrize(
+    "label, norm, cnots",
+    [("XYZ", 0.155, 96), ("XYII", 0.314, 96), ("XYZIII", 1.976, 1920), ("XXYYZZ", 1.874, 3600)],
+)
+def test_default_plan_of_a_non_commuting_orbit_is_first_order(label, norm, cnots):
+    # the README's table: from n=6 on the trotter:4 circuit is off by order one
+    # (2 is the largest possible spectral norm of U - phi V)
+    g = next(g for g in enumerate_basis(len(label)) if g.label == label)
+    assert not commuting_orbit(g)
+    c = synth_generator(g, 0.9)
+    u, v = circuit_unitary(c), dense_exponential(g, 0.9)
+    overlap = np.vdot(v, u)  # trace(V^dag U)
+    assert abs(np.linalg.norm(u - overlap / abs(overlap) * v, 2) - norm) <= 0.005
+    assert cnot_count(c) == cnots
