@@ -7,6 +7,12 @@ are tracked as integer powers of i and folded into the complex coefficient
 only when the product string is formed, which keeps sums of integer-weighted
 strings exact.
 
+One dense scatter realizes every Pauli sum and generator matrix: it
+bit-reverses the terms' masks into basis-index order once, and term k adds
+``values[k] * (-1)^{popcount(c & z[k])}`` at row ``c ^ x[k]`` of each column
+``c``, term by term in the caller's order, where ``values[k]`` is the
+coefficient times ``i^{#Y}``.
+
 Convention used throughout the package: qubit 1 is the leftmost tensor
 factor of the dense realization; bit q-1 of a mask belongs to qubit q.
 """
@@ -51,6 +57,7 @@ def max_qubits() -> int:
 
 
 def check_qubit_cap(n: int) -> None:
+    """Raise ``QubitLimitError`` if ``n`` exceeds ``max_qubits()``."""
     cap = max_qubits()
     if n > cap:
         raise QubitLimitError(
@@ -213,9 +220,7 @@ def _dense_sum(n: int, x, z, values) -> np.ndarray:
     """The dense 2^n x 2^n sum of Pauli terms, added one at a time in the order given.
 
     Term k has masks ``x[k]``, ``z[k]`` in ``PauliString`` bit order and the
-    value ``values[k]``, its coefficient times ``i^{#Y}``.  It maps column
-    ``c`` to row ``c ^ x[k]`` with the value ``values[k] * (-1)^{popcount(c & z[k])}``,
-    the masks bit-reversed because qubit 1 is the most significant index bit.
+    value ``values[k]``, its coefficient times ``i^{#Y}``.  Held to the qubit cap.
     """
     check_qubit_cap(n)
     dim = 2**n

@@ -1,43 +1,39 @@
 """Dense unitary evaluation of circuits and tolerance-aware comparisons.
 
-Each column of a circuit's unitary evolves on its own, so the columns are
-cut into panels of ``2^16 // 2^n`` columns: a panel is a C-contiguous
-``(2,)*n + (width,)`` tensor of 2^16 complex entries, 1 MiB, so it and its
-spare buffer stay in a 2 MiB per-core L2 cache while the whole gate list
-runs on them (all 2^n columns form one smaller panel for n <= 8, and a panel
-has at least 4 columns).  Workers take the panels round-robin: the calling
-thread and ``min(CPUs, panels) - 1`` pool threads (the calling thread alone
-for circuits under 16 gates), which run while numpy releases the GIL.  Each
-worker reuses its two buffers for every panel it runs and copies each
-finished panel into its columns of the one preallocated result, so memory
-beyond the result is two panel buffers per worker.
+Panels.  Each column of a circuit's unitary evolves on its own, so the
+columns are cut into panels of ``2^16 // 2^n`` columns, at least 4, and all
+2^n of them for n <= 8.  A panel is a C-contiguous ``(2,)*n + (width,)``
+tensor of at most 2^16 complex entries, 1 MiB, so it and its spare buffer
+stay in a 2 MiB per-core L2 cache while the whole gate list runs on them.
+Workers take the panels round-robin: the calling thread and
+``min(CPUs, panels) - 1`` pool threads (the calling thread alone for
+circuits under 16 gates), which run while numpy releases the GIL.  Each
+worker binds the op list to views of its two buffers once, reuses them for
+every panel it runs, and copies each finished panel into its columns of the
+one preallocated result, so memory beyond the result is two panel buffers
+per worker.
 
-Gates act on their qubit axes in place of a full 2^n x 2^n embedding.  A run
-of CNOTs that share a control and have distinct targets (the fan of a
-phase gadget) flips all its targets in the control=1 half: one swap of the
-first target's two quarters, each read with the other target axes reversed,
-so three quarter copies whatever the run's length.  S and S-dagger scale
-one slice by +-i in place.  H and the rotations are one batched 2x2 matmul
-into the spare buffer: a matrix with no imaginary part (H, RY, or a
-rotation whose angle makes it real, such as RX(0)) multiplies the float64
-view of the state, and RX and complex RZ keep the complex product.  Each
-matmul batch item is a 2 x 2 @ 2 x C product with C <= 8192 columns, of
-complex or of float64 entries.  From 2 x 16384 columns on, OpenBLAS hands a
-zgemm to its own thread pool, and while the other core is busy (as it is
-with a second worker) such a call stalls for milliseconds: on a 2-core
-host, 2 x 2 @ 2 x 16384 took a median 12 ms against 73 us with OpenBLAS
-held to one thread.  On the same host, when the columns ran as two
-half-width blocks, lifting the cap to 2^30 slowed four n=9 circuits of the
-benchmark's verify kind from 0.25-0.42 s in all to 0.59-0.91 s, and three
-n=11 ones from 12.0-14.3 s to 22.9-23.9 s.
+Gates.  Gates act on their qubit axes in place of a full 2^n x 2^n
+embedding, and each distinct op is resolved once.  A run of CNOTs that
+share a control and have distinct targets (the fan of a phase gadget) flips
+all its targets in the control=1 half: one swap of the first target's two
+quarters, each read with the other target axes reversed, so three quarter
+copies whatever the run's length.  S and S-dagger scale one slice by +-i in
+place.  H and the rotations are one batched 2x2 matmul into the spare
+buffer: a matrix with no imaginary part (H, RY, or a rotation whose angle
+makes it real, such as RX(0)) multiplies the float64 view of the state, and
+RX and complex RZ keep the complex product.  Each batch item is a
+2 x 2 @ 2 x C product with C <= 8192 columns, which OpenBLAS runs on the
+calling thread; from 2 x 16384 columns on it hands the product to its own
+thread pool, which stalls while the other workers hold the cores.
 
-No step changes a bit of the result.  Swaps, reversed reads and scalings by
-+-i only move or re-sign entries.  A real 2x2 matrix gives each output the
-same two-term sum, in the same order, as the complex product, which only
-adds exact +-0 terms for the zero imaginary part.  A gemm of 4 or more
-columns gives each column the same bits whatever its width, so every entry
-sees the same arithmetic whatever the panelling, and whole-basis
-verification stays exact and fast up to the qubit cap.
+Bit-identity.  No step changes a bit of the result.  Swaps, reversed reads
+and scalings by +-i only move or re-sign entries.  A real 2x2 matrix gives
+each output the same two-term sum, in the same order, as the complex
+product, which only adds exact +-0 terms for the zero imaginary part.  A
+gemm of 4 or more columns gives each column the same bits whatever its
+width, so every entry sees the same arithmetic whatever the panelling and
+the number of workers.
 """
 
 from __future__ import annotations
@@ -202,10 +198,7 @@ def _views(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple:
 def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
     """Write columns ``s:s + width`` of the circuit's unitary into ``u``, for each ``s`` in ``starts``.
 
-    One panel buffer and one spare serve every panel, the state alternating
-    between the two.  The op list is bound to its views once, each distinct
-    op's views built once per buffer that can hold the state; then every
-    panel starts as its identity columns and runs the bound list.
+    Allocates its own two panel buffers, so calls may run on separate threads.
     """
     dim = u.shape[0]
     shape = (2,) * (dim.bit_length() - 1) + (width,)
@@ -242,25 +235,12 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of gate matrices; the leftmost gate acts first.
 
     Row indices are tensor-structured with qubit 1 as the most significant
-    bit.  Each run of CNOTs that share a control and have distinct targets
-    is one swap of the ``[ctrl=1, first target=0]`` and ``[ctrl=1, first
-    target=1]`` slices, each read with the other targets' axes reversed, and
-    S/Sdg multiply the ``[q=1]`` slice by +-i, both in place.  The other
-    kinds are a 2x2 matmul over the qubit's axis, batched over the more
-    significant qubits and over slices of at most 8192 columns, so that no
-    gemm is large enough for OpenBLAS to thread it; a matrix with no
-    imaginary part is applied as a real matrix to the float64 view of the
-    state.  The result equals the gate-by-gate complex product bit for bit:
-    the fans only move entries, and a zero imaginary part only adds exact
-    zeros.
-
-    The columns run in panels of ``2^16 // 2^n`` columns (at least 4, and
-    all of them for n <= 8), each written straight into its columns of the
-    result.  Workers take the panels round-robin: this thread and
-    ``min(CPUs, panels) - 1`` pool threads (this thread alone under 16
-    gates), each with two 1 MiB panel buffers that it reuses for every
-    panel, so memory beyond the result is two panel buffers per worker.  An
-    exception raised on a pool thread is re-raised here.
+    bit.  The result equals the gate-by-gate complex product bit for bit
+    whatever the CPU count, and memory beyond it is two panel buffers of at
+    most 2^16 entries per worker thread.  ``c.n`` is held to the qubit cap
+    (``QubitLimitError``), an unbound parameter is an
+    ``UnboundParameterError``, and an exception raised on a pool thread is
+    re-raised here.
     """
     check_qubit_cap(c.n)
     dim = 2**c.n

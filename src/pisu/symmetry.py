@@ -1,16 +1,52 @@
 """SWAP-group machinery and the symmetrized Pauli-string basis.
 
 The basis of the permutation-invariant subalgebra has one element per type
-vector (letter-count signature); each element is the symmetric sum over all
-distinct letter arrangements of that type.  A pairwise commutator lies in
-the basis span iff its coefficients are constant on each basis orbit and zero
-off them, as distinct Pauli strings are trace-orthogonal; closure is checked
-that way in integer arithmetic on (x, z) mask arrays: bracket coefficients
-are Gaussian integers and each squared residual is a rational, so a closed
-algebra reports a residual of exactly zero.  Invariance of a dense unitary
-under a permutation is measured by moving or comparing its entries (axes of
-its ``(2,)*2n`` tensor, slices of it, or an index gather), which gives the
-same float as conjugating by the permutation matrix.
+vector (letter-count signature); each element is the sum of all distinct
+letter arrangements of that type, its orbit.
+
+Orbits.  A generator builds its orbit once, as a read-only ``(S, n)`` uint8
+array of letter codes X=0, Y=1, Z=2, I=3 (``_LETTERS``): X, Y and Z in turn
+are placed on every combination of each row's still-free positions, and one
+sort puts the rows in lexicographic X < Y < Z < I order.  The generator
+caches one pair of (x, z) mask arrays taken from it, which ``orbit``,
+``as_sum`` and ``matrix()`` all read; only ``orbit`` builds ``PauliString``
+objects.
+
+Closure.  A bracket lies in the basis span iff its coefficients are
+constant on each basis orbit and zero off them, as distinct Pauli strings
+are trace-orthogonal.  Its coefficients are ``2i`` times integer counts, one
+per product string, keyed ``x << n | z``; every orbit string's masks come
+from one enumeration of the 4^n keys, grouped by type.  Each generator is
+bracketed against windows of later orbits, as many as fit ``_PIECE`` count
+bins (at least one).  A window's bins are allocated once, and its grid of
+term pairs is cut into pieces of at most ``_PIECE`` pairs, which work in
+three reused buffers and add the signs of their anticommuting products into
+the bins by one unbuffered ``np.add.at``.  So no temporary grows with the
+largest orbit squared; what grows with n is the key enumeration, the masks
+of all 4^n - 1 orbit strings and one window's 4^n bins per generator.  The
+constancy test of a window is one gather and one comparison: each key's
+count must equal the count at its orbit's lead (first) key.  A key of no
+basis type takes the identity key 0 as its lead, which no bracket reaches,
+as distinct strings never multiply to I.  Only a bracket that fails gets
+its squared residual, ``4 sum d^2`` less ``4 (sum d)^2 / s`` per basis orbit
+of size ``s``, in Python ints and ``Fraction``.  Each orbit adds 0 or at
+least ``4 / M`` (M the largest orbit), so a nonzero residual is at least
+``2 / sqrt(M)``.
+
+Invariance defects.  ``max |S U S^dag - U|`` for a permutation matrix S
+needs no product: every entry of ``S U S^dag`` is one product ``1 * u`` plus
+exact zeros, so moving entries of ``u`` gives the same float.
+``invariance_defect`` gathers ``u[p][:, p]`` for ``p`` each row's column of
+S, and multiplies out any S that is not a permutation matrix.
+``permutation_defect`` transposes the ``(2,)*2n`` row and column axes of
+``u`` as a view.  ``swap_invariance_defect`` views ``u`` as ``(2^(i-1), 2,
+2^(j-i-1), 2, 2^(n-j))`` for rows and again for columns: the SWAP of i < j
+maps the sub-block of bits ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j,
+c_i)``, the 4 blocks with ``r_i == r_j`` and ``c_i == c_j`` are fixed, and
+the other 12 form 6 pairs whose differences are exact negatives, so 6
+differences hold every nonzero magnitude.  The first two compare, and all
+three scan for non-finite entries, a slice of at most ``2**_SLICE_BITS``
+entries at a time, so no temporary holds all of ``u``.
 """
 
 from __future__ import annotations
@@ -109,6 +145,7 @@ class SymmetrizedGenerator:
 
     The orbit is expanded lazily and cached; ``orbit_size()`` is available
     without expansion.  Fields are read-only; instances compare by identity.
+    A ``label`` that is not the type vector's label is a ``ValueError``.
     """
 
     type_vector: TypeVector
@@ -127,9 +164,7 @@ class SymmetrizedGenerator:
         """The orbit as a read-only ``(S, n)`` uint8 array of letter codes (``_LETTERS``).
 
         Rows ascend as base-4 numbers with qubit 1 the most significant
-        digit, which is lexicographic order in X < Y < Z < I.  X, Y and Z in
-        turn are placed on every combination of each row's free (identity)
-        positions, and one sort puts the rows in order.
+        digit, which is lexicographic order in X < Y < Z < I.
         """
         tv = self.type_vector
         words = np.full((1, tv.n), 3, dtype=np.uint8)
@@ -166,10 +201,10 @@ class SymmetrizedGenerator:
         return PauliSum(self.n, dict.fromkeys(zip(x.tolist(), z.tolist()), 1.0 + 0j))
 
     def matrix(self) -> np.ndarray:
-        """The dense orbit sum, bit for bit ``as_sum.matrix()``, with no string objects.
+        """The dense orbit sum, bit for bit ``as_sum.matrix()``; held to the qubit cap.
 
-        Each term's value is ``i^n_y``, and the entries are exact integer sums
-        whose zeros are +0.0, so the orbit order gives the bits of ``strings()`` order.
+        The entries are exact integer sums whose zeros are +0.0, so the
+        orbit's term order gives the bits of ``strings()`` order.
         """
         check_qubit_cap(self.n)  # before the orbit is expanded
         x, z = self._masks
@@ -214,12 +249,10 @@ def scaling_table(max_n: int) -> list[tuple[int, int, int]]:
 
 
 def _check_finite(**arrays: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first non-finite entry of any 2-D argument.
+    """Raise ``ValueError`` naming the first non-finite entry, in row-major order, of any 2-D argument.
 
     A NaN would otherwise read as invariant (``max(0.0, nan)`` is ``0.0``),
     and ``0 * inf`` inside a product is NaN where an index move keeps ``inf``.
-    Rows are scanned a slice of at most ``2**_SLICE_BITS`` entries at a time,
-    so no mask holds a whole argument; "first" is in row-major order.
     """
     for name, a in arrays.items():
         rows = max(1, (1 << _SLICE_BITS) // a.shape[1])
@@ -252,12 +285,9 @@ _SLICE_BITS = 18  # the defects and their finiteness scans take 2^18 entries at 
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     """max |S U S^dag - U|: zero iff U commutes with the unitary S.
 
-    When ``s`` is a permutation matrix with ``s[r, p[r]] == 1``, this is
-    ``max |u[p][:, p] - u|``: every entry of the two products is one product
-    ``1 * u`` plus exact zeros, so moving entries gives the same float.  The
-    rows are compared a slice of at most ``2**_SLICE_BITS`` entries at a time,
-    so no temporary holds all of ``u``.  Any other ``s`` is multiplied out.
-    Non-finite entries are a ``ValueError``.
+    Equal to the float of the two matrix products exactly.  Arrays that are
+    not square of one shape, and a non-finite entry of either, are each a
+    ``ValueError``.
     """
     if u.shape != s.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {s.shape}")
@@ -277,12 +307,9 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     """max |P U P^dag - U| for the qubit permutation P given by ``perm``.
 
     ``perm`` lists 0-based qubit indices, a permutation of ``range(n)``; P
-    moves tensor factor ``perm[k]`` to position ``k``.  Conjugating by a
-    permutation matrix only moves entries, so P U P^dag is ``u`` with its
-    ``(2,)*2n`` row and column axes transposed by ``perm``, and the result
-    equals ``invariance_defect(u, P)`` exactly.  The two are compared a
-    slice of at most ``2**_SLICE_BITS`` entries at a time, over the leading
-    row axes, so no temporary holds all of ``u``.  Non-finite entries are a
+    moves tensor factor ``perm[k]`` to position ``k``.  Equal to
+    ``invariance_defect(u, P)`` exactly.  A ``u`` that is not ``(2^n, 2^n)``,
+    a ``perm`` that is not a permutation and a non-finite entry are each a
     ``ValueError``.
     """
     n = len(perm)
@@ -302,15 +329,7 @@ _MOVED_BLOCKS = [k for k in itertools.product((0, 1), repeat=4) if k < (k[1], k[
 
 
 def _transposition_defect(u: np.ndarray, n: int, i: int, j: int) -> float:
-    """``permutation_defect`` of the SWAP of qubits i < j (1-based), by slicing.
-
-    With ``u`` viewed as ``(2^(i-1), 2, 2^(j-i-1), 2, 2^(n-j))`` for rows
-    and again for columns, the SWAP maps the sub-block of bits
-    ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j, c_i)``.  The 4 blocks
-    with ``r_i == r_j`` and ``c_i == c_j`` are fixed (difference exactly 0);
-    the other 12 form 6 pairs whose differences are exact negatives, so the
-    6 differences below hold every nonzero magnitude of the full one.
-    """
+    """``permutation_defect`` of the SWAP of qubits i < j (1-based), exactly, for a finite ``u``."""
     shape = (2 ** (i - 1), 2, 2 ** (j - i - 1), 2, 2 ** (n - j))
     t = u.reshape(shape + shape)
     everything = slice(None)
@@ -325,10 +344,9 @@ def _transposition_defect(u: np.ndarray, n: int, i: int, j: int) -> float:
 def swap_invariance_defect(u: np.ndarray, n: int) -> float:
     """Worst conjugation defect over all transposition SWAPs.
 
-    Equals the largest ``permutation_defect`` over the transpositions
-    exactly, and reads each SWAP-moved entry once without a transposed copy
-    of ``u`` (see ``_transposition_defect``).  Non-finite entries are a
-    ``ValueError``.
+    Equal to the largest ``permutation_defect`` over the transpositions
+    exactly.  A ``u`` that is not ``(2^n, 2^n)`` and a non-finite entry are
+    each a ``ValueError``.
     """
     if u.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {u.shape} does not match n={n}")
@@ -400,18 +418,15 @@ class ClosureReport:
 
 
 def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
-    """Check that every pairwise commutator of the basis lies in its span.
+    """Check that every pairwise commutator of the ``n``-qubit basis lies in its span.
 
-    A bracket does iff its integer coefficients are constant on each basis
-    orbit and zero off them; only a bracket that fails gets its projection
-    residual, an exact rational.  So a closed algebra reports exactly zero,
-    and a nonzero residual is at least ``2 / sqrt(M)`` (M the largest
-    orbit): any positive ``tol`` below that gives the exact verdict.  ``n``
-    must be an ``int`` and ``tol`` a real number, finite and > 0 (neither a
-    bool); anything else is a ``ValueError`` before any work.  Working
-    memory is the 4^n keys, three buffers of ``_PIECE`` (2^16) entries and
-    one window of count bins with its gathered copy (see ``_bracket_counts``),
-    so ``n`` is held to the qubit cap.
+    Exact: the worst projection residual is computed in rational
+    arithmetic, so a closed algebra reports exactly 0.0 and a nonzero
+    residual is at least ``2 / sqrt(M)`` (M the largest orbit); any positive
+    ``tol`` below that gives the exact verdict.  ``n`` must be an ``int`` and
+    ``tol`` a real number, finite and > 0 (neither a bool); anything else is
+    a ``ValueError`` before any work.  Working memory grows as 4^n, so ``n``
+    is held to the qubit cap (``QubitLimitError``).
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an int, got {n!r}")
@@ -442,15 +457,10 @@ def _bracket_counts(
     """Brackets of every generator with all later ones, as signed counts per product string.
 
     ``codes, basis_codes`` are ``_type_codes(n, basis)``.  Yields
-    ``(a, b0, d)``: the bracket of ``basis[a]`` with ``basis[b0 + j]``
-    is ``sum 2i * d[j, key] * P_key`` over keys ``x << n | z``; ``d`` holds
-    exact integers, and an orbit's strings are the keys of its type, ascending.
-    A window holds as many later orbits as fit ``_PIECE`` bins (at least
-    one), and its ``d`` is allocated once.  The grid of ``a``'s orbit against
-    the window is cut into pieces of at most ``_PIECE`` term pairs, splitting
-    rows and columns where one orbit is larger; each piece works in three
-    reused buffers and adds into ``d`` by one unbuffered ``np.add.at``,
-    weighted by the sign of the product's i-power (odd on anticommuting pairs).
+    ``(a, b0, d)``, one per window: the bracket of ``basis[a]`` with
+    ``basis[b0 + j]`` is ``sum 2i * d[j, key] * P_key`` over keys
+    ``x << n | z``.  ``d`` holds exact integers, and an orbit's strings are
+    the keys of its type, ascending.
     """
     keys = 1 << 2 * n
     key = np.concatenate([np.flatnonzero(codes == code) for code in basis_codes])
@@ -493,15 +503,7 @@ def _closure_residual(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[in
     """Pair count and worst projection residual over all pairwise brackets of ``basis``.
 
     Equal to looping ``commutator`` and ``project_onto_basis`` over the
-    pairs.  A bracket ``sum 2i * d[key] * P_key`` is in the span iff each
-    key's count equals the count at its orbit's lead (first) key, or is 0
-    for a key of no basis type.  Such a key takes the identity key 0 as its
-    lead, which no real bracket reaches (distinct strings never multiply to
-    I), so one gather, one comparison and a test of column 0 check a whole
-    window.  A row that fails gets its exact squared residual, ``4 sum d^2``
-    less ``4 (sum d)^2 / s`` per basis orbit of size ``s``, in Python ints.  Each
-    orbit adds 0 or at least ``4 / M`` (M the largest orbit), so a nonzero
-    residual is at least ``2 / sqrt(M)``.
+    pairs, with the residual computed exactly before its square root.
     """
     codes, basis_codes = _type_codes(n, basis)
     _, first, type_of_key = np.unique(codes, return_index=True, return_inverse=True)

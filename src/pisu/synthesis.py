@@ -1,14 +1,48 @@
 """Gate-level synthesis of Pauli-string and symmetrized-generator exponentials.
 
-A single string exponential exp(-i theta/2 P) is realized on an all-X
-backbone: a central RX on a pivot qubit, CNOT fans (control = pivot) spreading
-the rotation over the string's support, and per-qubit basis changes turning X
-into the required letter (H pair for Z, Sdg/S pair for Y).  Identity letters
-skip their qubit entirely.
+Ladders.  A single string exponential exp(-i theta/2 P) is realized on an
+all-X backbone: basis changes open the string (Sdg for Y, H for Z), CNOTs fan
+out from a pivot qubit over the rest of its support, a central RX sits on
+the pivot, and the fan and the basis changes are mirrored.  Identity letters
+skip their qubit.  A whole orbit is synthesized at once from its letter
+array: each string's ladder is one row of an ``(S, G)`` matrix of integer
+gate ids, and each distinct id becomes a ``Gate`` once, through the bounded
+gate cache ``_gate`` that the readers share.
 
-Generator exponentials multiply the orbit's string exponentials directly when
-the orbit is pairwise commuting; otherwise a first-order product formula over
-k steps approximates the sum exponential.
+Generators.  The orbit's string exponentials multiply to the generator's
+exponential when the orbit commutes pairwise; otherwise a first-order
+product formula over k steps approximates it.  ``dense_exponential`` is the
+exact reference.  A type of one letter takes closed forms in Krawtchouk
+numbers ``K[a][b] = sum_j (-1)^j C(a, j) C(n - a, b - j)``, with no
+eigensolver.  A type of k Z letters is diagonal, with ``K[|c|][k]`` at basis
+state ``c``, so its exponential is the diagonal of phases.  A type of k X
+letters is that diagonal conjugated by H on every qubit: its entry at
+``(r, c)`` is ``f(|r ^ c|)`` with ``f(d) = 2^-n sum_w K[d][w] exp(-i theta/2
+K[w][k])``.  A type of k Y letters is the X form conjugated by S on every
+qubit, which multiplies that entry by ``i^(|r| - |c|)``.  Every other type
+takes the Hermitian eigendecomposition of ``g.matrix()``, the real symmetric
+one when the matrix is real (an even number of Y letters).
+
+Interchange.  The writers encode each distinct gate once.  The JSON reader
+first tries text in the writer's layout, ``{"n": N, "gates": [{F}, {F},
+...], "params": P}`` with perhaps JSON whitespace around it.  It cuts the
+text at the first ``, "gates": [``, the last ``], "params": `` and every
+``}, {`` between them; every piece must parse on its own, a gate piece as
+``{F}``, and each distinct gate piece is parsed once.  This is sound: if
+every piece parses, the text is these values joined by the cuts, so it is
+valid JSON and means what ``json.loads`` makes of it, and a cut inside a
+string literal leaves an unterminated string in a piece, which fails to
+parse.  Text whose pieces do not all parse (another spacing or envelope key
+order, duplicate envelope keys, a parameter name holding ``}, {``, invalid
+gates) takes ``json.loads``, which gives the same circuit and every error
+message.  The QASM reader accepts the subset the writer emits:
+``OPENQASM``, ``include`` and ``//`` lines (skipped), one ``qreg q[n];``
+before any gate, and one ``h``, ``s``, ``sdg``, ``cx``, ``rx``, ``ry`` or
+``rz`` gate per line on ``q[i]`` arguments.  An angle is a float literal
+(an optional sign, ASCII digits, an optional fraction and exponent; no
+``_``, ``inf`` or ``nan``) or ``pi``, ``-pi``, ``pi/<int>``, ``<float>*pi``
+or ``<float>*pi/<int>``.  A line seen before in the same text is not
+parsed again.
 """
 
 from __future__ import annotations
@@ -184,6 +218,8 @@ def synth_string(
 ) -> Circuit:
     """Circuit realizing exp(-i theta/2 M) for a single coefficient-1 string.
 
+    The string takes the ladder of a one-string orbit in ``synth_generator``.
+
     Args:
         s: target string; must have coefficient 1 and at least one
             non-identity letter.
@@ -223,11 +259,7 @@ def _ladder_gates(letters: np.ndarray, pivots: np.ndarray, name: str) -> list[Ga
     ``letters`` is an ``(S, n)`` array of letter codes (``_LETTERS``) whose
     rows share their numbers of identity and of Y-or-Z letters, as one
     orbit's strings do; ``pivots`` holds each row's 0-based pivot, a qubit
-    off the identity.  A row is opened by Sdg/H on its Y/Z qubits, then
-    CNOTs fan out from the pivot to its other support qubits, RX(``name``)
-    sits on the pivot, and the fan and basis changes are mirrored.  All
-    rows form one ``(S, G)`` matrix of gate ids, and each distinct id
-    becomes a Gate once, through ``_gate``.
+    off the identity.  Every RX takes the parameter ``name``.
     """
     rows, n = letters.shape
     wrap = (letters == 1) | (letters == 2)
@@ -311,21 +343,11 @@ def synth_generator(
 
 
 def dense_exponential(g: SymmetrizedGenerator, theta: float) -> np.ndarray:
-    """exp(-i theta/2 M) for the generator sum M, in closed form for single-letter types.
+    """exp(-i theta/2 M) for the generator sum M, the reference for synthesized circuits.
 
-    Write ``K[a][b] = sum_j (-1)^j C(a, j) C(n - a, b - j)`` (a Krawtchouk
-    number).  A type with no X or Y letter has a diagonal M whose entry at
-    basis state ``c`` is ``K[|c|][k]`` for k Z letters, so its exponential
-    is the diagonal of phases.  A type of k X letters is that diagonal
-    conjugated by H on every qubit, so its entry at ``(r, c)`` is
-    ``f(|r ^ c|)`` with ``f(d) = 2^-n sum_w K[d][w] exp(-i theta/2 K[w][k])``;
-    a type of k Y letters is S on every qubit times the X form times its
-    inverse, which multiplies that entry by ``i^(|r| - |c|)``.  None of
-    these calls an eigensolver.  Every other type uses the Hermitian
-    eigendecomposition of ``g.matrix()``; with an even number of Y letters
-    M is real, and the real symmetric eigensolver is used on it (about 3x
-    faster than the complex one).  ``theta`` must be a finite real number
-    and not a boolean.
+    Float, within rounding of ``scipy.linalg.expm``; a type of Z letters only
+    gives the eigensolver's bits.  ``theta`` must be a finite real number and
+    not a boolean (``ValueError``), and ``g.n`` is held to the qubit cap.
     """
     theta = _angle("theta", theta)
     check_qubit_cap(g.n)
@@ -386,10 +408,7 @@ def _per_distinct_gate(gates, render) -> list:
 
 
 def circuit_to_json(c: Circuit) -> str:
-    """``json.dumps({"n", "gates", "params"})`` of the circuit, byte for byte.
-
-    Each distinct gate is encoded once and its fragment reused.
-    """
+    """``json.dumps({"n", "gates", "params"})`` of the circuit, byte for byte."""
     parts = _per_distinct_gate(
         c.gates, lambda g: json.dumps({"kind": g.kind, "qubits": list(g.qubits), "param": g.param})
     )
@@ -398,12 +417,10 @@ def circuit_to_json(c: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    """Inverse of ``circuit_to_json``; a malformed gate is reported by its index.
+    """Inverse of ``circuit_to_json``, for the same value in any JSON layout.
 
-    Text in the writer's layout is read by ``_writer_layout``, which parses
-    each distinct gate once; any other text, and any text it cannot read,
-    takes the general reader below, which gives the same circuit and every
-    error message.
+    Text that is not such an object is a ``ValueError``, and so is a
+    malformed gate, named by its index and field.
     """
     read = _writer_layout(text)
     if read is not None:
@@ -452,20 +469,8 @@ def _json_gate(g) -> Gate:
 def _writer_layout(text: str) -> tuple | None:
     """``(n, gates, params)`` of text laid out as ``circuit_to_json`` writes it, else None.
 
-    The layout is ``{"n": N, "gates": [{F}, {F}, ...], "params": P}``,
-    perhaps with JSON whitespace around it.  The text is cut at the first
-    ``, "gates": [``, the last ``], "params": `` and every ``}, {`` between
-    them.  Each piece must parse on its own, a gate piece as ``{F}``, and
-    each distinct gate piece is parsed once.  This is sound: if every piece
-    parses, the text is these values joined by the cuts, so it is valid JSON
-    and means what ``json.loads`` makes of it.  A cut inside a string literal
-    leaves an unterminated string in a piece, which fails to parse.  In the
-    writer's text the envelope cuts never fall in a string, as they hold a
-    ``"``, which JSON escapes there; only a parameter name holding ``}, {``
-    is cut, and that text takes the general reader.  So does text whose
-    pieces do not parse, such as another spacing between gates or in the
-    envelope, another envelope key order, duplicate envelope keys or a list
-    of objects inside a gate, and text whose gates or envelope are not valid.
+    None whenever a cut piece does not parse or the envelope or a gate is not
+    valid; the caller then reads the text with ``json.loads``.
     """
     text = text.strip(" \t\n\r")  # the whitespace json.loads allows around a value
     if not (text.startswith('{"n": ') and text.endswith("}")):
@@ -495,10 +500,7 @@ _QASM_KINDS = {v: k for k, v in _QASM_NAMES.items()}
 
 
 def circuit_to_qasm(c: Circuit) -> str:
-    """OPENQASM 2.0 text with literal angles; requires all parameters bound.
-
-    Each distinct gate is formatted once and its line reused.
-    """
+    """OPENQASM 2.0 text with literal angles; an unbound parameter is a ``ValueError``."""
 
     def line(g: Gate) -> str:
         name = _QASM_NAMES[g.kind]
@@ -540,15 +542,10 @@ def _qasm_angle(angle: str, line: str) -> float:
 
 
 def circuit_from_qasm(text: str) -> Circuit:
-    """Parse the QASM 2.0 subset emitted by circuit_to_qasm.
+    """Parse the QASM 2.0 subset that ``circuit_to_qasm`` writes (see the module docstring).
 
-    Accepted: ``OPENQASM``/``include``/``//`` lines (skipped), one
-    ``qreg q[n];`` before any gate, and one gate per line, ``h s sdg cx rx
-    ry rz`` on ``q[i]`` arguments.  An angle is a float literal or one of
-    ``pi``, ``-pi``, ``pi/<int>``, ``<float>*pi`` and ``<float>*pi/<int>``,
-    evaluated as ``sign * coeff * pi / denom``.  Rotation literals become
-    fresh parameters p0, p1, ... in gate order.  A line seen before in the
-    same text is not parsed again.
+    Rotation angles become fresh parameters ``p0``, ``p1``, ... in gate
+    order.  Any other text is a ``ValueError`` naming the line.
     """
     n = None
     gates: list[Gate] = []
