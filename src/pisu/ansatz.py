@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import _integers
 from .symmetry import _LETTERS, SymmetrizedGenerator, TypeVector, transpositions
 from .synthesis import Circuit, Gate, SynthesisPlan, _ladder_gates, commuting_orbit, synth_generator
 
@@ -36,6 +37,7 @@ class BlockStructure:
 
     Block k (1-based) owns qubits (k-1)*block_size + 1 .. k*block_size;
     exchanging two whole blocks induces one qubit-swap pair per position.
+    The fields are any integers, stored as ``int``s.
     """
 
     n: int
@@ -43,6 +45,9 @@ class BlockStructure:
     blocks: int
 
     def __post_init__(self) -> None:
+        fields = _integers((self.n, self.block_size, self.blocks), "n, block_size and blocks must be integers")
+        for name, value in zip(("n", "block_size", "blocks"), fields):
+            object.__setattr__(self, name, value)
         if self.block_size < 1 or self.blocks < 1:
             raise ValueError("block_size and blocks must be positive")
         if self.block_size * self.blocks != self.n:

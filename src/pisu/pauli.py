@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -56,6 +57,17 @@ def max_qubits() -> int:
     return cap
 
 
+def _integers(values, rule: str) -> tuple[int, ...]:
+    """``values`` as a tuple of plain ints by ``operator.index``: a bool or numpy integer passes, a float or str does not.
+
+    Anything else is a ``ValueError`` reading ``"<rule>, got <values!r>"``.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{rule}, got {values!r}") from None
+
+
 def check_qubit_cap(n: int) -> None:
     """Raise ``QubitLimitError`` if ``n`` exceeds ``max_qubits()``."""
     cap = max_qubits()
@@ -67,7 +79,7 @@ def check_qubit_cap(n: int) -> None:
 
 @dataclass(frozen=True)
 class PauliString:
-    """One tensor product of Pauli letters with a complex coefficient."""
+    """One tensor product of Pauli letters with a complex coefficient; ``n`` is any integer, stored as an ``int``."""
 
     n: int
     x: int
@@ -75,6 +87,8 @@ class PauliString:
     coeff: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", *_integers((self.n,), "n must be an integer"))
         if self.n < 1:
             raise ValueError("a Pauli string needs at least one qubit")
         mask = (1 << self.n) - 1

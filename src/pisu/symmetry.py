@@ -62,7 +62,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, check_qubit_cap
+from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, _integers, check_qubit_cap
 
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
@@ -95,7 +95,11 @@ def swap_matrix(i: int, j: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TypeVector:
-    """Letter-count signature (n_x, n_y, n_z, n_i) of a symmetrized generator."""
+    """Letter-count signature (n_x, n_y, n_z, n_i) of a symmetrized generator.
+
+    The counts are any integers, stored as ``int``s; anything else, a
+    negative count and an all-zero vector are each a ``ValueError``.
+    """
 
     n_x: int
     n_y: int
@@ -103,7 +107,9 @@ class TypeVector:
     n_i: int
 
     def __post_init__(self) -> None:
-        counts = (self.n_x, self.n_y, self.n_z, self.n_i)
+        counts = _integers((self.n_x, self.n_y, self.n_z, self.n_i), "letter counts must be integers")
+        for name, c in zip(("n_x", "n_y", "n_z", "n_i"), counts):
+            object.__setattr__(self, name, c)
         if any(c < 0 for c in counts):
             raise ValueError(f"negative letter count in {counts}")
         if sum(counts) < 1:
@@ -230,14 +236,16 @@ def type_vectors(n: int) -> list[TypeVector]:
 
 
 def enumerate_basis(n: int) -> list[SymmetrizedGenerator]:
-    """The symmetrized-string basis of the permutation-invariant algebra."""
+    """The symmetrized-string basis of the permutation-invariant algebra; ``n`` is an integer >= 1."""
+    (n,) = _integers((n,), "n must be an integer")
     if n < 1:
         raise ValueError("need at least one qubit")
     return [SymmetrizedGenerator(tv, tv.label) for tv in type_vectors(n)]
 
 
 def dim_pisu(n: int) -> int:
-    """Dimension formula (n+3)(n+2)(n+1)/6 - 1; equals the basis count."""
+    """Dimension formula (n+3)(n+2)(n+1)/6 - 1 for an integer ``n`` >= 1; equals the basis count."""
+    (n,) = _integers((n,), "n must be an integer")
     if n < 1:
         raise ValueError("need at least one qubit")
     return (n + 3) * (n + 2) * (n + 1) // 6 - 1

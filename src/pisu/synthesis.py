@@ -53,13 +53,13 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter, index
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .pauli import PauliString, check_qubit_cap
+from .pauli import PauliString, _integers, check_qubit_cap
 from .symmetry import _LETTERS, SymmetrizedGenerator
 
 GATE_KINDS = ("H", "S", "Sdg", "CNOT", "RX", "RY", "RZ")
@@ -83,11 +83,7 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        try:
-            qubits = tuple(map(index, self.qubits))
-        except TypeError:
-            raise ValueError(f"qubit indices must be integers, got {self.qubits!r}") from None
-        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "qubits", _integers(self.qubits, "qubit indices must be integers"))
         if self.kind == "CNOT":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("CNOT needs two distinct qubit indices")
@@ -104,6 +100,7 @@ class Gate:
 class Circuit:
     """Ordered gate list over n qubits; leftmost gate is applied first.
 
+    ``n`` is any integer >= 1, stored as an ``int``, as a gate's qubits are.
     ``params`` binds parameter names to float angles (radians) in a
     read-only mapping; ``_angle`` says which values are accepted.  Circuits
     are immutable and hashable; ``bind`` returns a rebound copy.
@@ -116,6 +113,7 @@ class Circuit:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", *_integers((self.n,), "n must be an integer"))
         if self.n < 1:
             raise ValueError("a circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))

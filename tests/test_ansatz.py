@@ -316,3 +316,17 @@ def test_recipes_reject_bad_structure(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "base_n, blocks, ok",
+    [(np.int64(2), True, True), (True, np.int64(3), True), (2, 2.0, False), (2.5, 2, False), (2, "3", False)],
+)
+def test_block_structure_fields_are_integers(base_n, blocks, ok):
+    if ok:
+        bs = BlockStructure.for_extension(base_n, blocks)
+        assert all(type(v) is int for v in (bs.n, bs.block_size, bs.blocks))
+        assert bs == BlockStructure.for_extension(int(base_n), int(blocks))
+    else:
+        with pytest.raises(ValueError, match="n, block_size and blocks must be integers"):
+            BlockStructure.for_extension(base_n, blocks)

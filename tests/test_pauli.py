@@ -382,3 +382,13 @@ def test_pauli_types_reject_bad_input(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, ok", [(True, True), (np.int64(2), True), (2.0, False), (2.5, False), ("3", False)])
+def test_pauli_string_n_takes_any_integer(n, ok):
+    if ok:
+        s = PauliString(n, 1, 0)
+        assert type(s.n) is int and s == PauliString(int(n), 1, 0)
+    else:
+        with pytest.raises(ValueError, match="n must be an integer"):
+            PauliString(n, 1, 0)

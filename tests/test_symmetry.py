@@ -761,3 +761,26 @@ def test_verify_closure_takes_any_finite_positive_real_tolerance():
     for tol in (1, Fraction(1, 10**12), np.float64(1e-12), 10**400):
         report = verify_closure(2, tol=tol)
         assert report == verify_closure(2) and type(report.passed) is bool, tol
+
+
+@pytest.mark.parametrize(
+    "counts, ok",
+    [((np.int64(1), True, 0, 0), True), ((1.5, 0, 0, 0.5), False), ((1, 0, 0, 1.0), False), (("1", 0, 0, 0), False)],
+)
+def test_type_vector_counts_are_integers(counts, ok):
+    if ok:
+        tv = TypeVector(*counts)
+        assert all(type(c) is int for c in (tv.n_x, tv.n_y, tv.n_z, tv.n_i)) and tv.label == "XY"
+    else:
+        with pytest.raises(ValueError, match="letter counts must be integers"):
+            TypeVector(*counts)
+
+
+@pytest.mark.parametrize("n", [True, np.int64(3), 2.0, 2.5, "3"])
+def test_basis_size_n_is_an_integer(n):
+    if isinstance(n, (float, str)):
+        for build in (dim_pisu, enumerate_basis):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                build(n)
+    else:
+        assert dim_pisu(n) == len(enumerate_basis(n)) == dim_pisu(int(n))

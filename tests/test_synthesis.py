@@ -1056,3 +1056,19 @@ def test_default_plan_of_a_non_commuting_orbit_is_first_order(label, norm, cnots
     overlap = np.vdot(v, u)  # trace(V^dag U)
     assert abs(np.linalg.norm(u - overlap / abs(overlap) * v, 2) - norm) <= 0.005
     assert cnot_count(c) == cnots
+
+
+@pytest.mark.parametrize("n, want", [(True, 1), (np.int64(2), 2)])
+def test_circuit_n_takes_any_integer_and_round_trips(n, want):
+    c = Circuit(n, (Gate("H", (1,)), Gate("RX", (1,), "t")), {"t": 0.5})
+    assert type(c.n) is int and c.n == want
+    assert circuit_from_json(circuit_to_json(c)) == c
+    assert f'"n": {want},' in circuit_to_json(c)
+    back = circuit_from_qasm(circuit_to_qasm(c))
+    assert back.n == want and [g.kind for g in back.gates] == ["H", "RX"]
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "3"])
+def test_circuit_n_that_is_not_an_integer_is_refused(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        Circuit(n)
