@@ -54,3 +54,20 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def _module_rows(text: str) -> dict[str, str]:
+    """The contract cell of each ``pisu.*`` row of the README module table."""
+    return dict(re.findall(r"^\| `(pisu\.\w+)` *\| (.*) \|$", text, re.M))
+
+
+def test_readme_rows_state_short_contracts():
+    text = (ROOT / "README.md").read_text()
+    assert len(text.split()) <= 1260  # whitespace-separated words
+    rows = _module_rows(text)
+    assert sorted(rows) == [f"pisu.{m}" for m in ("ansatz", "cli", "pauli", "simulator", "symmetry", "synthesis")]
+    host_figure = re.compile(r"\d\s*(?:ms|s|µs|MiB)\b")
+    for module, contract in rows.items():
+        sentences = [s for s in re.split(r"[.!?](?=\s|$)", contract) if s.strip()]
+        assert len(sentences) <= 3, (module, sentences)
+        assert not host_figure.search(contract), (module, host_figure.findall(contract))
