@@ -87,7 +87,7 @@ class PauliString:
     coeff: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
+        if type(self.n) is not int:  # the common case skips the call: commutator builds one string per product
             object.__setattr__(self, "n", *_integers((self.n,), "n must be an integer"))
         if self.n < 1:
             raise ValueError("a Pauli string needs at least one qubit")
