@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _integers
+from .pauli import _integer
 from .symmetry import _LETTERS, SymmetrizedGenerator, TypeVector, transpositions
 from .synthesis import Circuit, Gate, SynthesisPlan, _ladder_gates, commuting_orbit, synth_generator
 
@@ -45,9 +45,8 @@ class BlockStructure:
     blocks: int
 
     def __post_init__(self) -> None:
-        fields = _integers((self.n, self.block_size, self.blocks), "n, block_size and blocks must be integers")
-        for name, value in zip(("n", "block_size", "blocks"), fields):
-            object.__setattr__(self, name, value)
+        for name in ("n", "block_size", "blocks"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name + " must be an integer"))
         if self.block_size < 1 or self.blocks < 1:
             raise ValueError("block_size and blocks must be positive")
         if self.block_size * self.blocks != self.n:

@@ -57,15 +57,16 @@ def max_qubits() -> int:
     return cap
 
 
-def _integers(values, rule: str) -> tuple[int, ...]:
-    """``values`` as a tuple of plain ints by ``operator.index``: a bool or numpy integer passes, a float or str does not.
+def _integer(value, rule: str, shown=None) -> int:
+    """``value`` as a plain int by ``operator.index``: a bool or numpy integer passes, a float or str does not.
 
-    Anything else is a ``ValueError`` reading ``"<rule>, got <values!r>"``.
+    Anything else is a ``ValueError`` reading ``"<rule>, got <shown!r>"``,
+    where ``shown`` defaults to ``value``.
     """
     try:
-        return tuple(map(index, values))
+        return index(value)
     except TypeError:
-        raise ValueError(f"{rule}, got {values!r}") from None
+        raise ValueError(f"{rule}, got {value if shown is None else shown!r}") from None
 
 
 def check_qubit_cap(n: int) -> None:
@@ -87,8 +88,7 @@ class PauliString:
     coeff: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:  # the common case skips the call: commutator builds one string per product
-            object.__setattr__(self, "n", *_integers((self.n,), "n must be an integer"))
+        object.__setattr__(self, "n", _integer(self.n, "n must be an integer"))
         if self.n < 1:
             raise ValueError("a Pauli string needs at least one qubit")
         mask = (1 << self.n) - 1

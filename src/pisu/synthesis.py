@@ -59,7 +59,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .pauli import PauliString, _integers, check_qubit_cap
+from .pauli import PauliString, _integer, check_qubit_cap
 from .symmetry import _LETTERS, SymmetrizedGenerator
 
 GATE_KINDS = ("H", "S", "Sdg", "CNOT", "RX", "RY", "RZ")
@@ -83,7 +83,8 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", _integers(self.qubits, "qubit indices must be integers"))
+        qubits = tuple(_integer(q, "qubit indices must be integers", self.qubits) for q in self.qubits)
+        object.__setattr__(self, "qubits", qubits)
         if self.kind == "CNOT":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("CNOT needs two distinct qubit indices")
@@ -113,7 +114,7 @@ class Circuit:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", *_integers((self.n,), "n must be an integer"))
+        object.__setattr__(self, "n", _integer(self.n, "n must be an integer"))
         if self.n < 1:
             raise ValueError("a circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))

@@ -319,14 +319,22 @@ def test_recipes_reject_bad_structure(build, message):
 
 
 @pytest.mark.parametrize(
-    "base_n, blocks, ok",
-    [(np.int64(2), True, True), (True, np.int64(3), True), (2, 2.0, False), (2.5, 2, False), (2, "3", False)],
+    "build, expected",
+    [
+        (lambda: BlockStructure(np.int64(4), 2, np.int64(2)), (4, 2, 2)),
+        (lambda: BlockStructure.for_extension(True, np.int64(3)), (3, 1, 3)),
+        (lambda: BlockStructure(4, 2, 2.0), "blocks must be an integer, got 2.0"),
+        (lambda: BlockStructure(4, "2", 2), "block_size must be an integer, got '2'"),
+        (lambda: BlockStructure.for_extension(2, 2.0), "n must be an integer, got 4.0"),
+        (lambda: BlockStructure.for_extension(2.5, 2), "n must be an integer, got 5.0"),
+    ],
 )
-def test_block_structure_fields_are_integers(base_n, blocks, ok):
-    if ok:
-        bs = BlockStructure.for_extension(base_n, blocks)
+def test_block_structure_fields_are_integers(build, expected):
+    if isinstance(expected, tuple):
+        bs = build()
         assert all(type(v) is int for v in (bs.n, bs.block_size, bs.blocks))
-        assert bs == BlockStructure.for_extension(int(base_n), int(blocks))
+        assert (bs.n, bs.block_size, bs.blocks) == expected
     else:
-        with pytest.raises(ValueError, match="n, block_size and blocks must be integers"):
-            BlockStructure.for_extension(base_n, blocks)
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == expected
