@@ -27,11 +27,12 @@ of all 4^n - 1 orbit strings and one window's 4^n bins per generator.  The
 constancy test of a window is one gather and one comparison: each key's
 count must equal the count at its orbit's lead (first) key.  A key of no
 basis type takes the identity key 0 as its lead, which no bracket reaches,
-as distinct strings never multiply to I.  Only a bracket that fails gets
-its squared residual, ``4 sum d^2`` less ``4 (sum d)^2 / s`` per basis orbit
-of size ``s``, in Python ints and ``Fraction``.  Each orbit adds 0 or at
-least ``4 / M`` (M the largest orbit), so a nonzero residual is at least
-``2 / sqrt(M)``.
+as distinct strings never multiply to I; one more test, that column 0
+counts zero, keeps hand-made windows, which can hold a count at the
+identity key, exact.  Only a bracket that fails gets its squared residual,
+``4 sum d^2`` less ``4 (sum d)^2 / s`` per basis orbit of size ``s``, in
+Python ints and ``Fraction``.  Each orbit adds 0 or at least ``4 / M`` (M
+the largest orbit), so a nonzero residual is at least ``2 / sqrt(M)``.
 
 Invariance defects.  ``max |S U S^dag - U|`` for a permutation matrix S
 needs no product: every entry of ``S U S^dag`` is one product ``1 * u`` plus
@@ -62,7 +63,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, _integers, check_qubit_cap
+from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, _integer, check_qubit_cap
 
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
@@ -107,9 +108,9 @@ class TypeVector:
     n_i: int
 
     def __post_init__(self) -> None:
-        counts = _integers((self.n_x, self.n_y, self.n_z, self.n_i), "letter counts must be integers")
-        for name, c in zip(("n_x", "n_y", "n_z", "n_i"), counts):
-            object.__setattr__(self, name, c)
+        for name in ("n_x", "n_y", "n_z", "n_i"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name + " must be an integer"))
+        counts = (self.n_x, self.n_y, self.n_z, self.n_i)
         if any(c < 0 for c in counts):
             raise ValueError(f"negative letter count in {counts}")
         if sum(counts) < 1:
@@ -237,7 +238,7 @@ def type_vectors(n: int) -> list[TypeVector]:
 
 def enumerate_basis(n: int) -> list[SymmetrizedGenerator]:
     """The symmetrized-string basis of the permutation-invariant algebra; ``n`` is an integer >= 1."""
-    (n,) = _integers((n,), "n must be an integer")
+    n = _integer(n, "n must be an integer")
     if n < 1:
         raise ValueError("need at least one qubit")
     return [SymmetrizedGenerator(tv, tv.label) for tv in type_vectors(n)]
@@ -245,7 +246,7 @@ def enumerate_basis(n: int) -> list[SymmetrizedGenerator]:
 
 def dim_pisu(n: int) -> int:
     """Dimension formula (n+3)(n+2)(n+1)/6 - 1 for an integer ``n`` >= 1; equals the basis count."""
-    (n,) = _integers((n,), "n must be an integer")
+    n = _integer(n, "n must be an integer")
     if n < 1:
         raise ValueError("need at least one qubit")
     return (n + 3) * (n + 2) * (n + 1) // 6 - 1
