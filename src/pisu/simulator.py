@@ -8,10 +8,11 @@ stay in a 2 MiB per-core L2 cache while the whole gate list runs on them.
 Workers take the panels round-robin: the calling thread and
 ``min(CPUs, panels) - 1`` pool threads (the calling thread alone for
 circuits under 16 gates), which run while numpy releases the GIL.  Each
-worker binds the op list to views of its two buffers once, reuses them for
-every panel it runs, and copies each finished panel into its columns of the
-one preallocated result, so memory beyond the result is two panel buffers
-per worker.
+worker binds every distinct op once per buffer it may start in: the op
+becomes numpy calls with their arrays, views of the worker's two buffers,
+fixed.  A panel is then those calls run in order, and is copied into its
+columns of the one preallocated result, so memory beyond the result is two
+panel buffers per worker.
 
 Gates.  Gates act on their qubit axes in place of a full 2^n x 2^n
 embedding, and each distinct op is resolved once.  A run of CNOTs that
@@ -136,9 +137,7 @@ def _gate_ops(c: Circuit) -> list[tuple]:
             return ("cnot", q, gate.qubits[1] - 1)
         if gate.kind in ("S", "Sdg"):
             return ("scale", whole[:q] + (1,), 1j if gate.kind == "S" else -1j)
-        angle = _gate_angle(gate, c.params)
-        if angle is not None:
-            angle = _angle("angle", angle)
+        angle = _gate_angle(gate, c.params)  # a checked float: Circuit stores no other
         key = (gate.kind, q, None if angle is None else angle.hex())  # hex keeps -0.0 apart from 0.0
         resolved = by_angle.get(key)
         if resolved is None:
@@ -179,20 +178,24 @@ def _gate_ops(c: Circuit) -> list[tuple]:
     return ops
 
 
-def _views(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple:
-    """The arrays that ``op`` reads and writes when ``t`` holds the state."""
+def _bind(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple[tuple, bool]:
+    """The numpy calls that apply ``op`` to the state in ``t``, and whether they leave it in ``spare``."""
+    call = functools.partial
     kind, a, b = op[:3]
-    if kind == "fan":
-        return (t[a], t[b], t[op[4]], spare[a], spare[op[3]])
+    if kind == "fan":  # (destination, source): keep low, move the flipped high down, the flipped kept up
+        low = t[a]
+        copies = (spare[a], low), (low, t[op[4]]), (t[b], spare[op[3]])
+        return tuple(call(np.copyto, dst, src) for dst, src in copies), False
     if kind == "scale":
-        return t[a]
+        return (call(np.multiply, t[a], b, t[a]),), False
     if kind == "real":
         t, spare = t.view(np.float64), spare.view(np.float64)
     # (2^q, 2, rest) as batches of 2 x C column panels
     rest = t.size >> (a + 1)
     cols = math.gcd(rest, _ZGEMM_COLUMNS)
     shape = (2**a, 2, rest // cols, cols)
-    return (t.reshape(shape).transpose(0, 2, 1, 3), spare.reshape(shape).transpose(0, 2, 1, 3))
+    batches = t.reshape(shape).transpose(0, 2, 1, 3), spare.reshape(shape).transpose(0, 2, 1, 3)
+    return (call(np.matmul, b, *batches),), True
 
 
 def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
@@ -203,31 +206,22 @@ def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -
     dim = u.shape[0]
     shape = (2,) * (dim.bit_length() - 1) + (width,)
     buffers = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
-    views: dict = {}
-    bound = []
+    bound: dict = {}
+    calls = []
     parity = 0  # buffers[parity] holds the state
     for op in ops:
         key = (id(op), parity)
-        v = views.get(key)
-        if v is None:
-            v = views[key] = _views(op, buffers[parity], buffers[1 - parity])
-        bound.append((op[0], op[2], v))
-        if op[0] in ("real", "matmul"):
-            parity = 1 - parity
+        if key not in bound:
+            bound[key] = _bind(op, buffers[parity], buffers[1 - parity])
+        op_calls, moved = bound[key]
+        calls.extend(op_calls)
+        parity ^= moved
     state, result = buffers[0].reshape(dim, width), buffers[parity].reshape(dim, width)
     for start in starts:
         state.fill(0)
         np.fill_diagonal(state[start : start + width], 1)
-        for kind, arg, v in bound:
-            if kind == "fan":
-                low, high, high_flipped, kept, kept_flipped = v
-                np.copyto(kept, low)
-                np.copyto(low, high_flipped)
-                np.copyto(high, kept_flipped)
-            elif kind == "scale":
-                v *= arg
-            else:
-                np.matmul(arg, v[0], out=v[1])
+        for call in calls:
+            call()
         u[:, start : start + width] = result
 
 

@@ -36,18 +36,19 @@ the largest orbit), so a nonzero residual is at least ``2 / sqrt(M)``.
 
 Invariance defects.  ``max |S U S^dag - U|`` for a permutation matrix S
 needs no product: every entry of ``S U S^dag`` is one product ``1 * u`` plus
-exact zeros, so moving entries of ``u`` gives the same float.
-``invariance_defect`` gathers ``u[p][:, p]`` for ``p`` each row's column of
-S, and multiplies out any S that is not a permutation matrix.
-``permutation_defect`` transposes the ``(2,)*2n`` row and column axes of
-``u`` as a view.  ``swap_invariance_defect`` views ``u`` as ``(2^(i-1), 2,
-2^(j-i-1), 2, 2^(n-j))`` for rows and again for columns: the SWAP of i < j
-maps the sub-block of bits ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j,
-c_i)``, the 4 blocks with ``r_i == r_j`` and ``c_i == c_j`` are fixed, and
-the other 12 form 6 pairs whose differences are exact negatives, so 6
-differences hold every nonzero magnitude.  The first two compare, and all
-three scan for non-finite entries, a slice of at most ``2**_SLICE_BITS``
-entries at a time, so no temporary holds all of ``u``.
+exact zeros, so moving entries of ``u`` gives the same float.  A gather
+compares ``u[p][:, p]`` with ``u``, ``p`` each row's column of S, a slice of
+``2**_SLICE_BITS`` entries at a time.  ``invariance_defect`` reads ``p`` off
+S (and multiplies out any other S); ``permutation_defect`` takes the index
+map of its qubit permutation, ``arange(2^n)`` as ``(2,)*n`` with the axes
+permuted, which also places ``swap_matrix``'s ones.
+``swap_invariance_defect`` views ``u`` as ``(2^(i-1), 2, 2^(j-i-1), 2,
+2^(n-j))`` for rows and again for columns: the SWAP of i < j maps the
+sub-block of bits ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j, c_i)``,
+the 4 blocks with ``r_i == r_j`` and ``c_i == c_j`` are fixed, and the
+other 12 form 6 pairs whose differences are exact negatives, so 6/16 of a
+gather's differences hold every nonzero magnitude.  All three scan for
+non-finite entries a slice at a time, so no temporary holds all of ``u``.
 """
 
 from __future__ import annotations
@@ -80,18 +81,16 @@ def swap_matrix(i: int, j: int, n: int) -> np.ndarray:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"qubit indices ({i}, {j}) out of range 1..{n}")
     check_qubit_cap(n)
-    dim = 2**n
-    if i == j:
-        return np.eye(dim, dtype=complex)
-    bi = n - i  # bit positions within the state index
-    bj = n - j
-    idx = np.arange(dim)
-    vi = (idx >> bi) & 1
-    vj = (idx >> bj) & 1
-    swapped = idx ^ (((vi ^ vj) << bi) | ((vi ^ vj) << bj))
-    out = np.zeros((dim, dim), dtype=complex)
-    out[swapped, idx] = 1.0
+    perm = list(range(n))
+    perm[i - 1], perm[j - 1] = j - 1, i - 1
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[np.arange(2**n), _index_map(perm)] = 1.0
     return out
+
+
+def _index_map(perm: Sequence[int]) -> np.ndarray:
+    """The ``p`` with ``P[r, p[r]] = 1`` for the P that moves tensor factor ``perm[k]`` to position k."""
+    return np.arange(2 ** len(perm)).reshape((2,) * len(perm)).transpose(perm).ravel()
 
 
 @dataclass(frozen=True)
@@ -291,6 +290,15 @@ def _permutation_of(s: np.ndarray) -> np.ndarray | None:
 _SLICE_BITS = 18  # the defects and their finiteness scans take 2^18 entries at a time: one slice up to n = 9
 
 
+def _gathered_defect(u: np.ndarray, p: np.ndarray, dtype) -> float:
+    """max |u[p][:, p] - u|, each difference in ``dtype``, gathered ``2**_SLICE_BITS`` entries at a time."""
+    rows = max(1, (1 << _SLICE_BITS) // len(u))
+    return max(
+        float(np.abs(np.subtract(u[np.ix_(p[r : r + rows], p)], u[r : r + rows], dtype=dtype)).max())
+        for r in range(0, len(u), rows)
+    )
+
+
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     """max |S U S^dag - U|: zero iff U commutes with the unitary S.
 
@@ -304,12 +312,7 @@ def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     p = _permutation_of(s)
     if p is None:
         return float(np.abs(s @ u @ s.conj().T - u).max())
-    dtype = np.result_type(u, s)  # the products' dtype
-    rows = max(1, (1 << _SLICE_BITS) // len(u))
-    return max(
-        float(np.abs(np.subtract(u[np.ix_(p[r : r + rows], p)], u[r : r + rows], dtype=dtype)).max())
-        for r in range(0, len(u), rows)
-    )
+    return _gathered_defect(u, p, np.result_type(u, s))  # in the products' dtype
 
 
 def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
@@ -327,10 +330,7 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{list(perm)} is not a permutation of range({n})")
     _check_finite(u=u)
-    t = u.reshape((2,) * (2 * n))
-    moved = t.transpose([*perm, *(n + k for k in perm)])  # a view
-    slices = itertools.product((0, 1), repeat=max(0, 2 * n - _SLICE_BITS))
-    return max(float(np.abs(moved[b] - t[b]).max()) for b in slices)
+    return _gathered_defect(u, _index_map(perm), u.dtype)
 
 
 # (r_i, r_j, c_i, c_j) bit values of one SWAP-moved sub-block per +- pair
