@@ -102,6 +102,7 @@ def base_variational_circuit(n: int, seed: int = 0) -> Circuit:
     Parameters alpha_1..alpha_n and beta_1..beta_n are bound to angles drawn
     deterministically from the seed.
     """
+    n = _integer(n, "n must be an integer")
     if n < 2:
         raise ValueError("the base circuit needs at least two qubits")
     rng = np.random.default_rng(seed)
@@ -213,6 +214,7 @@ def symmetrize_by_extension(
     exchanging whole blocks maps the circuit onto itself.  Tied layers keep
     the base circuit's parameter count regardless of the block count.
     """
+    blocks = _integer(blocks, "blocks must be an integer")
     if blocks < 2:
         raise ValueError("extension needs at least two blocks")
     choice = choice or SymmetrizationChoice()

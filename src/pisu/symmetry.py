@@ -69,6 +69,7 @@ from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, _integer, check_qu
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
     """All 1-based qubit index pairs (i, j) with i < j; they generate S_n."""
+    n = _integer(n, "n must be an integer")
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
@@ -78,6 +79,7 @@ def swap_matrix(i: int, j: int, n: int) -> np.ndarray:
     ``i == j`` returns the identity.  Qubit 1 is the most significant bit
     of the basis-state index, matching the dense Kronecker convention.
     """
+    i, j, n = (_integer(v, name + " must be an integer") for v, name in zip((i, j, n), "ijn"))
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"qubit indices ({i}, {j}) out of range 1..{n}")
     check_qubit_cap(n)
@@ -253,6 +255,7 @@ def dim_pisu(n: int) -> int:
 
 def scaling_table(max_n: int) -> list[tuple[int, int, int]]:
     """Rows (n, invariant dimension, full su(2^n) dimension 4^n - 1)."""
+    max_n = _integer(max_n, "max_n must be an integer")
     return [(n, dim_pisu(n), 4**n - 1) for n in range(1, max_n + 1)]
 
 
@@ -306,8 +309,8 @@ def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     not square of one shape, and a non-finite entry of either, are each a
     ``ValueError``.
     """
-    if u.shape != s.shape or u.shape[0] != u.shape[1]:
-        raise ValueError(f"shape mismatch: {u.shape} vs {s.shape}")
+    if u.ndim != 2 or u.shape != s.shape or u.shape[0] != u.shape[1]:
+        raise ValueError(f"u and s must be square matrices of one shape, got {u.shape} and {s.shape}")
     _check_finite(u=u, s=s)
     p = _permutation_of(s)
     if p is None:
@@ -324,11 +327,12 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     a ``perm`` that is not a permutation and a non-finite entry are each a
     ``ValueError``.
     """
+    perm = [_integer(k, "perm entries must be integers", perm) for k in perm]
     n = len(perm)
     if u.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {u.shape} does not match n={n}")
     if sorted(perm) != list(range(n)):
-        raise ValueError(f"{list(perm)} is not a permutation of range({n})")
+        raise ValueError(f"{perm} is not a permutation of range({n})")
     _check_finite(u=u)
     return _gathered_defect(u, _index_map(perm), u.dtype)
 
@@ -357,6 +361,7 @@ def swap_invariance_defect(u: np.ndarray, n: int) -> float:
     exactly.  A ``u`` that is not ``(2^n, 2^n)`` and a non-finite entry are
     each a ``ValueError``.
     """
+    n = _integer(n, "n must be an integer")
     if u.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {u.shape} does not match n={n}")
     _check_finite(u=u)

@@ -232,8 +232,7 @@ def synth_string(
     support = s.support()
     if not support:
         raise ValueError("cannot exponentiate the all-identity string")
-    if pivot is None:
-        pivot = support[0]
+    pivot = support[0] if pivot is None else _integer(pivot, "pivot must be an integer")
     if not 1 <= pivot <= s.n:
         raise ValueError(f"pivot {pivot} out of range 1..{s.n}")
     if s.letter(pivot) == "I":
@@ -382,6 +381,7 @@ def cnot_count(c: Circuit) -> int:
 
 def naive_cnot_budget(n: int) -> int:
     """Reference curve 2n * sum_{k=1}^{n} (n-k)^3 for whole-group construction."""
+    n = _integer(n, "n must be an integer")
     return 2 * n * sum((n - k) ** 3 for k in range(1, n + 1))
 
 
@@ -541,7 +541,7 @@ def _qasm_angle(angle: str, line: str) -> float:
 
 
 def circuit_from_qasm(text: str) -> Circuit:
-    """Parse the QASM 2.0 subset that ``circuit_to_qasm`` writes (see the module docstring).
+    """Parse the QASM 2.0 subset of the module docstring, which holds what ``circuit_to_qasm`` writes.
 
     Rotation angles become fresh parameters ``p0``, ``p1``, ... in gate
     order.  Any other text is a ``ValueError`` naming the line.

@@ -17,16 +17,20 @@ from pisu import (
     PauliString,
     PauliSum,
     TypeVector,
+    base_variational_circuit,
     commutator,
     dense_exponential,
     dim_pisu,
     enumerate_basis,
     invariance_defect,
+    naive_cnot_budget,
     permutation_defect,
     project_onto_basis,
     scaling_table,
     swap_invariance_defect,
     swap_matrix,
+    symmetrize_by_extension,
+    synth_string,
     transpositions,
     verify_closure,
 )
@@ -523,6 +527,16 @@ def test_permutation_defect_rejects_bad_input():
         permutation_defect(np.eye(8), [1, 2, 3])
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (2, 3)], ids=["1-D", "3-D", "2x3"])
+@pytest.mark.parametrize("bad", ["u", "s", "both"])
+def test_invariance_defect_takes_only_square_matrices(shape, bad):
+    # with both arguments of the same shape, only the square test can refuse them
+    u = np.ones(shape) if bad in ("u", "both") else np.eye(shape[0])
+    s = np.ones(shape) if bad in ("s", "both") else np.eye(shape[0])
+    with pytest.raises(ValueError, match="must be square matrices of one shape"):
+        invariance_defect(u, s)
+
+
 def test_swap_invariance_defect_bit_identical_to_dense_swaps():
     rng = np.random.default_rng(67)
     for n in range(1, 7):
@@ -702,6 +716,41 @@ def test_symmetrized_generator_is_read_only_and_caches_its_orbit():
         assert clone.orbit is clone.orbit and clone.as_sum is clone.as_sum
         with pytest.raises(dataclasses.FrozenInstanceError):
             clone.label = "bogus"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: swap_matrix(1, 2, 2.0), "n must be an integer, got 2.0", id="swap_matrix-n"),
+        pytest.param(lambda: swap_matrix(1.0, 2, 2), "i must be an integer, got 1.0", id="swap_matrix-i"),
+        pytest.param(lambda: transpositions(2.5), "n must be an integer, got 2.5", id="transpositions"),
+        pytest.param(lambda: scaling_table(2.5), "max_n must be an integer, got 2.5", id="scaling_table"),
+        pytest.param(lambda: naive_cnot_budget(2.5), "n must be an integer, got 2.5", id="naive_cnot_budget"),
+        pytest.param(lambda: base_variational_circuit(3.0), "n must be an integer, got 3.0", id="base_circuit"),
+        pytest.param(lambda: swap_invariance_defect(np.eye(4), 2.0), "n must be an integer, got 2.0",
+                     id="swap_invariance_defect"),
+        pytest.param(lambda: synth_string(PauliString.from_letters("XX"), 0.1, pivot=1.0),
+                     "pivot must be an integer, got 1.0", id="synth_string"),
+        pytest.param(lambda: permutation_defect(np.eye(4), [0.0, 1.0]),
+                     "perm entries must be integers, got [0.0, 1.0]", id="permutation_defect"),
+        pytest.param(lambda: symmetrize_by_extension(base_variational_circuit(2), 2.0),
+                     "blocks must be an integer, got 2.0", id="extension-blocks"),
+    ],
+)
+def test_integer_arguments_name_the_field(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integer_like_arguments_act_as_ints():
+    u = np.arange(16.0).reshape(4, 4)
+    assert permutation_defect(u, [True, False]) == permutation_defect(u, [1, 0]) > 0
+    assert np.array_equal(swap_matrix(np.int64(1), True, np.int64(2)), np.eye(4))
+    assert synth_string(PauliString.from_letters("XX"), 0.1, pivot=np.int64(2)) == synth_string(
+        PauliString.from_letters("XX"), 0.1, pivot=2
+    )
+    assert symmetrize_by_extension(base_variational_circuit(np.int64(2)), np.int64(2)).n == 4
 
 
 @pytest.mark.parametrize(
