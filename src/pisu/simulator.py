@@ -8,11 +8,11 @@ stay in a 2 MiB per-core L2 cache while the whole gate list runs on them.
 Workers take the panels round-robin: the calling thread and
 ``min(CPUs, panels) - 1`` pool threads (the calling thread alone for
 circuits under 16 gates), which run while numpy releases the GIL.  Each
-worker binds every distinct op once per buffer it may start in: the op
-becomes numpy calls with their arrays, views of the worker's two buffers,
-fixed.  A panel is then those calls run in order, and is copied into its
-columns of the one preallocated result, so memory beyond the result is two
-panel buffers per worker.
+worker binds every distinct op, once for each of its two buffers that can
+hold the state when the op runs, to numpy calls on views of those buffers.
+A panel then runs the calls in order and is copied into its columns of the
+one preallocated result, so memory beyond the result is two panel buffers
+per worker.
 
 Gates.  Gates act on their qubit axes in place of a full 2^n x 2^n
 embedding, and each distinct op is resolved once.  A run of CNOTs that
@@ -180,14 +180,13 @@ def _gate_ops(c: Circuit) -> list[tuple]:
 
 def _bind(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple[tuple, bool]:
     """The numpy calls that apply ``op`` to the state in ``t``, and whether they leave it in ``spare``."""
-    call = functools.partial
     kind, a, b = op[:3]
     if kind == "fan":  # (destination, source): keep low, move the flipped high down, the flipped kept up
         low = t[a]
         copies = (spare[a], low), (low, t[op[4]]), (t[b], spare[op[3]])
-        return tuple(call(np.copyto, dst, src) for dst, src in copies), False
+        return tuple(functools.partial(np.copyto, dst, src) for dst, src in copies), False
     if kind == "scale":
-        return (call(np.multiply, t[a], b, t[a]),), False
+        return (functools.partial(np.multiply, t[a], b, t[a]),), False
     if kind == "real":
         t, spare = t.view(np.float64), spare.view(np.float64)
     # (2^q, 2, rest) as batches of 2 x C column panels
@@ -195,7 +194,7 @@ def _bind(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple[tuple, bool]:
     cols = math.gcd(rest, _ZGEMM_COLUMNS)
     shape = (2**a, 2, rest // cols, cols)
     batches = t.reshape(shape).transpose(0, 2, 1, 3), spare.reshape(shape).transpose(0, 2, 1, 3)
-    return (call(np.matmul, b, *batches),), True
+    return (functools.partial(np.matmul, b, *batches),), True
 
 
 def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
