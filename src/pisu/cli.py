@@ -216,7 +216,6 @@ def _cmd_ansatz(args) -> int:
 
 
 def _cmd_count_cnots(args) -> int:
-    check_qubit_cap(args.qubits)  # the cap of basis, which prints every orbit string
     total = 0
     for gen in symmetry.enumerate_basis(args.qubits):
         # one ladder pass (exact product, or one product-formula step) of 2(w - 1) CNOTs per string

@@ -437,13 +437,12 @@ def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
     Exact: the worst projection residual is computed in rational
     arithmetic, so a closed algebra reports exactly 0.0 and a nonzero
     residual is at least ``2 / sqrt(M)`` (M the largest orbit); any positive
-    ``tol`` below that gives the exact verdict.  ``n`` must be an ``int`` and
-    ``tol`` a real number, finite and > 0 (neither a bool); anything else is
-    a ``ValueError`` before any work.  Working memory grows as 4^n, so ``n``
-    is held to the qubit cap (``QubitLimitError``).
+    ``tol`` below that gives the exact verdict.  ``n`` is any integer, stored
+    as an ``int``, and ``tol`` a real number, finite and > 0, not a bool;
+    anything else is a ``ValueError`` before any work.  Working memory grows
+    as 4^n, so ``n`` is held to the qubit cap (``QubitLimitError``).
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
+    n = _integer(n, "n must be an int")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be a real number, finite and > 0, got {tol!r}")
     check_qubit_cap(n)

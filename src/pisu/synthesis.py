@@ -173,8 +173,8 @@ class SynthesisPlan:
     only for pairwise-commuting orbits, and only with ``steps=1``);
     ``trotter`` repeats the orbit product over ``steps`` slices.  ``pivot``
     (1..n, else ``synth_generator`` raises) pins the central-rotation qubit
-    of each string not idle on it.  Both are plain ints (not booleans);
-    ``pivot`` may also be None.
+    of each string not idle on it.  Both take any integer and store an
+    ``int``; ``pivot`` may also be None.
     """
 
     mode: str = "exact-product"
@@ -184,14 +184,13 @@ class SynthesisPlan:
     def __post_init__(self) -> None:
         if self.mode not in ("exact-product", "trotter"):
             raise ValueError(f"unknown synthesis mode {self.mode!r}")
-        if type(self.steps) is not int:  # bool is a subclass of int
-            raise ValueError(f"steps must be an int, got {self.steps!r}")
+        object.__setattr__(self, "steps", _integer(self.steps, "steps must be an int"))
         if self.steps < 1:
             raise ValueError("trotter steps must be >= 1")
         if self.mode == "exact-product" and self.steps != 1:
             raise ValueError(f"exact-product takes steps=1, got steps={self.steps}")
-        if self.pivot is not None and type(self.pivot) is not int:
-            raise ValueError(f"pivot must be an int or None, got {self.pivot!r}")
+        if self.pivot is not None:
+            object.__setattr__(self, "pivot", _integer(self.pivot, "pivot must be an int or None"))
 
 
 # Basis-change wrappers: letter -> (first gate kind, last gate kind) so the

@@ -148,10 +148,9 @@ def test_closure_respects_the_qubit_cap(capsys, monkeypatch):
     assert run_cli(capsys, "closure", "--qubits", "3")[0] == 0
 
 
-@pytest.mark.parametrize("argv", [("basis", "--format", "json"), ("basis",), ("count-cnots",)])
+@pytest.mark.parametrize("argv", [("basis", "--format", "json"), ("basis",)])
 def test_orbit_expanding_commands_respect_the_qubit_cap(capsys, monkeypatch, argv):
-    # basis prints all 4^n - 1 orbit strings; count-cnots counts them in closed form
-    # and keeps the same cap, so its behaviour did not change; dim only counts types
+    # basis prints all 4^n - 1 orbit strings; dim only counts types
     monkeypatch.setenv("PISU_MAX_QUBITS", "3")
     code, out, err = run_cli(capsys, *argv, "--qubits", "4")
     assert code == 2
@@ -159,6 +158,20 @@ def test_orbit_expanding_commands_respect_the_qubit_cap(capsys, monkeypatch, arg
     assert err == "error: n=4 qubits exceeds the cap of 3 (set PISU_MAX_QUBITS to raise it)\n"
     assert run_cli(capsys, *argv, "--qubits", "3")[0] == 0
     assert run_cli(capsys, "dim", "--qubits", "4") == (0, "formula: 34, enumerated: 34\n", "")
+
+
+def test_count_cnots_is_a_closed_form_outside_the_qubit_cap(capsys, monkeypatch):
+    # it counts orbit strings from type vectors, so the 4^n cap does not hold it
+    monkeypatch.delenv("PISU_MAX_QUBITS", raising=False)
+    code, out, err = run_cli(capsys, "count-cnots", "--qubits", "13")
+    assert (code, err) == (0, "")
+    assert out.endswith("total: 1174405122\nnaive budget: 158184\n")
+    for command in ("basis", "closure"):
+        assert run_cli(capsys, command, "--qubits", "13")[0] == 2
+    monkeypatch.setenv("PISU_MAX_QUBITS", "3")
+    code, out, err = run_cli(capsys, "count-cnots", "--qubits", "4")
+    assert (code, err) == (0, "")
+    assert out.endswith("total: 1026\nnaive budget: 288\n")
 
 
 @pytest.mark.parametrize("table", ["0", "-3"])

@@ -789,7 +789,6 @@ _BAD_TOL = "tol must be a real number, finite and > 0, got "
         pytest.param((3, True), _BAD_TOL + "True", id="tol-bool"),
         pytest.param((3, "1e-12"), _BAD_TOL + "'1e-12'", id="tol-str"),
         pytest.param((3, 1e-12 + 0j), _BAD_TOL + "(1e-12+0j)", id="tol-complex"),
-        pytest.param((True, 1e-12), "n must be an int, got True", id="n-bool"),
         pytest.param((3.0, 1e-12), "n must be an int, got 3.0", id="n-float"),
         pytest.param(("3", 1e-12), "n must be an int, got '3'", id="n-str"),
         pytest.param((99, float("nan")), _BAD_TOL + "nan", id="tol-before-the-cap"),
@@ -804,6 +803,12 @@ def test_verify_closure_rejects_bad_arguments_before_any_work(args, message):
             verify_closure(*args)
     assert str(info.value) == message
     work.assert_not_called()
+
+
+def test_verify_closure_takes_any_integer_n():
+    assert verify_closure(np.int64(5)) == verify_closure(5)
+    assert verify_closure(True) == verify_closure(1)
+    assert type(verify_closure(np.int64(2)).n) is int
 
 
 def test_verify_closure_takes_any_finite_positive_real_tolerance():
