@@ -60,12 +60,16 @@ class BlockStructure:
 
     def qubit(self, block: int, position: int) -> int:
         """Global 1-based index of a position within a block."""
+        block = _integer(block, "block must be an integer")
+        position = _integer(position, "position must be an integer")
         if not (1 <= block <= self.blocks and 1 <= position <= self.block_size):
             raise ValueError(f"block {block} / position {position} out of range")
         return (block - 1) * self.block_size + position
 
     def exchange_pairs(self, block_a: int, block_b: int) -> tuple[tuple[int, int], ...]:
         """Per-position qubit swaps whose product exchanges two blocks."""
+        block_a = _integer(block_a, "block_a must be an integer")
+        block_b = _integer(block_b, "block_b must be an integer")
         return tuple(
             (self.qubit(block_a, p), self.qubit(block_b, p))
             for p in range(1, self.block_size + 1)
@@ -100,11 +104,13 @@ def base_variational_circuit(n: int, seed: int = 0) -> Circuit:
     """The starting ansatz block: RX layer, RY layer, cyclic CNOT layer.
 
     Parameters alpha_1..alpha_n and beta_1..beta_n are bound to angles drawn
-    deterministically from the seed.
+    deterministically from the seed, an integer >= 0.
     """
-    n = _integer(n, "n must be an integer")
+    n, seed = _integer(n, "n must be an integer"), _integer(seed, "seed must be an integer")
     if n < 2:
         raise ValueError("the base circuit needs at least two qubits")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 2.0 * np.pi, size=2 * n)
     gates: list[Gate] = []

@@ -47,7 +47,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .pauli import check_qubit_cap
+from .pauli import _check_tolerance, check_qubit_cap
 from .synthesis import Circuit, Gate, _angle, _per_distinct_gate
 
 
@@ -256,7 +256,12 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max |U^dag U - I|; near zero for any matrix labeled unitary."""
+    """max |U^dag U - I|; near zero for any matrix labeled unitary.
+
+    A ``u`` that is not a 2-D square array is a ``ValueError``.
+    """
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"u must be a square matrix, got shape {u.shape}")
     gram = u.conj().T @ u
     gram.flat[:: u.shape[0] + 1] -= 1  # subtract I from the diagonal alone
     return float(np.abs(gram).max())
@@ -277,8 +282,10 @@ def equal_up_to_global_phase(
     """Compare U against phase * V with the phase aligned via trace(V^dag U).
 
     When the trace vanishes (orthogonal-ish unitaries) the phase falls back
-    to the entry pair at V's largest-magnitude position.
+    to the entry pair at V's largest-magnitude position.  ``tol`` must be a
+    real number, finite and > 0, not a bool (``ValueError``).
     """
+    _check_tolerance(tol)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
     overlap = np.vdot(v, u)  # trace(V^dag U)

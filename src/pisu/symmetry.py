@@ -56,7 +56,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,7 +63,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, _integer, check_qubit_cap
+from .pauli import _I_POW, PauliString, PauliSum, _check_tolerance, _dense_sum, _integer, check_qubit_cap
 
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
@@ -443,8 +442,7 @@ def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
     as 4^n, so ``n`` is held to the qubit cap (``QubitLimitError``).
     """
     n = _integer(n, "n must be an int")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a real number, finite and > 0, got {tol!r}")
+    _check_tolerance(tol)
     check_qubit_cap(n)
     pairs, worst = _closure_residual(n, enumerate_basis(n))
     return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=bool(worst < tol))

@@ -41,8 +41,9 @@ before any gate, and one ``h``, ``s``, ``sdg``, ``cx``, ``rx``, ``ry`` or
 ``rz`` gate per line on ``q[i]`` arguments.  An angle is a float literal
 (an optional sign, ASCII digits, an optional fraction and exponent; no
 ``_``, ``inf`` or ``nan``) or ``pi``, ``-pi``, ``pi/<int>``, ``<float>*pi``
-or ``<float>*pi/<int>``.  A line seen before in the same text is not
-parsed again.
+or ``<float>*pi/<int>``, and its value must be finite as a float.  A line
+seen before in the same text is not parsed again; a line that fails is
+not remembered.
 """
 
 from __future__ import annotations
@@ -525,18 +526,19 @@ _QASM_PI_RE = re.compile(
 
 
 def _qasm_angle(angle: str, line: str) -> float:
-    """A QASM angle: a float literal or ``sign * coeff * pi / denom``."""
+    """A QASM angle: a float literal or ``sign * coeff * pi / denom``, finite as a float."""
+    value = math.inf
     if _QASM_FLOAT_RE.fullmatch(angle):
-        return float(angle)
-    m = _QASM_PI_RE.fullmatch(angle)
-    if m is None:
+        value = float(angle)
+    elif m := _QASM_PI_RE.fullmatch(angle):
+        sign = -1.0 if m.group("sign") else 1.0
+        value = sign * float(m.group("coeff") or 1.0) * math.pi / int(m.group("denom") or 1)
+    if not math.isfinite(value):  # no literal, or one beyond the float range
         raise ValueError(
             f"unsupported QASM angle {angle!r} in line {line!r}; expected a float literal, "
             "pi, -pi, pi/<int>, <float>*pi or <float>*pi/<int>"
         )
-    sign = -1.0 if m.group("sign") else 1.0
-    coeff = float(m.group("coeff") or 1.0)
-    return sign * coeff * math.pi / int(m.group("denom") or 1)
+    return value
 
 
 def circuit_from_qasm(text: str) -> Circuit:
@@ -569,12 +571,18 @@ def circuit_from_qasm(text: str) -> Circuit:
                 raise ValueError(f"gate line {line!r} comes before the qreg declaration")
             kind = _QASM_KINDS.get(m.group("name"))
             if kind is None:
-                raise ValueError(f"unsupported QASM gate {m.group('name')!r}")
+                raise ValueError(f"unsupported QASM gate {m.group('name')!r} in line {line!r}")
             qubits = tuple(int(q) + 1 for q in re.findall(r"q\[([0-9]+)\]", m.group("args")))
-            if m.group("angle") is None:
-                seen = memo[line] = _gate(kind, qubits, None)
-            else:
-                seen = memo[line] = (kind, qubits, _qasm_angle(m.group("angle"), line))
+            angle = None if m.group("angle") is None else _qasm_angle(m.group("angle"), line)
+            try:
+                for q in qubits:
+                    if q > n:
+                        raise ValueError(f"gate qubit {q} out of range 1..{n}")
+                # a rotation's Gate is built per use under a fresh name; this one only checks it
+                gate = _gate(kind, qubits, None) if angle is None else Gate(kind, qubits, "p")
+            except ValueError as exc:
+                raise ValueError(f"{exc} in line {line!r}") from None
+            seen = memo[line] = gate if angle is None else (kind, qubits, angle)
         if type(seen) is Gate:
             gates.append(seen)
         else:

@@ -560,3 +560,25 @@ def test_qasm_and_json_forms_share_one_op_per_angle(monkeypatch):
     assert distinct[0] == distinct[1]
     assert distinct[0][1] == len({(g.kind, g.qubits) for g in c.gates if g.kind not in ("CNOT", "S", "Sdg")})
     assert np.array_equal(circuit_unitary(forms[0]), circuit_unitary(forms[1]))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        pytest.param(np.eye(3, 2), id="isometry-3x2"),
+        pytest.param(np.ones(4), id="1-D"),
+        pytest.param(np.ones((2, 2, 2)), id="3-D"),
+        pytest.param(np.eye(2, 3), id="2x3"),
+    ],
+)
+def test_unitarity_defect_takes_only_square_matrices(u):
+    with pytest.raises(ValueError) as info:
+        unitarity_defect(u)
+    assert str(info.value) == f"u must be a square matrix, got shape {u.shape}"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0, True, "1e-10", 1e-10j])
+def test_equal_up_to_global_phase_refuses_a_bad_tolerance(tol):
+    with pytest.raises(ValueError) as info:
+        equal_up_to_global_phase(np.eye(2), np.eye(2), tol)
+    assert str(info.value) == f"tol must be a real number, finite and > 0, got {tol!r}"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisu import (
+    BlockStructure,
     PauliString,
     PauliSum,
     TypeVector,
@@ -741,6 +742,37 @@ def test_integer_arguments_name_the_field(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: base_variational_circuit(3, seed=2.5), "seed must be an integer, got 2.5", id="seed"),
+        pytest.param(lambda: base_variational_circuit(3, seed=-1), "seed must be >= 0, got -1", id="seed-negative"),
+        pytest.param(lambda: PauliString.from_letters("XY").letter(1.0), "qubit must be an integer, got 1.0",
+                     id="letter"),
+        pytest.param(lambda: BlockStructure.for_extension(2, 2).qubit(1.0, 2), "block must be an integer, got 1.0",
+                     id="qubit-block"),
+        pytest.param(lambda: BlockStructure.for_extension(2, 2).qubit(1, 2.0),
+                     "position must be an integer, got 2.0", id="qubit-position"),
+        pytest.param(lambda: BlockStructure.for_extension(2, 2).exchange_pairs(1.0, 2.0),
+                     "block_a must be an integer, got 1.0", id="exchange-a"),
+        pytest.param(lambda: BlockStructure.for_extension(2, 2).exchange_pairs(1, 2.0),
+                     "block_b must be an integer, got 2.0", id="exchange-b"),
+    ],
+)
+def test_seeds_letters_and_blocks_name_their_integer_argument(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_seeds_letters_and_blocks_take_any_integer():
+    assert base_variational_circuit(3, seed=np.int64(7)) == base_variational_circuit(3, seed=7)
+    assert PauliString.from_letters("XY").letter(np.int64(2)) == "Y"
+    layout = BlockStructure.for_extension(2, 2)
+    assert layout.exchange_pairs(True, np.int64(2)) == ((1, 3), (2, 4))
+    assert type(layout.qubit(np.int64(2), np.int64(1))) is int
 
 
 def test_integer_like_arguments_act_as_ints():

@@ -641,6 +641,30 @@ def test_memoised_qasm_line_still_raises_at_the_offending_line():
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rx q[0];", "RX requires a parameter name, got None"),
+        ("h(0.5) q[0];", "H carries no parameter"),
+        ("cx q[0],q[0];", "CNOT needs two distinct qubit indices"),
+        ("h q[2];", "gate qubit 3 out of range 1..2"),
+        ("t q[0];", "unsupported QASM gate 't'"),
+    ],
+)
+def test_qasm_gate_faults_name_their_line(line, message):
+    text = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\n" + f"{line}\n" * 2
+    with pytest.raises(ValueError) as info:
+        circuit_from_qasm(text)
+    assert str(info.value) == f"{message} in line {line!r}"
+
+
+@pytest.mark.parametrize("angle", ["1e999", "-1e999", "1e308*pi", "2e308*pi/4"])
+def test_qasm_angle_beyond_the_float_range_is_unsupported(angle):
+    line = f"rx({angle}) q[0];"
+    with pytest.raises(ValueError, match=rf"^unsupported QASM angle '{re.escape(angle)}' in line '{re.escape(line)}'; "):
+        circuit_from_qasm(f"qreg q[2];\n{line}\n")
+
+
+@pytest.mark.parametrize(
     "angle, want",
     [
         ("pi", math.pi),
