@@ -578,11 +578,15 @@ def circuit_from_qasm(text: str) -> Circuit:
                 for q in qubits:
                     if q > n:
                         raise ValueError(f"gate qubit {q} out of range 1..{n}")
-                # a rotation's Gate is built per use under a fresh name; this one only checks it
-                gate = _gate(kind, qubits, None) if angle is None else Gate(kind, qubits, "p")
+                seen = _gate(kind, qubits, None) if angle is None else Gate(kind, qubits, f"p{len(params)}")
             except ValueError as exc:
                 raise ValueError(f"{exc} in line {line!r}") from None
-            seen = memo[line] = gate if angle is None else (kind, qubits, angle)
+            if angle is not None:  # seen is this first use's gate, under its fresh name
+                memo[line] = (kind, qubits, angle)
+                params[seen.param] = angle
+                gates.append(seen)
+                continue
+            memo[line] = seen
         if type(seen) is Gate:
             gates.append(seen)
         else:
