@@ -34,20 +34,20 @@ identity key, exact.  Only a bracket that fails gets its squared residual,
 Python ints and ``Fraction``.  Each orbit adds 0 or at least ``4 / M`` (M
 the largest orbit), so a nonzero residual is at least ``2 / sqrt(M)``.
 
-Invariance defects.  ``max |S U S^dag - U|`` for a permutation matrix S
+Invariance defects.  ``max |S U S^dag - U|`` for a qubit permutation S
 needs no product: every entry of ``S U S^dag`` is one product ``1 * u`` plus
-exact zeros, so moving entries of ``u`` gives the same float.  A gather
-compares ``u[p][:, p]`` with ``u``, ``p`` each row's column of S, a slice of
-``2**_SLICE_BITS`` entries at a time.  ``invariance_defect`` reads ``p`` off
-S (and multiplies out any other S); ``permutation_defect`` takes the index
-map of its qubit permutation, ``arange(2^n)`` as ``(2,)*n`` with the axes
-permuted, which also places ``swap_matrix``'s ones.
-``swap_invariance_defect`` views ``u`` as ``(2^(i-1), 2, 2^(j-i-1), 2,
-2^(n-j))`` for rows and again for columns: the SWAP of i < j maps the
-sub-block of bits ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j, c_i)``,
-the 4 blocks with ``r_i == r_j`` and ``c_i == c_j`` are fixed, and the
-other 12 form 6 pairs whose differences are exact negatives, so 6/16 of a
-gather's differences hold every nonzero magnitude.  All three scan for
+exact zeros, so moving entries of ``u`` gives the same float.  One kernel
+compares the ``(2,)*2n`` view of ``u`` with its row and column axes
+transposed by the permutation, ``2**_SLICE_BITS`` entries at a time.
+``permutation_defect`` is given the permutation; ``invariance_defect`` reads
+it off the rows of S's single-qubit basis states, confirms S exactly against
+``_index_map``'s ones (which also place ``swap_matrix``'s), and multiplies
+out any other S.  ``swap_invariance_defect`` views ``u`` as ``(2^(i-1), 2,
+2^(j-i-1), 2, 2^(n-j))`` for rows and again for columns: the SWAP of i < j
+maps the sub-block of bits ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j,
+c_i)``, the 4 blocks with ``r_i == r_j`` and ``c_i == c_j`` are fixed, and
+the other 12 form 6 pairs whose differences are exact negatives, so 6/16 of
+the view's differences hold every nonzero magnitude.  All three scan for
 non-finite entries a slice at a time, so no temporary holds all of ``u``.
 """
 
@@ -273,32 +273,28 @@ def _check_finite(**arrays: np.ndarray) -> None:
                 raise ValueError(f"{name} has a non-finite entry {a[i, j].item()!r} at {(int(i), int(j))}")
 
 
-def _permutation_of(s: np.ndarray) -> np.ndarray | None:
-    """Each row's column if ``s`` is a permutation matrix, else None.
-
-    A permutation matrix has one nonzero per row and per column, each exactly 1.
-    """
-    dim = len(s)
-    if np.count_nonzero(s) != dim:
-        return None
-    rows, cols = s.nonzero()  # row-major, so rows ascend
-    if (s[rows, cols] != 1).any() or (np.bincount(rows, minlength=dim) != 1).any():
-        return None
-    if (np.bincount(cols, minlength=dim) != 1).any():
-        return None
-    return cols
-
-
 _SLICE_BITS = 18  # the defects and their finiteness scans take 2^18 entries at a time: one slice up to n = 9
 
 
-def _gathered_defect(u: np.ndarray, p: np.ndarray, dtype) -> float:
-    """max |u[p][:, p] - u|, each difference in ``dtype``, gathered ``2**_SLICE_BITS`` entries at a time."""
-    rows = max(1, (1 << _SLICE_BITS) // len(u))
-    return max(
-        float(np.abs(np.subtract(u[np.ix_(p[r : r + rows], p)], u[r : r + rows], dtype=dtype)).max())
-        for r in range(0, len(u), rows)
-    )
+def _qubit_permutation_of(s: np.ndarray) -> list[int] | None:
+    """The ``perm`` whose ``permutation_defect`` matrix is exactly ``s``, else None."""
+    n = (len(s) - 1).bit_length()
+    if len(s) != 1 << n:
+        return None
+    # P sends qubit k+1's basis state, row 2^(n-1-k), to column 2^(n-1-perm[k])
+    perm = [n - int(np.argmax(s[1 << (n - 1 - k)] != 0)).bit_length() for k in range(n)]
+    if sorted(perm) != list(range(n)) or np.count_nonzero(s) != len(s):
+        return None
+    return perm if (s[np.arange(len(s)), _index_map(perm)] == 1).all() else None
+
+
+def _qubit_permutation_defect(u: np.ndarray, perm: Sequence[int], dtype) -> float:
+    """max |P U P^dag - U| for the qubit permutation ``perm``, each difference in ``dtype``, for a finite ``u``."""
+    n = len(perm)
+    t = u.reshape((2,) * (2 * n))
+    moved = t.transpose([*perm, *(n + k for k in perm)])  # a view
+    slices = itertools.product((0, 1), repeat=max(0, 2 * n - _SLICE_BITS))
+    return max(float(np.abs(np.subtract(moved[b], t[b], dtype=dtype)).max()) for b in slices)
 
 
 def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
@@ -311,10 +307,10 @@ def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     if u.ndim != 2 or u.shape != s.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"u and s must be square matrices of one shape, got {u.shape} and {s.shape}")
     _check_finite(u=u, s=s)
-    p = _permutation_of(s)
-    if p is None:
+    perm = _qubit_permutation_of(s)
+    if perm is None:
         return float(np.abs(s @ u @ s.conj().T - u).max())
-    return _gathered_defect(u, p, np.result_type(u, s))  # in the products' dtype
+    return _qubit_permutation_defect(u, perm, np.result_type(u, s))  # in the products' dtype
 
 
 def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
@@ -333,7 +329,7 @@ def permutation_defect(u: np.ndarray, perm: Sequence[int]) -> float:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of range({n})")
     _check_finite(u=u)
-    return _gathered_defect(u, _index_map(perm), u.dtype)
+    return _qubit_permutation_defect(u, perm, u.dtype)
 
 
 # (r_i, r_j, c_i, c_j) bit values of one SWAP-moved sub-block per +- pair

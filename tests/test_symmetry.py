@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -589,22 +590,48 @@ def test_invariance_defect_moves_entries_for_any_basis_permutation():
             u = _random_matrix(rng, n)
             i, j = sorted(int(q) for q in rng.choice(np.arange(1, n + 1), size=2))
             s = _basis_permutation(rng.permutation(2**n)) @ swap_matrix(i, j, n)
-            assert symmetry._permutation_of(s) is not None
             # a real or boolean u compares in the dtype the products would have
             for a, b in ((u, s), (u.real, s), (u, s.real), (u.real > 0, s.real)):
                 assert invariance_defect(a, b) == oracles.dense_invariance_defect(a, b), n
 
 
+def _qubit_permutations(n):
+    """Every transposition SWAP, products of SWAP factors, and each block exchange of every layout."""
+    yield from (swap_matrix(i, j, n) for i, j in transpositions(n))
+    pairs = transpositions(n)
+    for k in range(0, len(pairs), 2):
+        yield functools.reduce(np.matmul, (swap_matrix(i, j, n) for i, j in pairs[k:] + pairs[:k]))
+    for size in range(1, n // 2 + 1):
+        if n % size == 0:
+            layout = BlockStructure(n, size, n // size)
+            for a, b in itertools.combinations(range(1, layout.blocks + 1), 2):
+                s = np.eye(2**n, dtype=complex)
+                for i, j in layout.exchange_pairs(a, b):
+                    s = s @ swap_matrix(i, j, n)
+                yield s
+
+
 @pytest.mark.parametrize("bits", [0, 1, 3, 5])
 def test_invariance_defect_slices_equal_the_dense_oracle(monkeypatch, bits):
-    # shrunk slices split the gathered rows into several comparisons
+    # shrunk slices split the transposed view, and any other S is multiplied out
     rng = np.random.default_rng(97 + bits)
     monkeypatch.setattr(symmetry, "_SLICE_BITS", bits)
     for n in range(1, 6):
         u = _random_matrix(rng, n)
-        s = _basis_permutation(rng.permutation(2**n))
-        for a, b in ((u, s), (u.real, s), (u, s.real), (u.real > 0, s.real)):
-            assert invariance_defect(a, b) == oracles.dense_invariance_defect(a, b), (n, bits)
+        for s in (_basis_permutation(rng.permutation(2**n)), *_qubit_permutations(n)):
+            for a, b in ((u, s), (u.real, s), (u, s.real), (u.real > 0, s.real)):
+                assert invariance_defect(a, b) == oracles.dense_invariance_defect(a, b), (n, bits)
+
+
+def test_qubit_permutation_reader_names_every_permutation():
+    for n in range(5):
+        for perm in itertools.permutations(range(n)):
+            s = _permutation_matrix(perm)
+            assert symmetry._qubit_permutation_of(s) == list(perm)
+            assert symmetry._qubit_permutation_of(s.real > 0) == list(perm)
+        for s in _qubit_permutations(n):
+            perm = symmetry._qubit_permutation_of(s)
+            assert perm is not None and np.array_equal(_permutation_matrix(perm), s)
 
 
 def _near_permutations(dim):
@@ -625,13 +652,33 @@ def _near_permutations(dim):
     yield s
 
 
+def _near_qubit_permutations(n):
+    """Matrices one entry away from a qubit permutation matrix; each must be multiplied out."""
+    rng = np.random.default_rng(101 + n)
+    perm = rng.permutation(n).tolist()
+    for value in (-1, 1j, 0.5):
+        s = _permutation_matrix(perm)
+        s[rng.integers(2**n), :] *= value
+        yield s
+    s = _permutation_matrix(perm)
+    s[0], s[1] = 0, s[0] + s[1]  # a row with two ones, beside an empty one: 2^n nonzeros
+    yield s
+    s = _permutation_matrix(perm)
+    s[-1, 0] = 1e-300  # an extra nonzero beside every one of the permutation
+    yield s
+
+
 def test_invariance_defect_multiplies_out_near_permutations():
     rng = np.random.default_rng(89)
     for n in range(1, 6):
         u = _random_matrix(rng, n)
-        for s in _near_permutations(2**n):
-            assert symmetry._permutation_of(s) is None
+        for s in (*_near_permutations(2**n), *_near_qubit_permutations(n)):
+            assert symmetry._qubit_permutation_of(s) is None
             assert invariance_defect(u, s) == oracles.dense_invariance_defect(u, s), n
+    # a permutation matrix of a size that is no power of two
+    s, u = _basis_permutation([2, 0, 1]), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert symmetry._qubit_permutation_of(s) is None
+    assert invariance_defect(u, s) == oracles.dense_invariance_defect(u, s)
 
 
 def _non_finite(value, where):
