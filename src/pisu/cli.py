@@ -216,10 +216,11 @@ def _cmd_ansatz(args) -> int:
 
 
 def _cmd_count_cnots(args) -> int:
+    symmetry.dim_pisu(args.qubits)  # refuses n < 1 before any line is printed
     total = 0
-    for gen in symmetry.enumerate_basis(args.qubits):
+    for tv in symmetry.type_vectors(args.qubits):  # one generator at a time, so memory does not grow with n
+        gen = symmetry.SymmetrizedGenerator(tv, tv.label)
         # one ladder pass (exact product, or one product-formula step) of 2(w - 1) CNOTs per string
-        tv = gen.type_vector
         count = tv.orbit_size() * 2 * (tv.n - tv.n_i - 1)
         suffix = "" if synthesis.commuting_orbit(gen) else " (per product-formula step)"
         total += count

@@ -221,19 +221,17 @@ class SymmetrizedGenerator:
         return f"SymmetrizedGenerator({self.label!r})"
 
 
-def type_vectors(n: int) -> list[TypeVector]:
-    """All non-identity type vectors, descending lexicographic on (n_x, n_y, n_z).
+def type_vectors(n: int) -> Iterator[TypeVector]:
+    """All non-identity type vectors, descending lexicographic on (n_x, n_y, n_z), one at a time.
 
     For two qubits this yields XX, XY, XZ, XI, YY, YZ, YI, ZZ, ZI.
     """
-    out = []
     for n_x in range(n, -1, -1):
         for n_y in range(n - n_x, -1, -1):
             for n_z in range(n - n_x - n_y, -1, -1):
                 tv = TypeVector(n_x, n_y, n_z, n - n_x - n_y - n_z)
                 if not tv.is_identity:
-                    out.append(tv)
-    return out
+                    yield tv
 
 
 def enumerate_basis(n: int) -> list[SymmetrizedGenerator]:

@@ -3,6 +3,8 @@
 import contextlib
 import hashlib
 import json
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -172,6 +174,20 @@ def test_count_cnots_is_a_closed_form_outside_the_qubit_cap(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "count-cnots", "--qubits", "4")
     assert (code, err) == (0, "")
     assert out.endswith("total: 1026\nnaive budget: 288\n")
+
+
+def test_count_cnots_holds_one_generator_at_a_time(capsys):
+    # 39,710 generators at n = 60: the traced peak must not grow with their number
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(["count-cnots", "--qubits", "2"])  # first-call allocations (the parser's) are not counted
+        tracemalloc.start()
+        try:
+            code = main(["count-cnots", "--qubits", "60"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 256 * 1024, peak
+    assert run_cli(capsys, "count-cnots", "--qubits", "0") == (2, "", "error: need at least one qubit\n")
 
 
 @pytest.mark.parametrize("table", ["0", "-3"])
