@@ -56,6 +56,8 @@ class BlockStructure:
 
     @classmethod
     def for_extension(cls, base_n: int, blocks: int) -> "BlockStructure":
+        base_n = _integer(base_n, "base_n must be an integer")
+        blocks = _integer(blocks, "blocks must be an integer")
         return cls(base_n * blocks, base_n, blocks)
 
     def qubit(self, block: int, position: int) -> int:

@@ -325,8 +325,8 @@ def test_recipes_reject_bad_structure(build, message):
         (lambda: BlockStructure.for_extension(True, np.int64(3)), (3, 1, 3)),
         (lambda: BlockStructure(4, 2, 2.0), "blocks must be an integer, got 2.0"),
         (lambda: BlockStructure(4, "2", 2), "block_size must be an integer, got '2'"),
-        (lambda: BlockStructure.for_extension(2, 2.0), "n must be an integer, got 4.0"),
-        (lambda: BlockStructure.for_extension(2.5, 2), "n must be an integer, got 5.0"),
+        (lambda: BlockStructure.for_extension(2, 2.0), "blocks must be an integer, got 2.0"),
+        (lambda: BlockStructure.for_extension(2.5, 2), "base_n must be an integer, got 2.5"),
     ],
 )
 def test_block_structure_fields_are_integers(build, expected):
