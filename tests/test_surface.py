@@ -56,6 +56,25 @@ def test_readme_python_blocks_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every line exits 0, and a comment that quotes the output is the whole output
+    block = re.search(r"^```text\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    # an exact, invariant circuit for the lines that read circuit.json
+    assert pisu.cli.main(["synth", "--qubits", "2", "--type", "x:1,y:1", "--theta", "0.5", "--out", "json"]) == 0
+    (tmp_path / "circuit.json").write_text(capsys.readouterr().out)
+    quoted = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = command.split()
+        assert program == "pisu" and pisu.cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        if re.fullmatch(r' *".*"', comment):
+            assert out == comment.strip()[1:-1] + "\n", line
+            quoted.append(argv)
+    assert quoted == [["dim", "--qubits", "2"]]
+
+
 def _module_rows(text: str) -> dict[str, str]:
     """The contract cell of each ``pisu.*`` row of the README module table."""
     return dict(re.findall(r"^\| `(pisu\.\w+)` *\| (.*) \|$", text, re.M))
