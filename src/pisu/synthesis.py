@@ -84,8 +84,10 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        qubits = tuple(_integer(q, "qubit indices must be integers", self.qubits) for q in self.qubits)
-        object.__setattr__(self, "qubits", qubits)
+        qubits = self.qubits
+        if not (type(qubits) is tuple and all(type(q) is int for q in qubits)):  # not bool, which is an int
+            qubits = tuple(_integer(q, "qubit indices must be integers", qubits) for q in qubits)
+            object.__setattr__(self, "qubits", qubits)
         if self.kind == "CNOT":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("CNOT needs two distinct qubit indices")
@@ -158,6 +160,8 @@ class Circuit:
 
 def _angle(name: str, value) -> float:
     """``value`` as a float angle, if it is a real number, not a boolean, and finite as a float."""
+    if type(value) is float and math.isfinite(value):
+        return value
     try:
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
@@ -406,11 +410,15 @@ def _per_distinct_gate(gates, render) -> list:
     return out
 
 
+def _json_gate_text(g: Gate) -> str:
+    """``json.dumps`` of the gate's dict: kinds are ASCII names and qubits plain ints, so only a name needs escaping."""
+    param = "null" if g.param is None else json.dumps(g.param)
+    return f'{{"kind": "{g.kind}", "qubits": [{", ".join(map(str, g.qubits))}], "param": {param}}}'
+
+
 def circuit_to_json(c: Circuit) -> str:
     """``json.dumps({"n", "gates", "params"})`` of the circuit, byte for byte."""
-    parts = _per_distinct_gate(
-        c.gates, lambda g: json.dumps({"kind": g.kind, "qubits": list(g.qubits), "param": g.param})
-    )
+    parts = _per_distinct_gate(c.gates, _json_gate_text)
     params = json.dumps(dict(sorted(c.params.items())))
     return f'{{"n": {json.dumps(c.n)}, "gates": [{", ".join(parts)}], "params": {params}}}'
 
@@ -514,10 +522,11 @@ def circuit_to_qasm(c: Circuit) -> str:
     return "\n".join(lines + _per_distinct_gate(c.gates, line)) + "\n"
 
 
-# [0-9], not \d: \d also matches other scripts' digits, which int and float read
-_QASM_GATE_RE = re.compile(
-    r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?\s+(?P<args>q\[[0-9]+\](?:,q\[[0-9]+\])*);$"
-)
+# [0-9], not \d: \d also matches other scripts' digits, which int and float read.
+# A gate line's groups: name, angle, the first two indices, further arguments.
+_QASM_QREG_RE = re.compile(r"qreg\s+q\[([0-9]+)\];")
+_QASM_GATE_RE = re.compile(r"([a-z]+)(?:\(([^)]+)\))?\s+q\[([0-9]+)\](?:,q\[([0-9]+)\]((?:,q\[[0-9]+\])*))?;")
+_QASM_INDEX_RE = re.compile(r"q\[([0-9]+)\]")
 _QASM_FLOAT = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _QASM_FLOAT_RE = re.compile(rf"[+-]?{_QASM_FLOAT}")
 _QASM_PI_RE = re.compile(
@@ -558,22 +567,24 @@ def circuit_from_qasm(text: str) -> Circuit:
         if seen is None:
             if not line or line.startswith(("OPENQASM", "include", "//")):
                 continue
-            m = re.match(r"^qreg\s+q\[([0-9]+)\];$", line)
-            if m:
+            if line.startswith("qreg") and (m := _QASM_QREG_RE.fullmatch(line)):
                 if n is not None:
                     raise ValueError(f"second qreg in line {line!r}; only one qreg is supported")
                 n = int(m.group(1))
                 continue
-            m = _QASM_GATE_RE.match(line)
+            m = _QASM_GATE_RE.fullmatch(line)
             if m is None:
                 raise ValueError(f"cannot parse QASM line: {line!r}")
+            gate_name, angle, first, second, rest = m.groups()
+            qubits = (int(first) + 1,) if second is None else (int(first) + 1, int(second) + 1)
+            if rest:  # three or more arguments, which no gate takes: Gate names the fault
+                qubits += tuple(int(q) + 1 for q in _QASM_INDEX_RE.findall(rest))
             if n is None:
                 raise ValueError(f"gate line {line!r} comes before the qreg declaration")
-            kind = _QASM_KINDS.get(m.group("name"))
+            kind = _QASM_KINDS.get(gate_name)
             if kind is None:
-                raise ValueError(f"unsupported QASM gate {m.group('name')!r} in line {line!r}")
-            qubits = tuple(int(q) + 1 for q in re.findall(r"q\[([0-9]+)\]", m.group("args")))
-            angle = None if m.group("angle") is None else _qasm_angle(m.group("angle"), line)
+                raise ValueError(f"unsupported QASM gate {gate_name!r} in line {line!r}")
+            angle = None if angle is None else _qasm_angle(angle, line)
             try:
                 for q in qubits:
                     if q > n:

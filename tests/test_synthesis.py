@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import typing
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -579,8 +580,16 @@ def _bits(c):
     return c.n, c.gates, [(name, value.hex()) for name, value in c.params.items()]
 
 
+# names the reader's cuts could meet: quotes, backslashes, the cut texts
+# themselves, and non-ASCII (which json.dumps writes as \u escapes)
+_awkward_names = st.sampled_from(
+    ["a", "theta", '"', "\\", "}, {", '}], "params": ', '], "params": {', ", \"gates\": [",
+     "\u03b8", "\u2028", "a\u0661", '\\"}, {"']
+) | st.text(min_size=1, max_size=6)
+
+
 @settings(max_examples=150, deadline=None)
-@given(circuits())
+@given(circuits() | circuits(names=_awkward_names))
 def test_random_circuits_interchange_matches_per_gate_oracles(c):
     text_json = circuit_to_json(c)
     text_qasm = circuit_to_qasm(c)
@@ -852,14 +861,6 @@ def _json_loads_inputs(text):
     return seen
 
 
-# names the reader's cuts could meet: quotes, backslashes, the cut texts
-# themselves, and non-ASCII (which json.dumps writes as \u escapes)
-_awkward_names = st.sampled_from(
-    ["a", "theta", '"', "\\", "}, {", '}], "params": ', '], "params": {', ", \"gates\": [",
-     "\u03b8", "\u2028", "a\u0661", '\\"}, {"']
-) | st.text(min_size=1, max_size=6)
-
-
 @settings(max_examples=150, deadline=None)
 @given(circuits(names=_awkward_names))
 def test_json_writer_layout_and_general_reader_agree(c):
@@ -946,6 +947,46 @@ def test_non_numeric_angle_rejected():
 def test_gate_qubits_are_plain_ints():
     g = Gate("CNOT", (np.int64(2), True))
     assert g == Gate("CNOT", (2, 1)) and all(type(q) is int for q in g.qubits)
+
+
+@pytest.mark.parametrize(
+    "qubits", [(True, 2), (np.int64(1), 2), (1, np.int8(2)), [1, 2], (1, 2)],
+    ids=["bool", "np.int64", "np.int8", "list", "int"],
+)
+def test_gate_stores_a_tuple_of_plain_ints(qubits):
+    g = Gate("CNOT", qubits)
+    assert type(g.qubits) is tuple and g.qubits == (1, 2) and [type(q) for q in g.qubits] == [int, int]
+    c = Circuit(2, (g,))  # the writer formats qubits with str, which writes a bool as True
+    assert circuit_to_json(c) == oracles.per_gate_circuit_to_json(c)
+
+
+class _Angle(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(np.float64(0.25), 0.25), (np.float32(0.25), 0.25), (_Angle(0.25), 0.25), (2, 2.0), (np.int64(-3), -3.0),
+     (Fraction(1, 4), 0.25), (-0.0, -0.0), (5e-324, 5e-324)],
+    ids=["np.float64", "np.float32", "float-subclass", "int", "np.int64", "Fraction", "-0.0", "subnormal"],
+)
+def test_circuit_stores_angles_as_plain_floats(value, want):
+    c = Circuit(1, (Gate("RX", (1,), "t"),), {"t": value})
+    assert type(c.params["t"]) is float and c.params["t"].hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("cx q[0],q[1],q[2];", "CNOT needs two distinct qubit indices"),
+        ("h q[0],q[1],q[2];", "H acts on exactly one qubit"),
+        ("rx(0.5) q[0],q[1],q[2];", "RX acts on exactly one qubit"),
+    ],
+)
+def test_qasm_lines_of_three_arguments_keep_their_message(line, message):
+    with pytest.raises(ValueError) as info:
+        circuit_from_qasm(f"OPENQASM 2.0;\nqreg q[3];\nh q[0];\n{line}\n")
+    assert str(info.value) == f"{message} in line {line!r}"
 
 
 @pytest.mark.parametrize(
