@@ -299,11 +299,13 @@ def invariance_defect(u: np.ndarray, s: np.ndarray) -> float:
     """max |S U S^dag - U|: zero iff U commutes with the unitary S.
 
     Equal to the float of the two matrix products exactly.  Arrays that are
-    not square of one shape, and a non-finite entry of either, are each a
-    ``ValueError``.
+    not square of one shape or are empty, and a non-finite entry of either,
+    are each a ``ValueError``.
     """
-    if u.ndim != 2 or u.shape != s.shape or u.shape[0] != u.shape[1]:
-        raise ValueError(f"u and s must be square matrices of one shape, got {u.shape} and {s.shape}")
+    if u.ndim != 2 or u.shape != s.shape or u.shape[0] != u.shape[1] or not u.size:
+        raise ValueError(
+            f"u and s must be square matrices of one shape and not empty, got {u.shape} and {s.shape}"
+        )
     _check_finite(u=u, s=s)
     perm = _qubit_permutation_of(s)
     if perm is None:

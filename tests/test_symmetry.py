@@ -483,6 +483,7 @@ def _random_matrix(rng, n):
     return rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
 
 
+
 def test_permutation_defect_equals_dense_conjugation_exactly():
     rng = np.random.default_rng(59)
     for n in range(1, 6):
@@ -529,14 +530,16 @@ def test_permutation_defect_rejects_bad_input():
         permutation_defect(np.eye(8), [1, 2, 3])
 
 
-@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (2, 3)], ids=["1-D", "3-D", "2x3"])
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (2, 3), (0, 0)], ids=["1-D", "3-D", "2x3", "0x0"])
 @pytest.mark.parametrize("bad", ["u", "s", "both"])
 def test_invariance_defect_takes_only_square_matrices(shape, bad):
-    # with both arguments of the same shape, only the square test can refuse them
+    # with both arguments of the same shape, only the square test can refuse
+    # them; a 0x0 pair is refused by that test too, naming its shape
     u = np.ones(shape) if bad in ("u", "both") else np.eye(shape[0])
     s = np.ones(shape) if bad in ("s", "both") else np.eye(shape[0])
-    with pytest.raises(ValueError, match="must be square matrices of one shape"):
+    with pytest.raises(ValueError, match="must be square matrices of one shape") as info:
         invariance_defect(u, s)
+    assert f"got {u.shape} and {s.shape}" in str(info.value)
 
 
 def test_swap_invariance_defect_bit_identical_to_dense_swaps():
