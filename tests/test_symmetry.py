@@ -483,6 +483,24 @@ def _random_matrix(rng, n):
     return rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
 
 
+def test_qubit_permutation_defects_allocate_less_than_the_unitary_from_ten_qubits():
+    # the README's memory claim: up to n = 9 one slice of 2^_SLICE_BITS
+    # entries is the whole unitary (the peak is then 1.5x its bytes); from
+    # n = 10 on the defects work on slices of at most a quarter of it
+    n = 10
+    assert 4 ** (n - 1) <= 2**symmetry._SLICE_BITS < 4**n
+    u = _random_matrix(np.random.default_rng(71), n)
+    perm = [*range(1, n), 0]
+    s = _permutation_matrix(perm)
+    for defect in (lambda: permutation_defect(u, perm), lambda: invariance_defect(u, s)):
+        tracemalloc.start()
+        try:
+            defect()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes / 2, peak / u.nbytes
+
 
 def test_permutation_defect_equals_dense_conjugation_exactly():
     rng = np.random.default_rng(59)
