@@ -48,7 +48,8 @@ maps the sub-block of bits ``(r_i, r_j, c_i, c_j)`` onto ``(r_j, r_i, c_j,
 c_i)``, the 4 blocks with ``r_i == r_j`` and ``c_i == c_j`` are fixed, and
 the other 12 form 6 pairs whose differences are exact negatives, so 6/16 of
 the view's differences hold every nonzero magnitude.  All three scan for
-non-finite entries a slice at a time, so no temporary holds all of ``u``.
+non-finite entries a slice at a time, so from n = 10 on, where ``u`` spans
+more than one slice, no temporary holds all of ``u``.
 """
 
 from __future__ import annotations
