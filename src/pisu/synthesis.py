@@ -28,22 +28,30 @@ first tries text in the writer's layout, ``{"n": N, "gates": [{F}, {F},
 ...], "params": P}`` with perhaps JSON whitespace around it.  It cuts the
 text at the first ``, "gates": [``, the last ``], "params": `` and every
 ``}, {`` between them; every piece must parse on its own, a gate piece as
-``{F}``, and each distinct gate piece is parsed once.  This is sound: if
-every piece parses, the text is these values joined by the cuts, so it is
-valid JSON and means what ``json.loads`` makes of it, and a cut inside a
-string literal leaves an unterminated string in a piece, which fails to
-parse.  Text whose pieces do not all parse (another spacing or envelope key
-order, duplicate envelope keys, a parameter name holding ``}, {``, invalid
-gates) takes ``json.loads``, which gives the same circuit and every error
-message.  The QASM reader accepts the subset the writer emits:
+``{F}``, and each distinct gate piece is parsed once per process.  This is
+sound: if every piece parses, the text is these values joined by the cuts,
+so it is valid JSON and means what ``json.loads`` makes of it, and a cut
+inside a string literal leaves an unterminated string in a piece, which
+fails to parse.  Text whose pieces do not all parse (another spacing or
+envelope key order, duplicate envelope keys, a parameter name holding
+``}, {``, invalid gates) takes ``json.loads``, which gives the same circuit
+and every error message.  The QASM reader accepts the subset the writer emits:
 ``OPENQASM``, ``include`` and ``//`` lines (skipped), one ``qreg q[n];``
 before any gate, and one ``h``, ``s``, ``sdg``, ``cx``, ``rx``, ``ry`` or
 ``rz`` gate per line on ``q[i]`` arguments.  An angle is a float literal
 (an optional sign, ASCII digits, an optional fraction and exponent; no
 ``_``, ``inf`` or ``nan``) or ``pi``, ``-pi``, ``pi/<int>``, ``<float>*pi``
-or ``<float>*pi/<int>``, and its value must be finite as a float.  A line
-seen before in the same text is not parsed again; a line that fails is
-not remembered.
+or ``<float>*pi/<int>``, and its value must be finite as a float.
+
+Each reader keeps a bounded process-wide cache of 4096 entries: ``_json_piece``
+maps a gate piece to its ``(kind, qubits, param)``, and ``_qasm_line`` maps a
+stripped gate line to its ``(kind, qubits, angle)`` when the line passes
+every check but the two that depend on its text, the qreg before it and the
+qubit range, which each read makes against its own qreg.  Neither holds a
+``Gate`` or anything that failed, and each read still gets every gate but a
+QASM rotation through ``_gate``, once per distinct piece or line.  A QASM
+rotation gets its fresh name, and the QASM reader's circuit its fields,
+through ``_unchecked``: both were checked already.
 """
 
 from __future__ import annotations
@@ -158,6 +166,19 @@ class Circuit:
         return Circuit(self.n, self.gates + other.gates, merged)
 
 
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, without its checks.
+
+    For fields already known to be valid.  Each is set in declaration
+    order, as ``__init__`` sets them, so the instance keeps the compact
+    key-sharing dict of its class.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _angle(name: str, value) -> float:
     """``value`` as a float angle, if it is a real number, not a boolean, and finite as a float."""
     if type(value) is float and math.isfinite(value):
@@ -209,6 +230,9 @@ _WRAPPERS = {"X": None, "Y": ("Sdg", "S"), "Z": ("H", "H")}
 # readers call it with all three fields positionally, so each triple has one
 # key.  It is bounded because a file may hold any number of parameter names.
 # Keys compare as tuples, where 1.0 == True == 1: check outside qubits first.
+# The readers' own caches, _json_piece and _qasm_line, hold fields, never a
+# Gate, and each read calls _gate again: after _gate evicts a triple, a held
+# Gate would no longer be the one _gate returns.
 _gate = functools.lru_cache(maxsize=4096)(Gate)
 
 
@@ -341,7 +365,8 @@ def synth_generator(
     if plan.pivot:  # or the plan's pivot, where the string is not idle on it
         pivots[letters[:, plan.pivot - 1] != 3] = plan.pivot - 1
     one_pass = _ladder_gates(letters, pivots, name)
-    return Circuit(g.n, tuple(one_pass) * plan.steps, {name: angle})
+    # ladder qubits lie in 1..n, and angle went through _angle
+    return _unchecked(Circuit, g.n, tuple(one_pass) * plan.steps, MappingProxyType({name: angle}))
 
 
 def dense_exponential(g: SymmetrizedGenerator, theta: float) -> np.ndarray:
@@ -495,11 +520,18 @@ def _writer_layout(text: str) -> tuple | None:
         for piece in body[1:-1].split("}, {") if body else ():
             gate = seen.get(piece)
             if gate is None:
-                gate = seen[piece] = _json_gate(json.loads("{" + piece + "}"))
+                gate = seen[piece] = _gate(*_json_piece(piece))
             gates.append(gate)
     except ValueError:  # a JSONDecodeError is a ValueError
         return None
     return n, gates, params
+
+
+@functools.lru_cache(maxsize=4096)
+def _json_piece(piece: str) -> tuple:
+    """``(kind, qubits, param)`` of the valid gate ``{piece}``, parsed once per process; a piece that fails is not cached."""
+    g = _json_gate(json.loads("{" + piece + "}"))
+    return g.kind, g.qubits, g.param
 
 
 _QASM_NAMES = {"H": "h", "S": "s", "Sdg": "sdg", "CNOT": "cx", "RX": "rx", "RY": "ry", "RZ": "rz"}
@@ -550,6 +582,46 @@ def _qasm_angle(angle: str, line: str) -> float:
     return value
 
 
+def _qasm_gate_line(line: str, n: float | None) -> tuple[str, tuple[int, ...], float | None]:
+    """``(kind, qubits, angle)`` of a gate line under ``qreg q[n]``, or before any qreg if n is None.
+
+    A fault is a ValueError naming the line, found in this order: the
+    pattern, the qreg, the gate name, the angle, the qubit range, and the
+    number of qubits the gate takes.
+    """
+    m = _QASM_GATE_RE.fullmatch(line)
+    if m is None:
+        raise ValueError(f"cannot parse QASM line: {line!r}")
+    gate_name, angle, first, second, rest = m.groups()
+    qubits = (int(first) + 1,) if second is None else (int(first) + 1, int(second) + 1)
+    if rest:  # three or more arguments, which no gate takes: Gate names the fault
+        qubits += tuple(int(q) + 1 for q in _QASM_INDEX_RE.findall(rest))
+    if n is None:
+        raise ValueError(f"gate line {line!r} comes before the qreg declaration")
+    kind = _QASM_KINDS.get(gate_name)
+    if kind is None:
+        raise ValueError(f"unsupported QASM gate {gate_name!r} in line {line!r}")
+    angle = None if angle is None else _qasm_angle(angle, line)
+    try:
+        for q in qubits:
+            if q > n:
+                raise ValueError(f"gate qubit {q} out of range 1..{n}")
+        Gate(kind, qubits, None if angle is None else "p")
+    except ValueError as exc:
+        raise ValueError(f"{exc} in line {line!r}") from None
+    return kind, qubits, angle
+
+
+@functools.lru_cache(maxsize=4096)
+def _qasm_line(line: str) -> tuple:
+    """``_qasm_gate_line`` under a register that holds every index: what a gate line means in any text.
+
+    A line that fails is not cached.  The reader checks the qreg and the
+    qubit range against its own text.
+    """
+    return _qasm_gate_line(line, math.inf)
+
+
 def circuit_from_qasm(text: str) -> Circuit:
     """Parse the QASM 2.0 subset of the module docstring, which holds what ``circuit_to_qasm`` writes.
 
@@ -572,39 +644,24 @@ def circuit_from_qasm(text: str) -> Circuit:
                     raise ValueError(f"second qreg in line {line!r}; only one qreg is supported")
                 n = int(m.group(1))
                 continue
-            m = _QASM_GATE_RE.fullmatch(line)
-            if m is None:
-                raise ValueError(f"cannot parse QASM line: {line!r}")
-            gate_name, angle, first, second, rest = m.groups()
-            qubits = (int(first) + 1,) if second is None else (int(first) + 1, int(second) + 1)
-            if rest:  # three or more arguments, which no gate takes: Gate names the fault
-                qubits += tuple(int(q) + 1 for q in _QASM_INDEX_RE.findall(rest))
-            if n is None:
-                raise ValueError(f"gate line {line!r} comes before the qreg declaration")
-            kind = _QASM_KINDS.get(gate_name)
-            if kind is None:
-                raise ValueError(f"unsupported QASM gate {gate_name!r} in line {line!r}")
-            angle = None if angle is None else _qasm_angle(angle, line)
             try:
-                for q in qubits:
-                    if q > n:
-                        raise ValueError(f"gate qubit {q} out of range 1..{n}")
-                seen = _gate(kind, qubits, None) if angle is None else Gate(kind, qubits, f"p{len(params)}")
-            except ValueError as exc:
-                raise ValueError(f"{exc} in line {line!r}") from None
-            if angle is not None:  # seen is this first use's gate, under its fresh name
-                memo[line] = (kind, qubits, angle)
-                params[seen.param] = angle
-                gates.append(seen)
-                continue
-            memo[line] = seen
+                kind, qubits, angle = _qasm_line(line)
+            except ValueError:
+                kind = None
+            if kind is None or n is None or max(qubits) > n:
+                # the cache cannot vouch for the line in this text: this raises its first fault
+                kind, qubits, angle = _qasm_gate_line(line, n)
+            seen = memo[line] = _gate(kind, qubits, None) if angle is None else (kind, qubits, angle)
         if type(seen) is Gate:
             gates.append(seen)
         else:
             kind, qubits, angle = seen
             name = f"p{len(params)}"
             params[name] = angle
-            gates.append(Gate(kind, qubits, name))  # a fresh name would only evict cached gates
+            gates.append(_unchecked(Gate, kind, qubits, name))  # a fresh name would only evict cached gates
     if n is None:
         raise ValueError("QASM text declares no qreg")
-    return Circuit(n, gates, params)
+    if n == 0:  # only a text without gates gets here: Circuit names the fault
+        return Circuit(n, gates, params)
+    # each gate's qubits were checked against n, and each angle is a finite float
+    return _unchecked(Circuit, n, tuple(gates), MappingProxyType(params))

@@ -18,7 +18,11 @@ their own path.  ``per_gate_circuit_to_json``, ``per_gate_circuit_from_json``,
 ``per_gate_circuit_to_qasm`` and ``per_gate_circuit_from_qasm`` build,
 encode or parse every gate on its own, as the interchange functions did
 before they kept a per-call memo of distinct gates; the writers must match
-them byte for byte and the readers gate for gate.  ``letter_matrix`` and
+them byte for byte and the readers gate for gate.
+``per_line_circuit_from_qasm`` is ``circuit_from_qasm`` as it was before
+the process-wide line cache: a memo of one text's lines, every gate and the
+circuit checked; the reader's outcome must equal it, error messages
+included.  ``letter_matrix`` and
 ``string_matrix`` realize a string by Kronecker products, and
 ``commuting_orbit_by_pairs`` runs the symplectic check ``commutes`` on every
 pair of orbit strings, where ``commuting_orbit`` reads the answer off the
@@ -57,7 +61,14 @@ from pisu import (
     swap_matrix,
     transpositions,
 )
-from pisu.synthesis import _WRAPPERS, _gate
+from pisu.synthesis import (
+    _QASM_GATE_RE as _LINE_GATE_RE,
+    _QASM_INDEX_RE,
+    _QASM_QREG_RE,
+    _WRAPPERS,
+    _gate,
+    _qasm_angle,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -398,6 +409,66 @@ def per_gate_circuit_from_qasm(text):
     if n is None:
         raise ValueError("QASM text declares no qreg")
     return Circuit(n, tuple(gates), params)
+
+
+def per_line_circuit_from_qasm(text):
+    """circuit_from_qasm with a memo of the text's own lines, no cache across calls, and a checked Circuit.
+
+    The line grammar (patterns and angles) is the package's own; every gate
+    and the circuit are built and checked here, in the order of the messages.
+    """
+    n = None
+    gates = []
+    params = {}
+    # stripped gate line -> its Gate, or (kind, qubits, angle) for a rotation
+    memo = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        seen = memo.get(line)
+        if seen is None:
+            if not line or line.startswith(("OPENQASM", "include", "//")):
+                continue
+            if line.startswith("qreg") and (m := _QASM_QREG_RE.fullmatch(line)):
+                if n is not None:
+                    raise ValueError(f"second qreg in line {line!r}; only one qreg is supported")
+                n = int(m.group(1))
+                continue
+            m = _LINE_GATE_RE.fullmatch(line)
+            if m is None:
+                raise ValueError(f"cannot parse QASM line: {line!r}")
+            gate_name, angle, first, second, rest = m.groups()
+            qubits = (int(first) + 1,) if second is None else (int(first) + 1, int(second) + 1)
+            if rest:
+                qubits += tuple(int(q) + 1 for q in _QASM_INDEX_RE.findall(rest))
+            if n is None:
+                raise ValueError(f"gate line {line!r} comes before the qreg declaration")
+            kind = _QASM_KINDS.get(gate_name)
+            if kind is None:
+                raise ValueError(f"unsupported QASM gate {gate_name!r} in line {line!r}")
+            angle = None if angle is None else _qasm_angle(angle, line)
+            try:
+                for q in qubits:
+                    if q > n:
+                        raise ValueError(f"gate qubit {q} out of range 1..{n}")
+                seen = _gate(kind, qubits, None) if angle is None else Gate(kind, qubits, f"p{len(params)}")
+            except ValueError as exc:
+                raise ValueError(f"{exc} in line {line!r}") from None
+            if angle is not None:
+                memo[line] = (kind, qubits, angle)
+                params[seen.param] = angle
+                gates.append(seen)
+                continue
+            memo[line] = seen
+        if type(seen) is Gate:
+            gates.append(seen)
+        else:
+            kind, qubits, angle = seen
+            name = f"p{len(params)}"
+            params[name] = angle
+            gates.append(Gate(kind, qubits, name))
+    if n is None:
+        raise ValueError("QASM text declares no qreg")
+    return Circuit(n, gates, params)
 
 
 def _arrangements(counts: Sequence[int]) -> Iterator[str]:

@@ -27,6 +27,7 @@ from pisu import (
     enumerate_basis,
     synth_generator,
 )
+from pisu import synthesis
 from pisu.cli import main
 
 import oracles
@@ -351,10 +352,18 @@ def test_basis_equals_the_per_string_renderers(capsys, n, fmt):
     ],
 )
 def test_orbit_commands_build_no_string_objects(capsys, argv, built):
-    # they read the orbit letter arrays; building one of these objects raises
+    # they read the orbit letter arrays; building one of these objects raises,
+    # with its checks or without
+    def unchecked(cls, *values):
+        if cls in built:
+            raise AssertionError(cls)
+        return real(cls, *values)
+
+    real = synthesis._unchecked
     with contextlib.ExitStack() as stack:
         for cls in built:
             stack.enter_context(mock.patch.object(cls, "__post_init__", side_effect=AssertionError(cls)))
+        stack.enter_context(mock.patch.object(synthesis, "_unchecked", unchecked))
         code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "") and out
 
@@ -591,11 +600,16 @@ def test_synth_json_file_is_read_once_per_distinct_gate(tmp_path, capsys, monkey
     path.write_text(text)
     real, seen = json.loads, []
     monkeypatch.setattr(json, "loads", lambda s, *a, **k: seen.append(s) or real(s, *a, **k))
-    code, out, _ = run_cli(capsys, command, "--circuit", str(path))
+    synthesis._json_piece.cache_clear()
+    result = code, out, _ = run_cli(capsys, command, "--circuit", str(path))
     assert code in (0, 1) and out
     # "n", "params" and each distinct gate, never the whole file
     assert text not in seen and text.strip() not in seen
     assert 2 < len(seen) < text.count('"kind"')
+    # the gate pieces stay parsed for the process: a second read parses "n" and "params" alone
+    first, seen[:] = seen[:], []
+    assert run_cli(capsys, command, "--circuit", str(path)) == result
+    assert seen == first[:2]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Circuit synthesis: string exponentials, generator products, CNOT accounting."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -880,8 +881,10 @@ def test_json_writer_layout_parses_each_distinct_gate_once():
     c = synth_generator(_generator(1, 1, 0, 1), 0.3)
     text = circuit_to_json(c) + "\n"  # as pisu synth --out json writes it
     distinct = {(g.kind, g.qubits, g.param) for g in c.gates}
+    synthesis._json_piece.cache_clear()
     seen = _json_loads_inputs(text)
     assert len(seen) == len(distinct) + 2 < len(c.gates)  # plus "n" and "params"
+    assert _json_loads_inputs(text) == seen[:2]  # the pieces stay parsed for the process
     assert circuit_from_json(text) == c
     # spacing inside a gate only changes the fragments; between gates it
     # leaves no cut, and the general reader takes the text
@@ -1072,6 +1075,143 @@ def test_qasm_rotation_lines_stay_out_of_the_gate_cache():
     c = circuit_from_qasm("OPENQASM 2.0;\nqreg q[2];\n" + "rx(0.5) q[0];\nry(0.1) q[1];\nh q[0];\n" * 3)
     assert [g.param for g in c.gates if g.param] == [f"p{k}" for k in range(6)]
     assert synthesis._gate.cache_info().currsize == 1  # the h line alone
+
+
+# names and angles the QASM texts draw from: supported and unsupported
+# gates, angles of every form, good and bad
+_QASM_DRAWN_NAMES = ["h", "s", "sdg", "cx", "rx", "ry", "rz", "x", "u3", "RX"]
+_QASM_DRAWN_ANGLES = ["0.5", "-1.25e-3", ".5", "pi", "-pi", "pi/4", "2*pi/3", "-0.0", "5e-324",
+                      "1e400", "nan", "inf", "1_0", "p0", "q[9]", "\u0661"]
+
+
+@st.composite
+def _qasm_gate_lines(draw):
+    name = draw(st.sampled_from(_QASM_DRAWN_NAMES))
+    angle = draw(st.none() | st.sampled_from(_QASM_DRAWN_ANGLES))
+    args = ",".join(f"q[{q}]" for q in draw(st.lists(st.integers(0, 5), max_size=4)))
+    indent = draw(st.sampled_from(["", " ", "\t"]))
+    return f"{indent}{name}{'' if angle is None else f'({angle})'} {args};"
+
+
+@st.composite
+def _qasm_texts(draw):
+    """Gate lines of 0-4 arguments, repeats, other lines, and 0-2 qreg lines anywhere."""
+    other = st.sampled_from(["", "// note", 'include "qelib1.inc";', "garbage", "qreg r[2];"])
+    lines = draw(st.lists(_qasm_gate_lines() | other, max_size=8))
+    if lines:
+        lines = draw(st.permutations(lines + draw(st.lists(st.sampled_from(lines), max_size=4))))
+    for size in draw(st.lists(st.integers(0, 5), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), f"qreg q[{size}];")
+    return "\n".join(["OPENQASM 2.0;", *lines])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_qasm_texts(), st.integers(0, 6))
+def test_qasm_reader_matches_the_per_line_reader(text, size):
+    # the first read is cold; the same lines then meet the cache under
+    # another qreg size, before the qreg and out of range
+    synthesis._qasm_line.cache_clear()
+    if "qreg q[" in text:
+        other = re.sub(r"qreg q\[[0-9]+\]", f"qreg q[{size}]", text)
+    else:
+        other = f"qreg q[{size}];\n{text}"
+    for t in (text, other, text):
+        assert _outcome(circuit_from_qasm, t) == _outcome(oracles.per_line_circuit_from_qasm, t)
+
+
+def _assert_same_value(value, checked):
+    """``value`` is ``checked`` in every way a caller can see, field order included."""
+    assert type(value) is type(checked)
+    assert value == checked and checked == value
+    assert hash(value) == hash(checked) and repr(value) == repr(checked)
+    assert list(vars(value)) == list(vars(checked)) == [f.name for f in dataclasses.fields(checked)]
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    first = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, getattr(value, first))
+
+
+def test_unchecked_values_equal_checked_ones():
+    qasm = "OPENQASM 2.0;\nqreg q[3];\nrx(0.5) q[0];\nh q[1];\nrx(0.5) q[0];\nry(-pi/2) q[2];\nrz(-0.0) q[1];\n"
+    read = circuit_from_qasm(qasm)
+    rotations = [g for g in read.gates if g.param]
+    assert [g.param for g in rotations] == ["p0", "p1", "p2", "p3"]
+    for g in rotations:
+        _assert_same_value(g, Gate(g.kind, g.qubits, g.param))
+    circuits = [read, circuit_from_qasm(circuit_to_qasm(read))]
+    for g in enumerate_basis(3):
+        circuits.append(synth_generator(g, 0.7))
+        circuits.append(synth_generator(g, -1.25, SynthesisPlan("trotter", 3, 2), param_name="phi"))
+    for c in circuits:
+        _assert_same_value(c, Circuit(c.n, c.gates, dict(c.params)))
+        assert type(c.params) is type(Circuit(1).params)
+    with pytest.raises(TypeError, match="immutable|does not support"):
+        read.params["p0"] = 1.0
+
+
+def test_reader_caches_stay_bounded():
+    bound = synthesis._json_piece.cache_info().maxsize
+    assert bound == synthesis._qasm_line.cache_info().maxsize == 4096
+    names = [f"b{k}" for k in range(bound + 100)]
+    gates = [{"kind": "RX", "qubits": [1], "param": name} for name in names]
+    c = circuit_from_json(json.dumps({"n": 1, "gates": gates, "params": dict.fromkeys(names, 0.5)}))
+    assert c.param_names == tuple(names)
+    assert synthesis._json_piece.cache_info().currsize <= bound
+    angles = [f"{k}.25" for k in range(bound + 100)]
+    c = circuit_from_qasm("qreg q[1];\n" + "".join(f"rx({a}) q[0];\n" for a in angles))
+    assert [c.params[g.param] for g in c.gates] == [float(a) for a in angles]
+    assert synthesis._qasm_line.cache_info().currsize <= bound
+
+
+def test_cached_pieces_and_lines_return_the_current_cached_gate():
+    c = Circuit(2, (Gate("H", (1,)), Gate("CNOT", (1, 2)), Gate("RX", (2,), "a"), Gate("H", (1,))), {"a": 0.5})
+    json_text, qasm_text = circuit_to_json(c), circuit_to_qasm(c)
+    old = circuit_from_json(json_text).gates + circuit_from_qasm(qasm_text).gates
+    hits = synthesis._json_piece.cache_info().hits, synthesis._qasm_line.cache_info().hits
+    bound = synthesis._gate.cache_info().maxsize
+    for k in range(bound + 100):  # fresh names evict every gate the readers got
+        synthesis._gate("RX", (1,), f"evict{k}")
+    from_json, from_qasm = circuit_from_json(json_text), circuit_from_qasm(qasm_text)
+    # each distinct piece and line came from its reader's cache
+    assert synthesis._json_piece.cache_info().hits == hits[0] + 3
+    assert synthesis._qasm_line.cache_info().hits == hits[1] + 3
+    for g in from_json.gates + from_qasm.gates:
+        if g.param != "p0":  # a QASM rotation takes a fresh Gate under its fresh name
+            assert g is synthesis._gate(g.kind, g.qubits, g.param)
+    assert from_json.gates[0] is from_json.gates[3] is from_qasm.gates[0] is not old[0]
+
+
+@pytest.mark.parametrize(
+    "read, text, message, cached",
+    [
+        # lines valid in themselves, and cached, that this text's qreg refuses
+        (circuit_from_qasm, "qreg q[2];\nh q[2];", "gate qubit 3 out of range 1..2 in line 'h q[2];'", 1),
+        (circuit_from_qasm, "h q[0];\nqreg q[2];", "gate line 'h q[0];' comes before the qreg declaration", 1),
+        (circuit_from_qasm, "qreg q[2];\ncx q[1],q[1];",
+         "CNOT needs two distinct qubit indices in line 'cx q[1],q[1];'", 0),
+        (circuit_from_qasm, "qreg q[2];\nrx(nan) q[0];",
+         "unsupported QASM angle 'nan' in line 'rx(nan) q[0];'; expected a float literal, "
+         "pi, -pi, pi/<int>, <float>*pi or <float>*pi/<int>", 0),
+        (circuit_from_qasm, "qreg q[2];\nx q[0];", "unsupported QASM gate 'x' in line 'x q[0];'", 0),
+        (circuit_from_qasm, "qreg q[2];\nu3 q[0];", "cannot parse QASM line: 'u3 q[0];'", 0),
+        (circuit_from_qasm, "qreg q[2];\nh(0.5) q[0];", "H carries no parameter in line 'h(0.5) q[0];'", 0),
+        (circuit_from_json, '{"n": 2, "gates": [{"kind": "CNOT", "qubits": [1, 1], "param": null}], "params": {}}',
+         "gate 0: CNOT needs two distinct qubit indices", 0),
+        (circuit_from_json, '{"n": 1, "gates": [{"kind": "RX", "qubits": [1], "param": ""}], "params": {}}',
+         "gate 0: RX requires a parameter name, got ''", 0),
+    ],
+)
+def test_a_failing_line_or_piece_fails_alike_on_every_read(read, text, message, cached):
+    synthesis._json_piece.cache_clear()
+    synthesis._qasm_line.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            read(text)
+        assert str(info.value) == message
+    # what fails its own checks is never cached
+    assert synthesis._json_piece.cache_info().currsize == 0
+    assert synthesis._qasm_line.cache_info().currsize == cached
 
 
 def _oracle_pass(g, pivot, name):
