@@ -3,8 +3,10 @@
 Panels.  Each column of a circuit's unitary evolves on its own, so the
 columns are cut into panels of ``2^16 // 2^n`` columns, at least 4, and all
 2^n of them for n <= 8.  A panel is a C-contiguous ``(2,)*n + (width,)``
-tensor of at most 2^16 complex entries, 1 MiB, so it and its spare buffer
-stay in a 2 MiB per-core L2 cache while the whole gate list runs on them.
+tensor of at most 2^16 complex entries, 1 MiB.  It and its spare buffer
+together fill a 2 MiB per-core L2 cache, so a gate's pass partly streams
+from the next level: on a 2 MiB-L2 Xeon a real 2x2 gemm ran at 23 GB/s over
+a 1 MiB panel and at 35 GB/s over a 512 KiB one.
 Workers take the panels round-robin: the calling thread and
 ``min(CPUs, panels) - 1`` pool threads (the calling thread alone for
 circuits under 16 gates), which run while numpy releases the GIL.  Each

@@ -21,7 +21,14 @@ bracketed against windows of later orbits, as many as fit ``_PIECE`` count
 bins (at least one).  A window's bins are allocated once, and its grid of
 term pairs is cut into pieces of at most ``_PIECE`` pairs, which work in
 three reused buffers and add the signs of their anticommuting products into
-the bins by one unbuffered ``np.add.at``.  So no temporary grows with the
+the bins by one unbuffered ``np.add.at``.  The bins hold exact integers in
+``np.min_scalar_type(-M)``, M the largest orbit of the basis passed: for
+the full basis int8 up to n = 5, int16 for n = 6-10 and int32 for
+n = 11-18.  A bin of generator ``a`` counts the pairs (s, t) of its orbit
+and a later one whose product is its key, and s and the key fix t, so no
+count, partial or final, exceeds ``|O(a)| <= M`` in magnitude.  Narrow bins
+move fewer bytes through ``np.add.at`` and the constancy test; readers
+widen them before any arithmetic.  So no temporary grows with the
 largest orbit squared; what grows with n is the key enumeration, the masks
 of all 4^n - 1 orbit strings and one window's 4^n bins per generator.  The
 constancy test of a window is one gather and one comparison: each key's
@@ -446,7 +453,8 @@ def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
 
 
 _PIECE = 1 << 16  # term pairs per counted piece, and bins per window unless one generator has more
-_SIGN = np.tile([0.0, 1.0, 0.0, -1.0], 64)  # i^k / i for odd k < 256 (a uint8); even k (commuting) is 0
+# i^k / i for odd k < 256 (a uint8); even k (commuting) is 0; cast to the bins' type once per call
+_SIGN = np.tile(np.array([0, 1, 0, -1], dtype=np.int8), 64)
 
 
 def _type_codes(n: int, basis: Sequence[SymmetrizedGenerator]) -> tuple[np.ndarray, list[int]]:
@@ -467,8 +475,12 @@ def _bracket_counts(
     ``codes, basis_codes`` are ``_type_codes(n, basis)``.  Yields
     ``(a, b0, d)``, one per window: the bracket of ``basis[a]`` with
     ``basis[b0 + j]`` is ``sum 2i * d[j, key] * P_key`` over keys
-    ``x << n | z``.  ``d`` holds exact integers, and an orbit's strings are
-    the keys of its type, ascending.
+    ``x << n | z``.  An orbit's strings are the keys of its type, ascending.
+    ``d`` holds exact integers of type ``np.min_scalar_type(-M)``, M the
+    largest orbit of ``basis``: ``|d[j, key]| <= |O(basis[a])|``, as fixing
+    a string of ``basis[a]``'s orbit and the key fixes its partner.  That
+    type may be as narrow as int8, so widen ``d`` before doing arithmetic
+    on it (``2 * d`` can wrap).
     """
     keys = 1 << 2 * n
     key = np.concatenate([np.flatnonzero(codes == code) for code in basis_codes])
@@ -478,10 +490,12 @@ def _bracket_counts(
     ends = list(itertools.accumulate(sizes))
     offset = np.repeat(np.arange(len(basis)) * keys, sizes)  # first bin of each string's generator
     width = max(1, _PIECE // keys)
-    # a piece's int64 and float arrays live in these buffers (its other temporaries are uint8),
+    count = np.min_scalar_type(-max(sizes))  # |d[j, key]| <= |O(a)|: s and the key fix t
+    sign = _SIGN.astype(count)
+    # a piece's int64 and count arrays live in these buffers (its other temporaries are uint8),
     # so no piece allocates bins and page faults do not hang on glibc's thresholds
     p_buf, t_buf = np.empty((2, _PIECE), dtype=np.int64)
-    w_buf = np.empty(_PIECE)
+    w_buf = np.empty(_PIECE, dtype=count)
     for a, end in enumerate(ends):
         for b0 in range(a + 1, len(basis), width):
             b1 = min(b0 + width, len(basis))
@@ -489,7 +503,7 @@ def _bracket_counts(
             cols = min(c1 - c0, _PIECE)
             rows = _PIECE // cols
             bins = offset[c0:c1] - b0 * keys  # each column's first bin in d
-            d = np.zeros((b1 - b0) * keys)
+            d = np.zeros((b1 - b0) * keys, dtype=count)
             for r in range(end - sizes[a], end, rows):
                 rs = slice(r, min(r + rows, end))
                 ka, za, ya = key[rs, None], z[rs, None], n_y[rs, None]
@@ -503,7 +517,7 @@ def _bracket_counts(
                     k -= np.bitwise_count(np.bitwise_and(p, np.right_shift(p, n, out=t), out=t))
                     p += bins[c - c0 : cs.stop - c0]  # product key -> bin in d
                     np.copyto(t, k)  # as intp in a buffer: np.take would allocate the cast
-                    np.add.at(d, p.ravel(), np.take(_SIGN, t, out=w, mode="wrap").ravel())
+                    np.add.at(d, p.ravel(), np.take(sign, t, out=w, mode="wrap").ravel())
             yield a, b0, d.reshape(b1 - b0, keys)
 
 

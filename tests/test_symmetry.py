@@ -439,11 +439,12 @@ def test_closure_of_reordered_and_repeated_bases_matches_pair_grid_oracle():
 
 @pytest.mark.parametrize("piece", [symmetry._PIECE, 1 << 12])
 def test_closure_working_memory_is_bounded_by_the_piece_budget(piece):
-    # 8-byte entries: three piece buffers, one window of count bins and its
-    # gathered copy (or, while the next window is counted, that window), and
-    # 12 arrays over the 4^n keys (the type codes, the lead keys, each orbit
-    # string's key, x, z and first bin, np.unique's outputs, with room for the
-    # transients); 1-byte entries: the i-powers of a piece and their
+    # counted as 8-byte entries: three piece buffers, one window of count
+    # bins and its gathered copy (or, while the next window is counted, that
+    # window), and 12 arrays over the 4^n keys (the type codes, the lead keys,
+    # each orbit string's key, x, z and first bin, np.unique's outputs, with
+    # room for the transients), although the weight buffer and the bins are
+    # int16 at n=6; 1-byte entries: the i-powers of a piece and their
     # temporaries, and the window's comparison
     n = 6
     basis = enumerate_basis(n)
@@ -459,6 +460,26 @@ def test_closure_working_memory_is_bounded_by_the_piece_budget(piece):
         finally:
             tracemalloc.stop()
     assert peak < bound, (peak, bound)
+
+
+def test_closure_counts_in_the_narrowest_type_that_holds_every_count():
+    # a bin of generator a counts pairs (s, t) whose product is its key, and
+    # s and the key fix t, so |count| <= |O(a)|
+    for n in range(1, 7):
+        basis = enumerate_basis(n)
+        for order in (basis, basis[::-1], [*basis, basis[n]], [basis[-1], *basis[1:], basis[-1]]):
+            largest = max(gen.orbit_size() for gen in order)
+            count = np.min_scalar_type(-largest)
+            assert count == (np.int8 if n <= 5 else np.int16), n
+            for a, b0, d in _bracket_counts(n, order, *_type_codes(n, order)):
+                assert d.dtype == count, (n, a, b0)
+                assert np.abs(d.astype(np.int64)).max() <= order[a].orbit_size(), (n, a, b0)
+
+
+def test_closure_seven_qubits():
+    # int16 bins, and four column generators to a window (4^7 keys each)
+    report = verify_closure(7)
+    assert report.to_dict() == {"n": 7, "pairs": 7021, "max_residual": 0.0, "pass": True}
 
 
 def test_closure_six_qubits():
