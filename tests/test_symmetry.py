@@ -292,7 +292,7 @@ def _kernel_terms(n, basis):
         for j, row in enumerate(d):
             keys = np.flatnonzero(row).tolist()
             out[a, b0 + j] = {
-                (key >> n, key & ((1 << n) - 1)): complex(0, 2 * row[key]) for key in keys
+                (key >> n, key & ((1 << n) - 1)): complex(0, 2 * int(row[key])) for key in keys
             }
     return out
 
@@ -305,6 +305,64 @@ def test_bracket_kernel_matches_commutator():
         for (i, g1), (j, g2) in itertools.combinations(enumerate(basis), 2):
             expected = commutator(g1.as_sum, g2.as_sum).terms
             assert terms[i, j] == expected, (n, g1.label, g2.label)
+
+
+def test_kernel_terms_widen_each_count_before_doubling():
+    # two orbits of 105 give int8 bins, and one count of their bracket is
+    # 105, which doubled in int8 would wrap to -46
+    basis = [g for g in enumerate_basis(7) if g.label in ("XXXXYYZ", "XZZZZII")]
+    terms = _kernel_terms(7, basis)
+    assert terms == {(0, 1): commutator(basis[0].as_sum, basis[1].as_sum).terms}
+    assert 210j in terms[0, 1].values()
+
+
+def _check_counts_against_bracket_masks(n, basis, picks=None):
+    """Decode every window of ``_bracket_counts`` and compare each picked pair with ``oracles.bracket_masks``.
+
+    ``picks`` is a set of pairs ``(a, b)``, every pair of ``basis`` if None;
+    returns the largest |count| compared.
+    """
+    masks = functools.cache(lambda g: oracles.orbit_masks(basis[g]))
+    largest, seen = 0, set()
+    for a, b0, d in _bracket_counts(n, basis, *_type_codes(n, basis)):
+        for j, row in enumerate(d):
+            if picks is not None and (a, b0 + j) not in picks:
+                continue
+            seen.add((a, b0 + j))
+            x, z, re, im = oracles.bracket_masks(*masks(a), *masks(b0 + j), n)
+            keys = np.flatnonzero(row)
+            counts = row[keys].astype(np.int64)
+            assert np.array_equal(keys, x << n | z), (n, a, b0 + j)
+            assert not re.any() and np.array_equal(2 * counts, im), (n, a, b0 + j)
+            largest = max(largest, int(np.abs(counts).max(initial=0)))
+    assert seen == (set(itertools.combinations(range(len(basis)), 2)) if picks is None else picks)
+    return largest
+
+
+def test_bracket_counts_of_every_pair_at_five_qubits_match_bracket_masks():
+    # int8 bins, one window per generator, masks in uint8 and bins in
+    # uint16; some count reaches the largest orbit, XXYZI's 60
+    assert _check_counts_against_bracket_masks(5, enumerate_basis(5)) == 60
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_bracket_counts_of_sampled_pairs_match_bracket_masks(n):
+    # int16 bins: every pair of the six largest orbits, where the counts
+    # beyond int8 lie, and 40 more pairs drawn once
+    basis = enumerate_basis(n)
+    largest = sorted(range(len(basis)), key=lambda g: -basis[g].orbit_size())[:6]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    drawn = np.random.default_rng(n).choice(len(pairs), 40, replace=False)
+    picks = {tuple(sorted(p)) for p in itertools.combinations(largest, 2)} | {pairs[k] for k in drawn}
+    assert _check_counts_against_bracket_masks(n, basis, picks) > 127
+
+
+def test_bracket_counts_of_a_nine_qubit_sub_basis_match_bracket_masks():
+    # uint32 masks, keys and bins, one generator per window
+    labels = ("XXXXXXXXX", "XXYYIIIII", "XYZIIIIII", "ZZIIIIIII")
+    basis = [g for g in enumerate_basis(9) if g.label in labels]
+    assert len(basis) == 4
+    assert _check_counts_against_bracket_masks(9, basis) > 0
 
 
 def test_closure_matches_object_oracle():
@@ -439,13 +497,15 @@ def test_closure_of_reordered_and_repeated_bases_matches_pair_grid_oracle():
 
 @pytest.mark.parametrize("piece", [symmetry._PIECE, 1 << 12])
 def test_closure_working_memory_is_bounded_by_the_piece_budget(piece):
-    # counted as 8-byte entries: three piece buffers, one window of count
-    # bins and its gathered copy (or, while the next window is counted, that
+    # counted as 8-byte entries: three piece buffers (an int64 scatter
+    # index, uint16 keys and int16 weights at n=6), one window of count bins
+    # and its gathered copy (or, while the next window is counted, that
     # window), and 12 arrays over the 4^n keys (the type codes, the lead keys,
-    # each orbit string's key, x, z and first bin, np.unique's outputs, with
-    # room for the transients), although the weight buffer and the bins are
-    # int16 at n=6; 1-byte entries: the i-powers of a piece and their
-    # temporaries, and the window's comparison
+    # each orbit string's key, x, z, n_y and key in its generator's bins,
+    # np.unique's outputs, with room for the transients), although the bins
+    # are int16 and the masks uint8 at n=6; 1-byte entries: a piece's four
+    # uint8 buffers (two mask buffers, the i-powers and the signs), and the
+    # window's comparison
     n = 6
     basis = enumerate_basis(n)
     keys = 4**n
