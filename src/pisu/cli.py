@@ -88,7 +88,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    report = symmetry.verify_closure(args.qubits, tol=args.tol)
+    report = symmetry.verify_closure(args.qubits)
     print(report.to_json())
     return 0 if report.passed else 1
 
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="verify Lie closure by exhaustive brackets")
     p.add_argument("--qubits", type=_int, required=True)
-    p.add_argument("--tol", type=_number(float, "> 0"), default=1e-12)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("synth", help="synthesize a generator exponential")

@@ -19,8 +19,6 @@ factor of the dense realization; bit q-1 of a mask belongs to qubit q.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass
 from operator import index
@@ -69,12 +67,6 @@ def _integer(value, rule: str, shown=None) -> int:
         return index(value)
     except TypeError:
         raise ValueError(f"{rule}, got {value if shown is None else shown!r}") from None
-
-
-def _check_tolerance(tol) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a real number, not a bool, finite and > 0."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a real number, finite and > 0, got {tol!r}")
 
 
 def check_qubit_cap(n: int) -> None:

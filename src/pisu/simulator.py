@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .pauli import _check_tolerance, check_qubit_cap
+from .pauli import check_qubit_cap
 from .synthesis import Circuit, Gate, _angle, _per_distinct_gate
 
 
@@ -260,10 +261,12 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 def unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - I|; near zero for any matrix labeled unitary.
 
-    A ``u`` that is not a 2-D square array is a ``ValueError``.
+    A ``u`` that is not a 2-D square array, or is empty, is a ``ValueError``.
     """
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"u must be a square matrix, got shape {u.shape}")
+    if not u.size:
+        raise ValueError(f"u must not be empty, got shape {u.shape}")
     gram = u.conj().T @ u
     gram.flat[:: u.shape[0] + 1] -= 1  # subtract I from the diagonal alone
     return float(np.abs(gram).max())
@@ -285,11 +288,15 @@ def equal_up_to_global_phase(
 
     When the trace vanishes (orthogonal-ish unitaries) the phase falls back
     to the entry pair at V's largest-magnitude position.  ``tol`` must be a
-    real number, finite and > 0, not a bool (``ValueError``).
+    real number, finite and > 0, not a bool, and ``u`` and ``v`` arrays of
+    one shape, not empty; anything else is a ``ValueError``.
     """
-    _check_tolerance(tol)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a real number, finite and > 0, got {tol!r}")
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    if not u.size:
+        raise ValueError(f"u and v must not be empty, got shape {u.shape}")
     overlap = np.vdot(v, u)  # trace(V^dag U)
     if abs(overlap) > 1e-12 * u.shape[0]:
         phase = overlap / abs(overlap)

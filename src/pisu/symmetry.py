@@ -20,21 +20,11 @@ from one enumeration of the 4^n keys, grouped by type.  Each generator is
 bracketed against windows of later orbits, as many as fit ``_PIECE`` count
 bins (at least one).  A window's bins are allocated once, and its grid of
 term pairs is cut into pieces of at most ``_PIECE`` pairs.  A piece works
-in reused buffers, each of the narrowest unsigned type that holds its values
-exactly: up to n = 8, x and z masks, i-powers and signs in uint8, product
-keys and bin indices in uint16 (from n = 9 masks take uint32, whose bits
-numpy counts faster than uint16's); i-powers wrap mod 256, a multiple of 4,
-so their low two bits stay exact.  It adds the signs of its anticommuting
-products into the bins by one unbuffered ``np.add.at``, whose index alone
-is int64, as ``np.add.at`` runs fastest with intp indices (the numbers are
-in ``_bracket_counts``).  The bins hold exact integers in
-``np.min_scalar_type(-M)``, M the largest orbit of the basis passed: for
-the full basis int8 up to n = 5, int16 for n = 6-10 and int32 for
-n = 11-18.  A bin of generator ``a`` counts the pairs (s, t) of its orbit
-and a later one whose product is its key, and s and the key fix t, so no
-count, partial or final, exceeds ``|O(a)| <= M`` in magnitude.  Narrow bins
-move fewer bytes through ``np.add.at`` and the constancy test; readers
-widen them before any arithmetic.  So no temporary grows with the
+in reused buffers of the narrowest types that hold its values exactly and
+adds the signs of its anticommuting products into the bins by one
+unbuffered ``np.add.at``; ``_bracket_counts`` gives each buffer's and
+bin's type and why it is exact.  Narrow bins move fewer bytes through
+``np.add.at`` and the constancy test.  So no temporary grows with the
 largest orbit squared; what grows with n is the key enumeration, the masks
 of all 4^n - 1 orbit strings and one window's 4^n bins per generator.  The
 constancy test of a window is one gather and one comparison: each key's
@@ -77,7 +67,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pauli import _I_POW, PauliString, PauliSum, _check_tolerance, _dense_sum, _integer, check_qubit_cap
+from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, _integer, check_qubit_cap
 
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
@@ -421,7 +411,10 @@ def project_onto_basis(
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Outcome of exhaustive pairwise-bracket verification."""
+    """Outcome of exhaustive pairwise-bracket verification.
+
+    ``max_residual`` is exact, so ``passed`` is ``max_residual == 0.0``.
+    """
 
     n: int
     pairs: int
@@ -440,22 +433,20 @@ class ClosureReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def verify_closure(n: int, tol: float = 1e-12) -> ClosureReport:
+def verify_closure(n: int) -> ClosureReport:
     """Check that every pairwise commutator of the ``n``-qubit basis lies in its span.
 
     Exact: the worst projection residual is computed in rational
-    arithmetic, so a closed algebra reports exactly 0.0 and a nonzero
-    residual is at least ``2 / sqrt(M)`` (M the largest orbit); any positive
-    ``tol`` below that gives the exact verdict.  ``n`` is any integer, stored
-    as an ``int``, and ``tol`` a real number, finite and > 0, not a bool;
+    arithmetic, so a closed algebra reports exactly 0.0, a nonzero residual
+    is at least ``2 / sqrt(M)`` (M the largest orbit), and the report passes
+    iff the residual is 0.0.  ``n`` is any integer, stored as an ``int``;
     anything else is a ``ValueError`` before any work.  Working memory grows
     as 4^n, so ``n`` is held to the qubit cap (``QubitLimitError``).
     """
     n = _integer(n, "n must be an int")
-    _check_tolerance(tol)
     check_qubit_cap(n)
     pairs, worst = _closure_residual(n, enumerate_basis(n))
-    return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=bool(worst < tol))
+    return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=worst == 0.0)
 
 
 _PIECE = 1 << 16  # term pairs per counted piece, and bins per window unless one generator has more
@@ -482,9 +473,10 @@ def _bracket_counts(
     ``x << n | z``.  An orbit's strings are the keys of its type, ascending.
     ``d`` holds exact integers of type ``np.min_scalar_type(-M)``, M the
     largest orbit of ``basis``: ``|d[j, key]| <= |O(basis[a])|``, as fixing
-    a string of ``basis[a]``'s orbit and the key fixes its partner.  That
-    type may be as narrow as int8, so widen ``d`` before doing arithmetic
-    on it (``2 * d`` can wrap).
+    a string of ``basis[a]``'s orbit and the key fixes its partner.  For the
+    full basis that is int8 up to n = 5, int16 for n = 6-10 and int32 for
+    n = 11-18, so widen ``d`` before doing arithmetic on it (``2 * d`` can
+    wrap).
 
     Every per-pair buffer has the narrowest unsigned type that holds its
     values exactly:

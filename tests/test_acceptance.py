@@ -130,7 +130,7 @@ def test_criterion_04_trotterized_circuits_at_tolerance():
 
 def test_criterion_05_lie_closure():
     start = time.perf_counter()
-    reports = [verify_closure(n, tol=1e-12) for n in range(1, 6)]
+    reports = [verify_closure(n) for n in range(1, 6)]
     ok = all(r.passed for r in reports)
     worst = max(r.max_residual for r in reports)
     pairs = sum(r.pairs for r in reports)

@@ -27,7 +27,7 @@ from pisu import (
     enumerate_basis,
     synth_generator,
 )
-from pisu import synthesis
+from pisu import symmetry, synthesis
 from pisu.cli import main
 
 import oracles
@@ -85,6 +85,25 @@ def test_closure_pass(capsys):
     assert data["max_residual"] == 0.0
 
 
+def test_closure_fails_on_any_nonzero_residual(capsys):
+    # no tolerance: the smallest positive float is a failed check, exit 1
+    with mock.patch.object(symmetry, "_closure_residual", return_value=(36, 5e-324)):
+        code, out, err = run_cli(capsys, "closure", "--qubits", "2")
+    assert (code, err) == (1, "")
+    assert out == '{"max_residual": 5e-324, "n": 2, "pairs": 36, "pass": false}\n'
+
+
+@pytest.mark.parametrize(
+    "tol", ["1e-12", "nan", "inf", "-inf", "0", "-1e-12", "1e-400", "-1E-12", "-Infinity", "-nan"]
+)
+def test_closure_takes_no_tolerance(capsys, tol):
+    # the verdict is exact, so no value of --tol is read, in either form
+    for argv in (("--tol", tol), (f"--tol={tol}",)):
+        code, out, err = run_cli(capsys, "closure", "--qubits", "2", *argv)
+        assert (code, out) == (2, "")
+        assert "error: unrecognized arguments: --tol" in err
+
+
 @pytest.mark.parametrize("pivot", ["5", "0", "-1"])
 def test_synth_rejects_a_pivot_outside_the_register(capsys, pivot):
     code, out, err = run_cli(
@@ -105,8 +124,7 @@ def test_synth_pivot_on_an_identity_letter_still_synthesizes(capsys):
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12", "1e-400", "-1E-12", "-Infinity", "-nan"])
 @pytest.mark.parametrize(
     "argv",
-    [("closure", "--qubits", "2"), ("verify", "--circuit", "unread.json"),
-     ("ansatz", "--qubits", "2", "--mode", "full")],
+    [("verify", "--circuit", "unread.json"), ("ansatz", "--qubits", "2", "--mode", "full")],
 )
 def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
     code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
@@ -222,7 +240,7 @@ def test_a_repeated_type_letter_is_rejected(capsys, types, letter):
 
 
 def test_numeric_options_keep_their_parse_errors(capsys):
-    code, _, err = run_cli(capsys, "closure", "--qubits", "2", "--tol", "tiny")
+    code, _, err = run_cli(capsys, "verify", "--circuit", "unread.json", "--tol", "tiny")
     assert code == 2 and "argument --tol: invalid float value: 'tiny'" in err
     code, _, err = run_cli(capsys, "dim", "--table", "2.5")
     assert code == 2 and "argument --table: invalid int value: '2.5'" in err
@@ -627,7 +645,7 @@ def test_synth_json_file_is_read_once_per_distinct_gate(tmp_path, capsys, monkey
          "argument --theta: invalid float value: '-\u0661'"),
         (("synth", "--qubits", "3", "--type", "x:1", "--theta", "0.1", "--pivot", "\u0661"),
          "argument --pivot: invalid int value: '\u0661'"),
-        (("closure", "--qubits", "2", "--tol", "\u0661e-3"),
+        (("verify", "--circuit", "unread.json", "--tol", "\u0661e-3"),
          "argument --tol: invalid float value: '\u0661e-3'"),
         (("ansatz", "--qubits", "2", "--mode", "full", "--seed", "\u0663"),
          "argument --seed: invalid int value: '\u0663'"),
@@ -656,7 +674,7 @@ def test_a_malformed_type_entry_is_named(capsys, types, entry):
     assert err == f"error: malformed type entry {entry!r}; expected x:a,y:b,z:c\n"
 
 
-def test_ascii_numbers_keep_their_readings(capsys):
+def test_ascii_numbers_keep_their_readings(capsys, tmp_path):
     # signs, spaces and exponents that int and float read in ASCII still work
     plain = run_cli(capsys, "synth", "--qubits", "3", "--type", "x:1,y:1", "--theta", "0.1",
                     "--mode", "trotter:2", "--pivot", "2")
@@ -665,7 +683,11 @@ def test_ascii_numbers_keep_their_readings(capsys):
                      "--mode", "trotter: +2", "--pivot", "+2")
     assert spaced == plain
     assert run_cli(capsys, "dim", "--table", " +3\t") == run_cli(capsys, "dim", "--table", "3")
-    assert run_cli(capsys, "closure", "--qubits", "2", "--tol", " 1e-3 ")[0] == 0
+    path = tmp_path / "circuit.json"
+    path.write_text(circuit_to_json(synth_generator(enumerate_basis(2)[1], 0.5)))
+    spaced = run_cli(capsys, "verify", "--circuit", str(path), "--tol", " 1e-3 ")
+    assert spaced == run_cli(capsys, "verify", "--circuit", str(path), "--tol", "1e-3")
+    assert spaced[0] == 0 and json.loads(spaced[1])["tol"] == 1e-3
 
 
 # sha256 of stdout, pinned before orbits and their ladder circuits were built

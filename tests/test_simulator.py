@@ -577,6 +577,21 @@ def test_unitarity_defect_takes_only_square_matrices(u):
     assert str(info.value) == f"u must be a square matrix, got shape {u.shape}"
 
 
+def test_unitarity_defect_refuses_an_empty_matrix():
+    # numpy's max of no entries would raise "zero-size array to reduction operation ..."
+    with pytest.raises(ValueError) as info:
+        unitarity_defect(np.zeros((0, 0), dtype=complex))
+    assert str(info.value) == "u must not be empty, got shape (0, 0)"
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+def test_equal_up_to_global_phase_refuses_empty_matrices(shape):
+    # numpy's argmax of no entries would raise "attempt to get argmax of an empty sequence"
+    with pytest.raises(ValueError) as info:
+        equal_up_to_global_phase(np.zeros(shape), np.zeros(shape))
+    assert str(info.value) == f"u and v must not be empty, got shape {shape}"
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0, True, "1e-10", 1e-10j])
 def test_equal_up_to_global_phase_refuses_a_bad_tolerance(tol):
     with pytest.raises(ValueError) as info:

@@ -18,6 +18,7 @@ from pisu import (
     BlockStructure,
     PauliString,
     PauliSum,
+    QubitLimitError,
     TypeVector,
     base_variational_circuit,
     commutator,
@@ -236,7 +237,7 @@ def test_project_identity_component_is_residual():
 
 def test_closure_small_n():
     for n in (1, 2, 3, 4):
-        report = verify_closure(n, tol=1e-12)
+        report = verify_closure(n)
         assert report.passed, f"closure failed at n={n}"
         assert report.max_residual == 0.0
     assert verify_closure(2).pairs == 36
@@ -957,32 +958,30 @@ def test_symmetry_rejects_bad_input(build, message):
     assert str(info.value) == message
 
 
-_BAD_TOL = "tol must be a real number, finite and > 0, got "
-
-
 @pytest.mark.parametrize(
-    "args, message",
+    "n, message",
     [
-        pytest.param((3, float("nan")), _BAD_TOL + "nan", id="tol-nan"),
-        pytest.param((3, float("inf")), _BAD_TOL + "inf", id="tol-inf"),
-        pytest.param((3, -1.0), _BAD_TOL + "-1.0", id="tol-negative"),
-        pytest.param((3, 0), _BAD_TOL + "0", id="tol-zero"),
-        pytest.param((3, True), _BAD_TOL + "True", id="tol-bool"),
-        pytest.param((3, "1e-12"), _BAD_TOL + "'1e-12'", id="tol-str"),
-        pytest.param((3, 1e-12 + 0j), _BAD_TOL + "(1e-12+0j)", id="tol-complex"),
-        pytest.param((3.0, 1e-12), "n must be an int, got 3.0", id="n-float"),
-        pytest.param(("3", 1e-12), "n must be an int, got '3'", id="n-str"),
-        pytest.param((99, float("nan")), _BAD_TOL + "nan", id="tol-before-the-cap"),
+        pytest.param(3.0, "n must be an int, got 3.0", id="n-float"),
+        pytest.param("3", "n must be an int, got '3'", id="n-str"),
     ],
 )
-def test_verify_closure_rejects_bad_arguments_before_any_work(args, message):
+def test_verify_closure_rejects_bad_arguments_before_any_work(n, message):
     work = mock.Mock(side_effect=AssertionError("work started"))
     with mock.patch.object(symmetry, "check_qubit_cap", work), mock.patch.object(
         symmetry, "_closure_residual", work
     ):
         with pytest.raises(ValueError) as info:
-            verify_closure(*args)
+            verify_closure(n)
     assert str(info.value) == message
+    work.assert_not_called()
+
+
+def test_verify_closure_holds_n_to_the_qubit_cap_before_any_work(monkeypatch):
+    monkeypatch.setenv("PISU_MAX_QUBITS", "3")
+    work = mock.Mock(side_effect=AssertionError("work started"))
+    with mock.patch.object(symmetry, "_closure_residual", work):
+        with pytest.raises(QubitLimitError, match=r"^n=4 qubits exceeds the cap of 3 \("):
+            verify_closure(4)
     work.assert_not_called()
 
 
@@ -992,10 +991,18 @@ def test_verify_closure_takes_any_integer_n():
     assert type(verify_closure(np.int64(2)).n) is int
 
 
-def test_verify_closure_takes_any_finite_positive_real_tolerance():
-    for tol in (1, Fraction(1, 10**12), np.float64(1e-12), 10**400):
-        report = verify_closure(2, tol=tol)
-        assert report == verify_closure(2) and type(report.passed) is bool, tol
+def test_verify_closure_takes_no_tolerance():
+    with pytest.raises(TypeError):
+        verify_closure(2, tol=1e-12)
+
+
+def test_verify_closure_passes_iff_the_residual_is_exactly_zero():
+    report = verify_closure(2)
+    assert type(report.passed) is bool and report.passed == (report.max_residual == 0.0)
+    # the smallest positive float fails: no tolerance absorbs it
+    with mock.patch.object(symmetry, "_closure_residual", return_value=(36, 5e-324)):
+        report = verify_closure(2)
+    assert report.passed is False and report.to_dict()["pass"] is False
 
 
 @pytest.mark.parametrize(
