@@ -963,6 +963,8 @@ def test_symmetry_rejects_bad_input(build, message):
     [
         pytest.param(3.0, "n must be an int, got 3.0", id="n-float"),
         pytest.param("3", "n must be an int, got '3'", id="n-str"),
+        pytest.param(None, "n must be an int, got None", id="n-none"),
+        pytest.param(Fraction(3), "n must be an int, got Fraction(3, 1)", id="n-fraction"),
     ],
 )
 def test_verify_closure_rejects_bad_arguments_before_any_work(n, message):
@@ -994,6 +996,8 @@ def test_verify_closure_takes_any_integer_n():
 def test_verify_closure_takes_no_tolerance():
     with pytest.raises(TypeError):
         verify_closure(2, tol=1e-12)
+    with pytest.raises(TypeError):
+        verify_closure(2, 1e-12)
 
 
 def test_verify_closure_passes_iff_the_residual_is_exactly_zero():
