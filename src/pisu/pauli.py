@@ -42,14 +42,15 @@ class QubitLimitError(ValueError):
 def max_qubits() -> int:
     """Dense-matrix qubit cap; override with the PISU_MAX_QUBITS env var.
 
-    Read on every call.  A value that is not a positive integer raises
-    ValueError naming the variable.
+    Read on every call, from ASCII text without ``_`` as CLI numbers are.  A
+    value that is not a positive integer raises ValueError naming the
+    variable.
     """
     raw = os.environ.get("PISU_MAX_QUBITS")
     if raw is None:
         return DEFAULT_MAX_QUBITS
     try:
-        cap = int(raw)
+        cap = int(raw) if raw.isascii() and "_" not in raw else 0
     except ValueError:
         cap = 0
     if cap < 1:

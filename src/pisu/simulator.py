@@ -7,14 +7,18 @@ tensor of at most 2^16 complex entries, 1 MiB.  It and its spare buffer
 together fill a 2 MiB per-core L2 cache, so a gate's pass partly streams
 from the next level: on a 2 MiB-L2 Xeon a real 2x2 gemm ran at 23 GB/s over
 a 1 MiB panel and at 35 GB/s over a 512 KiB one.
-Workers take the panels round-robin: the calling thread and
-``min(CPUs, panels) - 1`` pool threads (the calling thread alone for
-circuits under 16 gates), which run while numpy releases the GIL.  Each
-worker binds every distinct op, once for each of its two buffers that can
-hold the state when the op runs, to numpy calls on views of those buffers.
-A panel then runs the calls in order and is copied into its columns of the
-one preallocated result, so memory beyond the result is two panel buffers
-per worker.
+Workers take the panels round-robin: the caller and ``min(CPUs, panels) -
+1`` forked children, which unlike threads never wait on each other for the
+GIL.  A circuit splits only on Linux and only when gates x 4^n reaches
+2^24; at n <= 8 a split halves the panel width, so there are two panels.
+Each worker binds every distinct op, once for each of its two buffers that
+can hold the state when the op runs, to numpy calls on views of those
+buffers.  A panel then runs the calls in order and is copied into its
+columns of the one result, an anonymous shared mapping when children write
+to it, so memory beyond the result is two panel buffers per worker.  A
+child that fails has its share recomputed by the caller.  From Python 3.12
+on, ``os.fork`` warns when the process runs other threads, as numpy's
+OpenBLAS pool does; pisu leaves that warning as it is.
 
 Gates.  Gates act on their qubit axes in place of a full 2^n x 2^n
 embedding, and each distinct op is resolved once.  A run of CNOTs that
@@ -43,8 +47,11 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import numbers
 import os
+import signal
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -105,17 +112,11 @@ _PANEL_ENTRIES = 2**16
 # product (and a 2x2 @ 2x1 real one) with other kernels than wider ones, and
 # their low bits differ, so a narrower panel would change the result
 _MIN_PANEL_COLUMNS = 4
-# circuits this short finish before a worker thread would start
-_MIN_THREADED_GATES = 16
+# fewest gates x 4^n for which forked workers beat one worker
+_MIN_FORKED_WORK = 2**24
 # most columns per 2x2 gemm (float64 columns on the real path): 2 x 2 x 8192 stays
 # under OpenBLAS's threading threshold
 _ZGEMM_COLUMNS = 8192
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _gate_ops(c: Circuit) -> list[tuple]:
@@ -203,7 +204,7 @@ def _bind(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple[tuple, bool]:
 def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
     """Write columns ``s:s + width`` of the circuit's unitary into ``u``, for each ``s`` in ``starts``.
 
-    Allocates its own two panel buffers, so calls may run on separate threads.
+    Allocates its own two panel buffers, so each worker process calls it once.
     """
     dim = u.shape[0]
     shape = (2,) * (dim.bit_length() - 1) + (width,)
@@ -227,34 +228,67 @@ def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -
         u[:, start : start + width] = result
 
 
+def _evolve_in_child(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
+    """Run one share in a forked child and end the child: exit 0 once its columns are written, 1 otherwise."""
+    code = 1
+    try:
+        _evolve_panels(ops, u, width, starts)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of gate matrices; the leftmost gate acts first.
 
     Row indices are tensor-structured with qubit 1 as the most significant
     bit.  The result equals the gate-by-gate complex product bit for bit
-    whatever the CPU count, and memory beyond it is two panel buffers of at
-    most 2^16 entries per worker thread.  ``c.n`` is held to the qubit cap
-    (``QubitLimitError``), an unbound parameter is an
-    ``UnboundParameterError``, and an exception raised on a pool thread is
-    re-raised here.
+    whatever the CPU count.  Memory beyond it is two panel buffers of at
+    most 2^16 entries per worker process; a split run returns the shared
+    mapping its workers wrote, with no copy.  ``c.n`` is held to the qubit
+    cap (``QubitLimitError``) and an unbound parameter is an
+    ``UnboundParameterError``, both before any child starts.  An exception
+    in the caller's own share is re-raised once every child is killed and
+    reaped, and no call leaves a child process behind.
     """
     check_qubit_cap(c.n)
     dim = 2**c.n
     ops = _gate_ops(c)
     width = min(dim, max(_MIN_PANEL_COLUMNS, _PANEL_ENTRIES // dim))
-    workers = min(_cpu_count(), dim // width) if len(c.gates) >= _MIN_THREADED_GATES else 1
-    shares = [range(k * width, dim, workers * width) for k in range(workers)]
-    u = np.empty((dim, dim), dtype=complex)
+    workers = 1
+    if sys.platform == "linux" and len(c.gates) << 2 * c.n >= _MIN_FORKED_WORK:
+        width = max(_MIN_PANEL_COLUMNS, min(width, dim // 2))
+        workers = min(len(os.sched_getaffinity(0)), dim // width)
     if workers == 1:
-        _evolve_panels(ops, u, width, shares[0])
+        u = np.empty((dim, dim), dtype=complex)
+        _evolve_panels(ops, u, width, range(0, dim, width))
         return u
-    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        rest = [pool.submit(_evolve_panels, ops, u, width, share) for share in shares[1:]]
-        _evolve_panels(ops, u, width, shares[0])
-        for future in rest:
-            future.result()
+    shares = [range(k * width, dim, workers * width) for k in range(workers)]
+    u = np.frombuffer(mmap.mmap(-1, 16 * dim * dim), dtype=complex).reshape(dim, dim)
+    own, children = shares[:1], {}
+    try:
+        for share in shares[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller runs this share too
+                own.append(share)
+                continue
+            if pid == 0:
+                _evolve_in_child(ops, u, width, share)
+            children[pid] = share
+        for share in own:
+            _evolve_panels(ops, u, width, share)
+        for pid, share in list(children.items()):
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:  # the child failed: its columns are not trusted
+                _evolve_panels(ops, u, width, share)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+        raise
     return u
 
 

@@ -443,7 +443,7 @@ def test_synth_non_finite_theta_exits_two(capsys):
 def test_verify_rejects_malformed_qubit_cap(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c.json"
     path.write_text(circuit_to_json(synth_generator(enumerate_basis(2)[0], 0.3)))
-    for raw in ("abc", "0", "-1"):
+    for raw in ("abc", "0", "-1", "1_2", "\u0661\u0662"):  # int() reads the last two as 12
         monkeypatch.setenv("PISU_MAX_QUBITS", raw)
         code, out, err = run_cli(capsys, "verify", "--circuit", str(path))
         assert code == 2

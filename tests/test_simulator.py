@@ -1,11 +1,10 @@
 """Dense circuit evaluation against a naive Kronecker-embedding oracle."""
 
+import functools
+import mmap
 import os
-import subprocess
-import sys
-import threading
+import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,26 +226,51 @@ def test_random_circuits_bit_identical_to_tensordot(c):
     assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
 
 
-# circuit_unitary evolves the columns in panels of 2^16 // 2^n columns, dealt
-# round-robin to the calling thread and min(CPUs, panels) - 1 pool threads;
-# the panelling must not change a single bit
+# circuit_unitary evolves the columns in panels of 2^16 // 2^n columns (two
+# panels at n <= 8 when it splits), dealt round-robin to the caller and to
+# min(CPUs, panels) - 1 forked children; the panelling must not change a bit
 
 
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def _spy_workers(monkeypatch):
-    """Record (panel width, panel start columns) for every worker's share of the panels."""
-    seen = []
+def _spy_workers(monkeypatch, tmp_path):
+    """Log (pid, panel width, panel start columns) for every worker's share, forked children included.
+
+    A list filled by the spy would only see the caller's share, so every
+    worker appends one line to a file.  The returned function reads the
+    lines logged since its last call.
+    """
+    log = tmp_path / "shares.log"
+    log.write_text("")
     evolve = simulator._evolve_panels
 
     def spy(ops, u, width, starts):
-        seen.append((width, tuple(starts)))
+        with open(log, "a") as f:
+            f.write(" ".join(map(str, (os.getpid(), width, *starts))) + "\n")
         return evolve(ops, u, width, starts)
+
+    def seen():
+        rows = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
+        log.write_text("")
+        return [(pid, width, tuple(starts)) for pid, width, *starts in rows]
 
     monkeypatch.setattr(simulator, "_evolve_panels", spy)
     return seen
+
+
+def _shares(rows):
+    """The (width, starts) of the logged shares in order, once checked that the caller ran the first and a distinct child each other."""
+    rows = sorted(rows, key=lambda row: row[2])
+    pids = [pid for pid, _, _ in rows]
+    assert pids[0] == os.getpid() and len(set(pids)) == len(pids), rows
+    return [(width, starts) for _, width, starts in rows]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _verify_circuits():
@@ -262,22 +286,37 @@ def _verify_circuits():
         yield synth_generator(gen, theta, SynthesisPlan("exact-product"))
 
 
-def test_verify_sized_circuits_bit_identical_to_tensordot(monkeypatch):
-    # n=9: four panels of 128 columns
+def test_verify_sized_circuits_bit_identical_to_tensordot(monkeypatch, tmp_path):
+    # n=9: four panels of 128 columns, the caller's share first
     workers = {
         1: [(128, (0, 128, 256, 384))],
         2: [(128, (0, 256)), (128, (128, 384))],
+        3: [(128, (0, 384)), (128, (128,)), (128, (256,))],
         4: [(128, (0,)), (128, (128,)), (128, (256,)), (128, (384,))],
     }
     for c in _verify_circuits():
         want = oracles.tensordot_circuit_unitary(c)
         for cpus, shares in workers.items():
             _cpus(monkeypatch, cpus)
-            seen = _spy_workers(monkeypatch)
+            seen = _spy_workers(monkeypatch, tmp_path)
             u = circuit_unitary(c)
+            rows = seen()
             monkeypatch.undo()
-            assert sorted(seen) == shares, (cpus, seen)
+            assert _shares(rows) == shares, (cpus, rows)
             assert u.flags.c_contiguous and np.array_equal(u, want), (cpus, len(c.gates))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_cli_sized_circuit_bit_identical_in_two_panels(monkeypatch, tmp_path, cpus):
+    # n=7 trotter:4 XYZ: a split halves the 128 columns into two panels
+    c = _cli_circuit()
+    _cpus(monkeypatch, cpus)
+    seen = _spy_workers(monkeypatch, tmp_path)
+    u = circuit_unitary(c)
+    assert _shares(seen()) == ([(64, (0,)), (64, (64,))] if cpus > 1 else [(64, (0, 64))])
+    assert np.array_equal(u, _cli_unitary())
+    _assert_no_child_left()
 
 
 def test_verify_sized_defects_equal_the_dense_oracles():
@@ -312,100 +351,193 @@ def test_unitarity_defect_equals_the_eye_oracle_on_random_matrices():
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_random_width_ten_circuit_bit_identical_in_panels(monkeypatch, cpus):
+def test_random_width_ten_circuit_bit_identical_in_panels(monkeypatch, tmp_path, cpus):
     # n=10: sixteen panels of 64 columns, dealt round-robin (unevenly to 3 workers)
     c = _random_circuit(np.random.default_rng(59), 10, 40)
     _cpus(monkeypatch, cpus)
-    seen = _spy_workers(monkeypatch)
+    seen = _spy_workers(monkeypatch, tmp_path)
     u = circuit_unitary(c)
-    assert sorted(seen) == [(64, tuple(range(64 * k, 1024, 64 * cpus))) for k in range(cpus)]
+    assert _shares(seen()) == [(64, tuple(range(64 * k, 1024, 64 * cpus))) for k in range(cpus)]
     assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_small_panels_bit_identical(monkeypatch, cpus):
+def test_small_panels_bit_identical(monkeypatch, tmp_path, cpus):
     # shrunk panel and gemm widths put the panel edges and the gemm column
     # slices of every matmul inside small circuits, with panel counts that
     # do not split evenly across three workers; panels asked to be 1, 2 or 4
-    # columns wide take the 4-column floor
+    # columns wide take the 4-column floor, and with the work rule lifted
+    # every circuit splits, into two panels or more
     monkeypatch.setattr(simulator, "_ZGEMM_COLUMNS", 8)
+    monkeypatch.setattr(simulator, "_MIN_FORKED_WORK", 0)
     _cpus(monkeypatch, cpus)
     rng = np.random.default_rng(61 + cpus)
+    seen = _spy_workers(monkeypatch, tmp_path)
     uneven = 0
     for k in range(32):
         n = int(rng.integers(2, 8))
         asked = 1 << k % 4
         monkeypatch.setattr(simulator, "_PANEL_ENTRIES", asked << n)
-        seen = _spy_workers(monkeypatch)
         c = _random_circuit(rng, n, int(rng.integers(16, 40)))
         assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
-        width = min(2**n, max(asked, 4))
-        assert {w for w, _ in seen} == {width}, (n, asked, seen)
-        assert sorted(start for _, starts in seen for start in starts) == list(range(0, 2**n, width))
-        assert len(seen) == min(cpus, 2**n // width)
-        uneven += len({len(starts) for _, starts in seen}) > 1
+        shares = _shares(seen())
+        width = max(4, min(asked, 2**n // 2))
+        assert {w for w, _ in shares} == {width}, (n, asked, shares)
+        assert sorted(start for _, starts in shares for start in starts) == list(range(0, 2**n, width))
+        assert len(shares) == min(cpus, 2**n // width)
+        uneven += len({len(starts) for _, starts in shares}) > 1
     assert uneven >= (4 if cpus == 3 else 0)
+    _assert_no_child_left()
 
 
-def test_short_circuit_runs_on_the_calling_thread(monkeypatch):
-    # the benchmark's two-gate warm-up at n=9 starts no worker thread
+def _count_forks(monkeypatch):
+    """Make every ``os.fork`` fail with ``OSError``, and count the calls."""
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no fork")
+
+    monkeypatch.setattr(simulator.os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize(
+    "n, gates",
+    [
+        pytest.param(9, 2, id="verify-warm-up"),
+        pytest.param(8, 2, id="cli-warm-up"),
+    ],
+)
+def test_circuits_under_the_work_rule_fork_nothing(monkeypatch, tmp_path, n, gates):
+    # the benchmark's warm-ups, gates x 4^n below 2^24: the caller runs every panel itself
     _cpus(monkeypatch, 4)
-    seen = _spy_workers(monkeypatch)
-    c = Circuit(9, (Gate("H", (1,)), Gate("CNOT", (1, 2))))
-    before = threading.active_count()
+    forks = _count_forks(monkeypatch)
+    seen = _spy_workers(monkeypatch, tmp_path)
+    c = Circuit(n, tuple(Gate("H", (1 + k % n,)) for k in range(gates)))
+    u = circuit_unitary(c)
+    width = min(2**n, 2**16 // 2**n)
+    assert seen() == [(os.getpid(), width, tuple(range(0, 2**n, width)))]
+    assert forks == []
+    assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+
+
+def test_work_rule_splits_from_two_to_the_24_on_linux(monkeypatch):
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    for n, gates, children in ((10, 16, 3), (9, 64, 3), (8, 256, 1), (7, 1024, 1)):
+        assert gates << 2 * n == simulator._MIN_FORKED_WORK
+        for count, want in ((gates - 1, 0), (gates, children)):
+            forks.clear()
+            circuit_unitary(Circuit(n, (Gate("H", (1,)),) * count))
+            assert len(forks) == want, (n, count)
+    monkeypatch.setattr(simulator.sys, "platform", "darwin")
+    forks.clear()
+    c = Circuit(9, (Gate("H", (1,)), Gate("RY", (2,), "a")) * 40, {"a": 0.3})
     assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
-    assert seen == [(128, (0, 128, 256, 384))]
-    assert threading.active_count() == before
+    assert forks == []
 
 
-def test_worker_exception_reaches_the_caller(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_a_failed_fork_runs_that_share_in_the_caller(monkeypatch, tmp_path):
+    c = _random_circuit(np.random.default_rng(67), 9, 80)
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    seen = _spy_workers(monkeypatch, tmp_path)
+    u = circuit_unitary(c)
+    assert len(forks) == 3
+    assert sorted(seen()) == [(os.getpid(), 128, (k,)) for k in (0, 128, 256, 384)]
+    assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+
+
+@pytest.mark.parametrize("failure", ["exit-3", "raise"])
+def test_a_failed_child_has_its_share_recomputed(monkeypatch, failure):
+    # each child writes garbage over its columns, then exits with status 3 or raises
+    _cpus(monkeypatch, 3)
+    caller = os.getpid()
     evolve = simulator._evolve_panels
 
     def failing(ops, u, width, starts):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError(f"panels {tuple(starts)} failed")
+        if os.getpid() != caller:
+            for start in starts:
+                u[:, start : start + width] = np.nan
+            if failure == "exit-3":
+                os._exit(3)
+            raise RuntimeError("child failed")
         return evolve(ops, u, width, starts)
 
     monkeypatch.setattr(simulator, "_evolve_panels", failing)
-    c = _random_circuit(np.random.default_rng(67), 9, 20)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=r"panels \(128, 384\) failed"):
+    c = _random_circuit(np.random.default_rng(71), 9, 80)
+    assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
+    _assert_no_child_left()
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    # the caller's share raises while the children still run: they are
+    # killed and reaped before the exception leaves circuit_unitary
+    _cpus(monkeypatch, 4)
+    caller = os.getpid()
+    evolve = simulator._evolve_panels
+
+    def failing(ops, u, width, starts):
+        if os.getpid() == caller:
+            raise RuntimeError(f"panels {tuple(starts)} failed")
+        time.sleep(60)
+        return evolve(ops, u, width, starts)
+
+    monkeypatch.setattr(simulator, "_evolve_panels", failing)
+    c = _random_circuit(np.random.default_rng(67), 9, 80)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"panels \(0,\) failed"):
         circuit_unitary(c)
-    assert threading.active_count() == before
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
 
 
-def test_unbound_parameter_raises_before_any_panel(monkeypatch):
+def test_unbound_parameter_raises_before_any_panel(monkeypatch, tmp_path):
     _cpus(monkeypatch, 2)
-    seen = _spy_workers(monkeypatch)
-    gates = (Gate("H", (1,)),) * 20 + (Gate("RX", (2,), "free"),)
+    forks = _count_forks(monkeypatch)
+    seen = _spy_workers(monkeypatch, tmp_path)
+    gates = (Gate("H", (1,)),) * 80 + (Gate("RX", (2,), "free"),)
     with pytest.raises(UnboundParameterError, match="free"):
         circuit_unitary(Circuit(9, gates))
-    assert seen == []
+    assert seen() == [] and forks == []
 
 
-def test_memory_beyond_the_result_is_two_panel_buffers_per_worker(monkeypatch):
+def test_memory_beyond_the_result_is_two_panel_buffers_per_worker(monkeypatch, tmp_path):
+    # each worker, caller and children alike, logs its traced peak over its
+    # share; the result is a shared mapping outside numpy's allocator
     _cpus(monkeypatch, 2)
+    log = tmp_path / "peaks.log"
+    evolve = simulator._evolve_panels
+
+    def measured(ops, u, width, starts):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        evolve(ops, u, width, starts)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {tracemalloc.get_traced_memory()[1] - before}\n")
+
+    monkeypatch.setattr(simulator, "_evolve_panels", measured)
     c = _random_circuit(np.random.default_rng(73), 10, 40)
-    circuit_unitary(c)  # warm the thread pool import and numpy's caches
+    circuit_unitary(c)  # warm numpy's caches
+    log.write_text("")
     tracemalloc.start()
     try:
-        circuit_unitary(c)
+        u = circuit_unitary(c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    result = 16 * 4**10
-    buffers = 2 * 2 * 16 * simulator._PANEL_ENTRIES
-    assert result + buffers <= peak <= result + buffers + 2**20, peak
-
-
-def test_import_leaves_the_thread_pool_unloaded():
-    # only a threaded circuit_unitary run imports concurrent.futures
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, pisu; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    buffers = 2 * 16 * simulator._PANEL_ENTRIES
+    peaks = dict(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert len(peaks) == 2 and os.getpid() in peaks, peaks
+    for worker_peak in peaks.values():
+        assert buffers <= worker_peak <= buffers + 2**20, peaks
+    assert buffers <= peak <= buffers + 2**20, peak
+    while isinstance(u, np.ndarray):
+        u = u.base
+    mapping = getattr(u, "obj", u)  # numpy may keep a memoryview of the mapping
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == 16 * 4**10
 
 
 @pytest.mark.parametrize("kind", ["T", "rx", "cx"])
@@ -473,13 +605,14 @@ def _fan_circuit(rng, n, runs):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_fans_across_small_panels_bit_identical(monkeypatch, cpus):
+    # with the work rule lifted, every circuit splits
+    monkeypatch.setattr(simulator, "_MIN_FORKED_WORK", 0)
     monkeypatch.setattr(simulator, "_PANEL_ENTRIES", 2**9)
     monkeypatch.setattr(simulator, "_ZGEMM_COLUMNS", 8)
     _cpus(monkeypatch, cpus)
     rng = np.random.default_rng(83 + cpus)
     for _ in range(20):
         c = _fan_circuit(rng, int(rng.integers(3, 8)), int(rng.integers(6, 12)))
-        assert len(c.gates) >= simulator._MIN_THREADED_GATES
         assert "fan" in {op[0] for op in simulator._gate_ops(c)}
         assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
 
@@ -531,6 +664,11 @@ def _cli_circuit():
     return synth_generator(SymmetrizedGenerator(tv, tv.label), 0.4, SynthesisPlan("trotter", steps=4))
 
 
+@functools.cache
+def _cli_unitary():
+    return oracles.tensordot_circuit_unitary(_cli_circuit())
+
+
 def test_cli_sized_circuit_bit_identical_with_fans_and_real_gates(monkeypatch):
     c = _cli_circuit()
     ops = simulator._gate_ops(c)
@@ -541,7 +679,7 @@ def test_cli_sized_circuit_bit_identical_with_fans_and_real_gates(monkeypatch):
     monkeypatch.undo()
     assert seen.count(np.float64) == kinds.count("H") + kinds.count("RY") == 1680
     assert seen.count(np.complex128) == kinds.count("RX") + kinds.count("RZ")
-    assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+    assert np.array_equal(u, _cli_unitary())
 
 
 def test_qasm_and_json_forms_share_one_op_per_angle(monkeypatch):
