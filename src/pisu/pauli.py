@@ -160,7 +160,7 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
 
 @dataclass(frozen=True)
 class PauliSum:
-    """Formal complex-linear combination of Pauli strings over n qubits.
+    """Formal complex-linear combination of Pauli strings over n >= 1 qubits, ``n`` stored as an ``int``.
 
     ``terms`` maps (x, z) bitmask pairs to coefficients as a read-only
     mapping.  Canonical form stores no coefficient of magnitude below the
@@ -172,7 +172,13 @@ class PauliSum:
     terms: Mapping[tuple[int, int], complex]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        object.__setattr__(self, "n", _integer(self.n, "n must be an integer"))
+        if self.n < 1:
+            raise ValueError("a Pauli sum needs at least one qubit")
+        terms = dict(self.terms)
+        if any((x | z) >> self.n for x, z in terms):
+            raise ValueError("x/z bits fall outside the qubit range")
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))

@@ -3,22 +3,19 @@
 Panels.  Each column of a circuit's unitary evolves on its own, so the
 columns are cut into panels of ``2^16 // 2^n`` columns, at least 4, and all
 2^n of them for n <= 8.  A panel is a C-contiguous ``(2,)*n + (width,)``
-tensor of at most 2^16 complex entries, 1 MiB.  It and its spare buffer
-together fill a 2 MiB per-core L2 cache, so a gate's pass partly streams
-from the next level: on a 2 MiB-L2 Xeon a real 2x2 gemm ran at 23 GB/s over
-a 1 MiB panel and at 35 GB/s over a 512 KiB one.
+tensor of at most 2^16 complex entries, 1 MiB, so it and its spare buffer
+fill a 2 MiB per-core L2 cache.  Each worker binds every distinct op, once
+for each of its two buffers that can hold the state when the op runs, to
+numpy calls on views of those buffers; a panel runs the calls in order and
+is copied into its columns of the result.
 Workers take the panels round-robin: the caller and ``min(CPUs, panels) -
 1`` forked children, which unlike threads never wait on each other for the
-GIL.  A circuit splits only on Linux and only when gates x 4^n reaches
-2^24; at n <= 8 a split halves the panel width, so there are two panels.
-Each worker binds every distinct op, once for each of its two buffers that
-can hold the state when the op runs, to numpy calls on views of those
-buffers.  A panel then runs the calls in order and is copied into its
-columns of the one result, an anonymous shared mapping when children write
-to it, so memory beyond the result is two panel buffers per worker.  A
-child that fails has its share recomputed by the caller.  From Python 3.12
-on, ``os.fork`` warns when the process runs other threads, as numpy's
-OpenBLAS pool does; pisu leaves that warning as it is.
+GIL.  A circuit splits only on Linux, with a second usable CPU, and only
+when gates x 4^n reaches 2^24; at n <= 8 a split halves the panel width, so
+there are two panels.  The caller recomputes the share of a child that
+failed or could not be forked.  From Python 3.12 on, ``os.fork`` warns when
+the process runs other threads, as numpy's OpenBLAS pool does; pisu leaves
+that warning as it is.
 
 Gates.  Gates act on their qubit axes in place of a full 2^n x 2^n
 embedding, and each distinct op is resolved once.  A run of CNOTs that
@@ -202,10 +199,7 @@ def _bind(op: tuple, t: np.ndarray, spare: np.ndarray) -> tuple[tuple, bool]:
 
 
 def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
-    """Write columns ``s:s + width`` of the circuit's unitary into ``u``, for each ``s`` in ``starts``.
-
-    Allocates its own two panel buffers, so each worker process calls it once.
-    """
+    """Write columns ``s:s + width`` of the circuit's unitary into ``u``, for each ``s`` in ``starts``."""
     dim = u.shape[0]
     shape = (2,) * (dim.bit_length() - 1) + (width,)
     buffers = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
@@ -228,25 +222,17 @@ def _evolve_panels(ops: list[tuple], u: np.ndarray, width: int, starts: range) -
         u[:, start : start + width] = result
 
 
-def _evolve_in_child(ops: list[tuple], u: np.ndarray, width: int, starts: range) -> None:
-    """Run one share in a forked child and end the child: exit 0 once its columns are written, 1 otherwise."""
-    code = 1
-    try:
-        _evolve_panels(ops, u, width, starts)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of gate matrices; the leftmost gate acts first.
 
     Row indices are tensor-structured with qubit 1 as the most significant
     bit.  The result equals the gate-by-gate complex product bit for bit
     whatever the CPU count.  Memory beyond it is two panel buffers of at
-    most 2^16 entries per worker process; a split run returns the shared
-    mapping its workers wrote, with no copy.  ``c.n`` is held to the qubit
-    cap (``QubitLimitError``) and an unbound parameter is an
+    most 2^16 entries per worker process.  A split run returns, with no
+    copy, the anonymous shared mapping its workers wrote, so the result
+    stays shared with any process the caller forks later: a write to it
+    there shows in the caller.  ``c.n`` is held to the qubit cap
+    (``QubitLimitError``) and an unbound parameter is an
     ``UnboundParameterError``, both before any child starts.  An exception
     in the caller's own share is re-raised once every child is killed and
     reaped, and no call leaves a child process behind.
@@ -257,32 +243,37 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     width = min(dim, max(_MIN_PANEL_COLUMNS, _PANEL_ENTRIES // dim))
     workers = 1
     if sys.platform == "linux" and len(c.gates) << 2 * c.n >= _MIN_FORKED_WORK:
-        width = max(_MIN_PANEL_COLUMNS, min(width, dim // 2))
-        workers = min(len(os.sched_getaffinity(0)), dim // width)
+        cpus = len(os.sched_getaffinity(0))
+        if cpus > 1:
+            width = max(_MIN_PANEL_COLUMNS, min(width, dim // 2))
+        workers = min(cpus, dim // width)
+    shares = [range(k * width, dim, workers * width) for k in range(workers)]
     if workers == 1:
         u = np.empty((dim, dim), dtype=complex)
-        _evolve_panels(ops, u, width, range(0, dim, width))
-        return u
-    shares = [range(k * width, dim, workers * width) for k in range(workers)]
-    u = np.frombuffer(mmap.mmap(-1, 16 * dim * dim), dtype=complex).reshape(dim, dim)
-    own, children = shares[:1], {}
+    else:
+        u = np.frombuffer(mmap.mmap(-1, 16 * dim * dim), dtype=complex).reshape(dim, dim)
+    redo, children = [], {}  # shares left to the caller after its own; pid -> share
     try:
         for share in shares[1:]:
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the caller runs this share too
-                own.append(share)
+            except OSError:  # no process to spare
+                redo.append(share)
                 continue
-            if pid == 0:
-                _evolve_in_child(ops, u, width, share)
+            if pid == 0:  # the child exits 0 once its columns are written, 1 if that raised
+                try:
+                    _evolve_panels(ops, u, width, share)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             children[pid] = share
-        for share in own:
-            _evolve_panels(ops, u, width, share)
+        _evolve_panels(ops, u, width, shares[0])
         for pid, share in list(children.items()):
-            status = os.waitpid(pid, 0)[1]
+            if os.waitpid(pid, 0)[1]:  # the child failed: its columns are not trusted
+                redo.append(share)
             del children[pid]
-            if status:  # the child failed: its columns are not trusted
-                _evolve_panels(ops, u, width, share)
+        for share in redo:
+            _evolve_panels(ops, u, width, share)
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)

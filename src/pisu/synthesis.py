@@ -43,15 +43,14 @@ before any gate, and one ``h``, ``s``, ``sdg``, ``cx``, ``rx``, ``ry`` or
 ``_``, ``inf`` or ``nan``) or ``pi``, ``-pi``, ``pi/<int>``, ``<float>*pi``
 or ``<float>*pi/<int>``, and its value must be finite as a float.
 
-Each reader keeps a bounded process-wide cache of 4096 entries: ``_json_piece``
-maps a gate piece to its ``(kind, qubits, param)``, and ``_qasm_line`` maps a
-stripped gate line to its ``(kind, qubits, angle)`` when the line passes
-every check but the two that depend on its text, the qreg before it and the
-qubit range, which each read makes against its own qreg.  Neither holds a
-``Gate`` or anything that failed, and each read still gets every gate but a
-QASM rotation through ``_gate``, once per distinct piece or line.  A QASM
-rotation gets its fresh name, and the QASM reader's circuit its fields,
-through ``_unchecked``: both were checked already.
+Each reader keeps a bounded process-wide cache of 4096 entries:
+``_json_piece`` maps a gate piece to its ``(kind, qubits, param)``, and
+``_qasm_gate_line`` a stripped gate line and its text's qreg size to its
+``(kind, qubits, angle)``.  Neither holds a ``Gate`` or anything that
+failed, and each read gets every gate but a QASM rotation through ``_gate``,
+once per distinct piece or line.  A QASM rotation gets its fresh name, and
+the QASM reader's circuit its fields, through ``_unchecked``: both were
+checked already.
 """
 
 from __future__ import annotations
@@ -226,13 +225,12 @@ _WRAPPERS = {"X": None, "Y": ("Sdg", "S"), "Z": ("H", "H")}
 
 
 # _gate(kind, qubits, param) is Gate(kind, qubits, param), built and validated
-# once per process for each distinct triple; synthesis and the JSON and QASM
-# readers call it with all three fields positionally, so each triple has one
-# key.  It is bounded because a file may hold any number of parameter names.
-# Keys compare as tuples, where 1.0 == True == 1: check outside qubits first.
-# The readers' own caches, _json_piece and _qasm_line, hold fields, never a
-# Gate, and each read calls _gate again: after _gate evicts a triple, a held
-# Gate would no longer be the one _gate returns.
+# once per process for each distinct triple; synthesis and the readers call it
+# with all three fields positionally, so each triple has one key.  It is
+# bounded because a file may hold any number of parameter names.  Keys compare
+# as tuples, where 1.0 == True == 1: check outside qubits first.  The readers'
+# caches hold fields, never a Gate: after _gate evicts a triple, a held Gate
+# would no longer be the one _gate returns.
 _gate = functools.lru_cache(maxsize=4096)(Gate)
 
 
@@ -582,12 +580,13 @@ def _qasm_angle(angle: str, line: str) -> float:
     return value
 
 
-def _qasm_gate_line(line: str, n: float | None) -> tuple[str, tuple[int, ...], float | None]:
+@functools.lru_cache(maxsize=4096)
+def _qasm_gate_line(line: str, n: int | None) -> tuple[str, tuple[int, ...], float | None]:
     """``(kind, qubits, angle)`` of a gate line under ``qreg q[n]``, or before any qreg if n is None.
 
     A fault is a ValueError naming the line, found in this order: the
     pattern, the qreg, the gate name, the angle, the qubit range, and the
-    number of qubits the gate takes.
+    number of qubits the gate takes.  A line that fails is not cached.
     """
     m = _QASM_GATE_RE.fullmatch(line)
     if m is None:
@@ -612,16 +611,6 @@ def _qasm_gate_line(line: str, n: float | None) -> tuple[str, tuple[int, ...], f
     return kind, qubits, angle
 
 
-@functools.lru_cache(maxsize=4096)
-def _qasm_line(line: str) -> tuple:
-    """``_qasm_gate_line`` under a register that holds every index: what a gate line means in any text.
-
-    A line that fails is not cached.  The reader checks the qreg and the
-    qubit range against its own text.
-    """
-    return _qasm_gate_line(line, math.inf)
-
-
 def circuit_from_qasm(text: str) -> Circuit:
     """Parse the QASM 2.0 subset of the module docstring, which holds what ``circuit_to_qasm`` writes.
 
@@ -644,13 +633,7 @@ def circuit_from_qasm(text: str) -> Circuit:
                     raise ValueError(f"second qreg in line {line!r}; only one qreg is supported")
                 n = int(m.group(1))
                 continue
-            try:
-                kind, qubits, angle = _qasm_line(line)
-            except ValueError:
-                kind = None
-            if kind is None or n is None or max(qubits) > n:
-                # the cache cannot vouch for the line in this text: this raises its first fault
-                kind, qubits, angle = _qasm_gate_line(line, n)
+            kind, qubits, angle = _qasm_gate_line(line, n)
             seen = memo[line] = _gate(kind, qubits, None) if angle is None else (kind, qubits, angle)
         if type(seen) is Gate:
             gates.append(seen)

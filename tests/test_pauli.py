@@ -376,12 +376,29 @@ def test_commutator_is_the_matrix_bracket(pair):
         pytest.param(lambda: commutator(*(PauliSum.from_strings([PauliString.from_letters(w)])
                                           for w in ("X", "XX"))),
                      "qubit counts differ: 1 != 2", id="commutator"),
+        pytest.param(lambda: PauliSum(1, {(4, 0): 1.0}), "x/z bits fall outside the qubit range", id="sum-x-bits"),
+        pytest.param(lambda: PauliSum(2, {(1, 0): 1.0, (0, 4): 1.0}), "x/z bits fall outside the qubit range",
+                     id="sum-z-bits"),
+        pytest.param(lambda: PauliSum(3, {(-1, 0): 1.0}), "x/z bits fall outside the qubit range",
+                     id="sum-negative-mask"),
+        pytest.param(lambda: PauliSum(0, {}), "a Pauli sum needs at least one qubit", id="sum-zero"),
+        pytest.param(lambda: PauliSum(False, {}), "a Pauli sum needs at least one qubit", id="sum-false"),
+        pytest.param(lambda: PauliSum(2.0, {}), "n must be an integer, got 2.0", id="sum-float"),
+        pytest.param(lambda: PauliSum("3", {}), "n must be an integer, got '3'", id="sum-str"),
+        pytest.param(lambda: PauliSum(None, {}), "n must be an integer, got None", id="sum-none"),
     ],
 )
 def test_pauli_types_reject_bad_input(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_pauli_sum_stores_n_as_an_int():
+    for n, want in ((np.int64(2), 2), (True, 1)):
+        s = PauliSum(n, {(1, 0): 1.0})
+        assert type(s.n) is int and s == PauliSum(want, {(1, 0): 1.0})
+    assert np.array_equal(PauliSum(True, {(1, 0): 1.0}).matrix(), [[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("n, ok", [(True, True), (np.int64(2), True), (2.0, False), (2.5, False), ("3", False)])

@@ -309,12 +309,13 @@ def test_verify_sized_circuits_bit_identical_to_tensordot(monkeypatch, tmp_path)
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_cli_sized_circuit_bit_identical_in_two_panels(monkeypatch, tmp_path, cpus):
-    # n=7 trotter:4 XYZ: a split halves the 128 columns into two panels
+    # n=7 trotter:4 XYZ: a split halves the 128 columns into two panels;
+    # one CPU keeps one full-width panel
     c = _cli_circuit()
     _cpus(monkeypatch, cpus)
     seen = _spy_workers(monkeypatch, tmp_path)
     u = circuit_unitary(c)
-    assert _shares(seen()) == ([(64, (0,)), (64, (64,))] if cpus > 1 else [(64, (0, 64))])
+    assert _shares(seen()) == ([(64, (0,)), (64, (64,))] if cpus > 1 else [(128, (0,))])
     assert np.array_equal(u, _cli_unitary())
     _assert_no_child_left()
 
@@ -368,7 +369,7 @@ def test_small_panels_bit_identical(monkeypatch, tmp_path, cpus):
     # slices of every matmul inside small circuits, with panel counts that
     # do not split evenly across three workers; panels asked to be 1, 2 or 4
     # columns wide take the 4-column floor, and with the work rule lifted
-    # every circuit splits, into two panels or more
+    # every circuit splits, into two panels or more, when a second CPU is usable
     monkeypatch.setattr(simulator, "_ZGEMM_COLUMNS", 8)
     monkeypatch.setattr(simulator, "_MIN_FORKED_WORK", 0)
     _cpus(monkeypatch, cpus)
@@ -382,7 +383,7 @@ def test_small_panels_bit_identical(monkeypatch, tmp_path, cpus):
         c = _random_circuit(rng, n, int(rng.integers(16, 40)))
         assert np.array_equal(circuit_unitary(c), oracles.tensordot_circuit_unitary(c))
         shares = _shares(seen())
-        width = max(4, min(asked, 2**n // 2))
+        width = max(4, min(asked, 2**n // 2 if cpus > 1 else 2**n))
         assert {w for w, _ in shares} == {width}, (n, asked, shares)
         assert sorted(start for _, starts in shares for start in starts) == list(range(0, 2**n, width))
         assert len(shares) == min(cpus, 2**n // width)
@@ -421,6 +422,22 @@ def test_circuits_under_the_work_rule_fork_nothing(monkeypatch, tmp_path, n, gat
     assert seen() == [(os.getpid(), width, tuple(range(0, 2**n, width)))]
     assert forks == []
     assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_an_eligible_circuit_at_one_cpu_forks_nothing_in_full_width_panels(monkeypatch, tmp_path, n):
+    # gates x 4^n over 2^24, but no second CPU: one worker, and its panels
+    # keep their full width, all 2^n columns at n <= 8
+    _cpus(monkeypatch, 1)
+    forks = _count_forks(monkeypatch)
+    seen = _spy_workers(monkeypatch, tmp_path)
+    c = _random_circuit(np.random.default_rng(97), n, 2 * simulator._MIN_FORKED_WORK >> 2 * n)
+    u = circuit_unitary(c)
+    width = min(2**n, 2**16 // 2**n)
+    assert seen() == [(os.getpid(), width, tuple(range(0, 2**n, width)))]
+    assert forks == []
+    assert np.array_equal(u, oracles.tensordot_circuit_unitary(c))
+    assert u.base is None  # a private array, not a view of a shared mapping
 
 
 def test_work_rule_splits_from_two_to_the_24_on_linux(monkeypatch):

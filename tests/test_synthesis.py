@@ -1110,7 +1110,7 @@ def _qasm_texts(draw):
 def test_qasm_reader_matches_the_per_line_reader(text, size):
     # the first read is cold; the same lines then meet the cache under
     # another qreg size, before the qreg and out of range
-    synthesis._qasm_line.cache_clear()
+    synthesis._qasm_gate_line.cache_clear()
     if "qreg q[" in text:
         other = re.sub(r"qreg q\[[0-9]+\]", f"qreg q[{size}]", text)
     else:
@@ -1152,7 +1152,7 @@ def test_unchecked_values_equal_checked_ones():
 
 def test_reader_caches_stay_bounded():
     bound = synthesis._json_piece.cache_info().maxsize
-    assert bound == synthesis._qasm_line.cache_info().maxsize == 4096
+    assert bound == synthesis._qasm_gate_line.cache_info().maxsize == 4096
     names = [f"b{k}" for k in range(bound + 100)]
     gates = [{"kind": "RX", "qubits": [1], "param": name} for name in names]
     c = circuit_from_json(json.dumps({"n": 1, "gates": gates, "params": dict.fromkeys(names, 0.5)}))
@@ -1161,21 +1161,21 @@ def test_reader_caches_stay_bounded():
     angles = [f"{k}.25" for k in range(bound + 100)]
     c = circuit_from_qasm("qreg q[1];\n" + "".join(f"rx({a}) q[0];\n" for a in angles))
     assert [c.params[g.param] for g in c.gates] == [float(a) for a in angles]
-    assert synthesis._qasm_line.cache_info().currsize <= bound
+    assert synthesis._qasm_gate_line.cache_info().currsize <= bound
 
 
 def test_cached_pieces_and_lines_return_the_current_cached_gate():
     c = Circuit(2, (Gate("H", (1,)), Gate("CNOT", (1, 2)), Gate("RX", (2,), "a"), Gate("H", (1,))), {"a": 0.5})
     json_text, qasm_text = circuit_to_json(c), circuit_to_qasm(c)
     old = circuit_from_json(json_text).gates + circuit_from_qasm(qasm_text).gates
-    hits = synthesis._json_piece.cache_info().hits, synthesis._qasm_line.cache_info().hits
+    hits = synthesis._json_piece.cache_info().hits, synthesis._qasm_gate_line.cache_info().hits
     bound = synthesis._gate.cache_info().maxsize
     for k in range(bound + 100):  # fresh names evict every gate the readers got
         synthesis._gate("RX", (1,), f"evict{k}")
     from_json, from_qasm = circuit_from_json(json_text), circuit_from_qasm(qasm_text)
     # each distinct piece and line came from its reader's cache
     assert synthesis._json_piece.cache_info().hits == hits[0] + 3
-    assert synthesis._qasm_line.cache_info().hits == hits[1] + 3
+    assert synthesis._qasm_gate_line.cache_info().hits == hits[1] + 3
     for g in from_json.gates + from_qasm.gates:
         if g.param != "p0":  # a QASM rotation takes a fresh Gate under its fresh name
             assert g is synthesis._gate(g.kind, g.qubits, g.param)
@@ -1185,9 +1185,9 @@ def test_cached_pieces_and_lines_return_the_current_cached_gate():
 @pytest.mark.parametrize(
     "read, text, message, cached",
     [
-        # lines valid in themselves, and cached, that this text's qreg refuses
-        (circuit_from_qasm, "qreg q[2];\nh q[2];", "gate qubit 3 out of range 1..2 in line 'h q[2];'", 1),
-        (circuit_from_qasm, "h q[0];\nqreg q[2];", "gate line 'h q[0];' comes before the qreg declaration", 1),
+        # lines valid in another text, that this text's qreg refuses
+        (circuit_from_qasm, "qreg q[2];\nh q[2];", "gate qubit 3 out of range 1..2 in line 'h q[2];'", 0),
+        (circuit_from_qasm, "h q[0];\nqreg q[2];", "gate line 'h q[0];' comes before the qreg declaration", 0),
         (circuit_from_qasm, "qreg q[2];\ncx q[1],q[1];",
          "CNOT needs two distinct qubit indices in line 'cx q[1],q[1];'", 0),
         (circuit_from_qasm, "qreg q[2];\nrx(nan) q[0];",
@@ -1204,14 +1204,27 @@ def test_cached_pieces_and_lines_return_the_current_cached_gate():
 )
 def test_a_failing_line_or_piece_fails_alike_on_every_read(read, text, message, cached):
     synthesis._json_piece.cache_clear()
-    synthesis._qasm_line.cache_clear()
+    synthesis._qasm_gate_line.cache_clear()
     for _ in range(3):
         with pytest.raises(ValueError) as info:
             read(text)
         assert str(info.value) == message
-    # what fails its own checks is never cached
+    # what fails is never cached
     assert synthesis._json_piece.cache_info().currsize == 0
-    assert synthesis._qasm_line.cache_info().currsize == cached
+    assert synthesis._qasm_gate_line.cache_info().currsize == cached
+
+
+def test_a_line_is_checked_against_each_texts_qreg():
+    # one line read under qreg sizes 3, 2 and 3 in one process: the failure
+    # in between is not cached and does not hide the passes around it
+    synthesis._qasm_gate_line.cache_clear()
+    first = circuit_from_qasm("qreg q[3];\nh q[2];")
+    assert first.gates == (Gate("H", (3,)),)
+    with pytest.raises(ValueError) as info:
+        circuit_from_qasm("qreg q[2];\nh q[2];")
+    assert str(info.value) == "gate qubit 3 out of range 1..2 in line 'h q[2];'"
+    assert circuit_from_qasm("qreg q[3];\nh q[2];").gates[0] is first.gates[0]
+    assert synthesis._qasm_gate_line.cache_info().currsize == 1
 
 
 def _oracle_pass(g, pivot, name):
