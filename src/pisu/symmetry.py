@@ -8,9 +8,9 @@ Orbits.  A generator builds its orbit once, as a read-only ``(S, n)`` uint8
 array of letter codes X=0, Y=1, Z=2, I=3 (``_LETTERS``): X, Y and Z in turn
 are placed on every combination of each row's still-free positions, and one
 sort puts the rows in lexicographic X < Y < Z < I order.  The generator
-caches one pair of (x, z) mask arrays taken from it, which ``orbit``,
-``as_sum`` and ``matrix()`` all read; only ``orbit`` builds ``PauliString``
-objects.
+caches one pair of (x, z) mask arrays taken from it, which ``orbit`` and
+``as_sum`` read, and ``matrix()`` is ``as_sum.matrix()``; only ``orbit``
+builds ``PauliString`` objects.
 
 Closure.  A bracket lies in the basis span iff its coefficients are
 constant on each basis orbit and zero off them, as distinct Pauli strings
@@ -67,7 +67,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pauli import _I_POW, PauliString, PauliSum, _dense_sum, _integer, check_qubit_cap
+from .pauli import PauliString, PauliSum, _integer, check_qubit_cap
 
 
 def transpositions(n: int) -> tuple[tuple[int, int], ...]:
@@ -135,12 +135,7 @@ class TypeVector:
 
     def orbit_size(self) -> int:
         """Multinomial count of distinct letter arrangements."""
-        return math.factorial(self.n) // (
-            math.factorial(self.n_x)
-            * math.factorial(self.n_y)
-            * math.factorial(self.n_z)
-            * math.factorial(self.n_i)
-        )
+        return math.factorial(self.n) // math.prod(map(math.factorial, (self.n_x, self.n_y, self.n_z, self.n_i)))
 
     def distinct_letters(self) -> int:
         """How many of X, Y, Z appear at least once."""
@@ -191,7 +186,7 @@ class SymmetrizedGenerator:
 
     @cached_property
     def _masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each orbit string's (x, z) masks in ``PauliString`` bit order, rows as in ``_letters``."""
+        """The orbit's ``PauliString`` (x, z) masks, rows as in ``_letters``; ``orbit`` and ``as_sum`` read them."""
         letters, n = self._letters, self.n
         weights = np.array([1 << q for q in range(n)], dtype=np.int64 if n < 63 else object)
         return (letters < 2) @ weights, ((letters == 1) | (letters == 2)) @ weights  # X or Y; Y or Z
@@ -212,14 +207,9 @@ class SymmetrizedGenerator:
         return PauliSum(self.n, dict.fromkeys(zip(x.tolist(), z.tolist()), 1.0 + 0j))
 
     def matrix(self) -> np.ndarray:
-        """The dense orbit sum, bit for bit ``as_sum.matrix()``; held to the qubit cap.
-
-        The entries are exact integer sums whose zeros are +0.0, so the
-        orbit's term order gives the bits of ``strings()`` order.
-        """
-        check_qubit_cap(self.n)  # before the orbit is expanded
-        x, z = self._masks
-        return _dense_sum(self.n, x, z, [_I_POW[self.type_vector.n_y % 4]] * len(x))
+        """The dense orbit sum, ``as_sum.matrix()``; held to the qubit cap before the orbit is expanded."""
+        check_qubit_cap(self.n)
+        return self.as_sum.matrix()
 
     def __repr__(self) -> str:
         return f"SymmetrizedGenerator({self.label!r})"
@@ -367,13 +357,6 @@ def swap_invariance_defect(u: np.ndarray, n: int) -> float:
     return max((_transposition_defect(u, n, i, j) for i, j in transpositions(n)), default=0.0)
 
 
-def _type_of(n: int, x: int, z: int) -> TypeVector:
-    n_y = (x & z).bit_count()
-    n_x = x.bit_count() - n_y
-    n_z = z.bit_count() - n_y
-    return TypeVector(n_x, n_y, n_z, n - n_x - n_y - n_z)
-
-
 def project_onto_basis(
     v: PauliSum, basis: Sequence[SymmetrizedGenerator]
 ) -> tuple[list[complex], float]:
@@ -386,25 +369,27 @@ def project_onto_basis(
     """
     if basis and v.n != basis[0].n:
         raise ValueError(f"qubit counts differ: {v.n} != {basis[0].n}")
-    by_type: dict[TypeVector, list[complex]] = {}
+    by_type: dict[tuple[int, int, int], list[complex]] = {}  # terms of v by (n_x, n_y, n_z)
     for (x, z), coeff in v.terms.items():
-        by_type.setdefault(_type_of(v.n, x, z), []).append(coeff)
+        n_y = (x & z).bit_count()
+        by_type.setdefault((x.bit_count() - n_y, n_y, z.bit_count() - n_y), []).append(coeff)
 
     basis_types = set()
     coeffs: list[complex] = []
     residual_sq = 0.0
     for gen in basis:
         tv = gen.type_vector
-        basis_types.add(tv)
-        present = by_type.get(tv, [])
+        key = (tv.n_x, tv.n_y, tv.n_z)
+        basis_types.add(key)
+        present = by_type.get(key, [])
         size = tv.orbit_size()
         c = sum(present) / size if present else 0j
         coeffs.append(c)
         residual_sq += sum(abs(value - c) ** 2 for value in present)
         residual_sq += (size - len(present)) * abs(c) ** 2
     # terms of v whose type has no basis element (e.g. an identity component)
-    for tv, values in by_type.items():
-        if tv not in basis_types:
+    for key, values in by_type.items():
+        if key not in basis_types:
             residual_sq += sum(abs(value) ** 2 for value in values)
     return coeffs, float(math.sqrt(residual_sq))
 
@@ -422,12 +407,7 @@ class ClosureReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs": self.pairs,
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-        }
+        return {"n": self.n, "pairs": self.pairs, "max_residual": self.max_residual, "pass": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -26,7 +26,11 @@ included.  ``letter_matrix`` and
 ``string_matrix`` realize a string by Kronecker products, and
 ``commuting_orbit_by_pairs`` runs the symplectic check ``commutes`` on every
 pair of orbit strings, where ``commuting_orbit`` reads the answer off the
-type vector.  ``conjugate_by_swap`` exchanges the letters of a string at two
+type vector.  ``commutator_by_strings`` is ``commutator`` as it was before
+the mask-level product rule: a ``PauliString`` per term and a ``multiply``
+per anticommuting pair; ``project_by_orbits`` projects by looking up every
+orbit string, where ``project_onto_basis`` groups ``v``'s terms by type.
+``conjugate_by_swap`` exchanges the letters of a string at two
 qubits, the symbolic form of conjugating it by a SWAP; the package itself
 only checks invariance densely.  ``_arrangements`` (each orbit word by
 recursion) and ``_string_gates`` (one string's ladder as a Python gate
@@ -54,13 +58,16 @@ from pisu import (
     Circuit,
     Gate,
     PauliString,
+    PauliSum,
     commutator,
     enumerate_basis,
     gate_matrix,
+    multiply,
     project_onto_basis,
     swap_matrix,
     transpositions,
 )
+from pisu.pauli import PRUNE_EPS
 from pisu.synthesis import (
     _QASM_GATE_RE as _LINE_GATE_RE,
     _QASM_INDEX_RE,
@@ -105,6 +112,41 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
+
+
+def commutator_by_strings(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``commutator`` as one ``multiply`` of two PauliStrings per anticommuting term pair."""
+    if a.n != b.n:
+        raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
+    acc: dict[tuple[int, int], complex] = {}
+    for (ax, az), ac in a.terms.items():
+        sa = PauliString(a.n, ax, az, ac)
+        for (bx, bz), bc in b.terms.items():
+            sb = PauliString(b.n, bx, bz, bc)
+            if commutes(sa, sb):
+                continue
+            prod = multiply(sa, sb)
+            key = (prod.x, prod.z)
+            acc[key] = acc.get(key, 0j) + 2 * prod.coeff
+    return PauliSum(a.n, {k: v for k, v in acc.items() if abs(v) >= PRUNE_EPS})
+
+
+def project_by_orbits(v: PauliSum, basis) -> tuple[list[complex], float]:
+    """``project_onto_basis`` by looking up every orbit string of every generator in ``v``.
+
+    Each coefficient is the mean of ``v`` over the orbit's strings; the
+    residual is the norm of what is left of ``v`` after subtracting each
+    coefficient from its orbit's strings.
+    """
+    coeffs = []
+    rest = dict(v.terms)
+    for gen in basis:
+        keys = [(s.x, s.z) for s in gen.orbit]
+        c = sum(v.terms.get(key, 0j) for key in keys) / len(keys)
+        coeffs.append(c)
+        for key in keys:
+            rest[key] = rest.get(key, 0j) - c
+    return coeffs, math.sqrt(sum(abs(r) ** 2 for r in rest.values()))
 
 
 def _swap_bits(value: int, a: int, b: int) -> int:

@@ -1,7 +1,9 @@
 """Pauli string algebra: exact products, commutation, dense realizations."""
 
 import copy
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from pisu import (
     PauliSum,
     QubitLimitError,
     commutator,
+    enumerate_basis,
     max_qubits,
     multiply,
+    project_onto_basis,
 )
 
 import oracles
@@ -386,12 +390,39 @@ def test_commutator_is_the_matrix_bracket(pair):
         pytest.param(lambda: PauliSum(2.0, {}), "n must be an integer, got 2.0", id="sum-float"),
         pytest.param(lambda: PauliSum("3", {}), "n must be an integer, got '3'", id="sum-str"),
         pytest.param(lambda: PauliSum(None, {}), "n must be an integer, got None", id="sum-none"),
+        pytest.param(lambda: PauliString.from_letters(["X", ""]), "unknown Pauli letter ''", id="letter-empty"),
+        pytest.param(lambda: PauliString.from_letters(["XY"]), "unknown Pauli letter 'XY'", id="letter-word"),
+        pytest.param(lambda: PauliString(2, 0, -1), "x/z bits fall outside the qubit range", id="negative-bits"),
+        pytest.param(lambda: PauliString(2, 1.0, 0), "x must be an integer, got 1.0", id="x-float"),
+        pytest.param(lambda: PauliString(2, 0, "1"), "z must be an integer, got '1'", id="z-str"),
+        pytest.param(lambda: PauliString(2, 1, 0, "a"), "coeff must be a number, got 'a'", id="coeff-str"),
+        pytest.param(lambda: PauliString(2, 1, 0, True), "coeff must be a number, got True", id="coeff-bool"),
+        pytest.param(lambda: PauliString(2, 1, 0, None), "coeff must be a number, got None", id="coeff-none"),
+        pytest.param(lambda: PauliSum(2, {(1.0, 0): 1.0}), "x must be an integer, got 1.0", id="sum-x-float"),
+        pytest.param(lambda: PauliSum(2, {(1, 0.5): 1.0}), "z must be an integer, got 0.5", id="sum-z-float"),
+        pytest.param(lambda: PauliSum(2, {(1,): 1.0}), "terms keys must be (x, z) pairs, got (1,)", id="sum-short-key"),
+        pytest.param(lambda: PauliSum(2, {(1, 0, 0): 1.0}), "terms keys must be (x, z) pairs, got (1, 0, 0)",
+                     id="sum-long-key"),
+        pytest.param(lambda: PauliSum(2, {3: 1.0}), "terms keys must be (x, z) pairs, got 3", id="sum-int-key"),
+        pytest.param(lambda: PauliSum(2, {(1, 0): "a"}), "terms values must be numbers, got 'a'", id="sum-str-value"),
+        pytest.param(lambda: PauliSum(2, {(1, 0): 1j, (0, 1): False}), "terms values must be numbers, got False",
+                     id="sum-bool-value"),
     ],
 )
 def test_pauli_types_reject_bad_input(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_masks_are_stored_as_ints_and_numbers_kept():
+    s = PauliString(np.int64(2), np.int64(1), np.uint8(2), np.float64(0.5))
+    assert (type(s.x), type(s.z), s.coeff) == (int, int, 0.5) and s == PauliString(2, 1, 2, 0.5)
+    assert type(PauliString(1, True, False).x) is int
+    v = PauliSum(2, {(np.int64(1), np.int32(3)): np.complex64(2j), (True, 0): Fraction(1, 2), (2, 2): 3})
+    assert [tuple(map(type, key)) for key in v.terms] == [(int, int)] * 3
+    assert v == PauliSum(2, {(1, 3): 2j, (1, 0): 0.5, (2, 2): 3})
+    assert v.terms[(1, 3)] == 2j and type(v.terms[(1, 3)]) is np.complex64
 
 
 def test_pauli_sum_stores_n_as_an_int():
@@ -409,3 +440,34 @@ def test_pauli_string_n_takes_any_integer(n, ok):
     else:
         with pytest.raises(ValueError, match="n must be an integer"):
             PauliString(n, 1, 0)
+
+
+@st.composite
+def float_sum_pairs(draw):
+    """Two sums on one n, coefficients with float parts of either sign of zero."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, 2**n - 1)
+    parts = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    terms = st.dictionaries(st.tuples(masks, masks), st.builds(complex, parts, parts), min_size=1, max_size=12)
+    return PauliSum(n, draw(terms)), PauliSum(n, draw(terms))
+
+
+def _float_bits(c):
+    return [(p, math.copysign(1.0, p)) for p in (c.real, c.imag)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_sum_pairs(), st.data())
+def test_commutator_and_projection_equal_their_oracles(pair, data):
+    a, b = pair
+    got, want = commutator(a, b), oracles.commutator_by_strings(a, b)
+    assert list(got.terms) == list(want.terms)  # key for key, in insertion order
+    assert [_float_bits(c) for c in got.terms.values()] == [_float_bits(c) for c in want.terms.values()]
+    basis = enumerate_basis(a.n)
+    partial = data.draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis)), label="basis")
+    identity = data.draw(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)), label="identity")
+    for v in (got, a, PauliSum(a.n, {**got.terms, (0, 0): identity})):
+        coeffs, residual = project_onto_basis(v, partial)
+        want_coeffs, want_residual = oracles.project_by_orbits(v, partial)
+        assert coeffs == pytest.approx(want_coeffs, rel=1e-12, abs=1e-9)
+        assert residual == pytest.approx(want_residual, rel=1e-12, abs=1e-9)
