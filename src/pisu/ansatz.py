@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import _integer
-from .symmetry import _LETTERS, SymmetrizedGenerator, TypeVector, transpositions
+from .symmetry import SymmetrizedGenerator, TypeVector, transpositions
 from .synthesis import Circuit, Gate, SynthesisPlan, _ladder_gates, commuting_orbit, synth_generator
 
 # product-formula steps of a non-commuting replacement entangler
@@ -206,9 +206,9 @@ def _rotation(
     """
     if mode == "tie":
         return tuple(Gate(base.kind, (q,), param) for q in copies)
-    letters = np.full((1, n), _LETTERS.index("I"), dtype=np.uint8)
-    letters[0, np.subtract(copies, 1)] = _LETTERS.index(base.kind[1])  # RX -> X, RY -> Y
-    return tuple(_ladder_gates(letters, np.array([min(copies) - 1]), param))
+    letters = np.full((1, n), ord("I"), dtype=np.uint8)
+    letters[0, np.subtract(copies, 1)] = ord(base.kind[1])  # RX -> X, RY -> Y
+    return tuple(_ladder_gates(letters, param))
 
 
 def symmetrize_by_extension(

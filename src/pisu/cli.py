@@ -68,18 +68,18 @@ def _cmd_basis(args) -> int:
     n = args.qubits
     basis = symmetry.enumerate_basis(n)
     if args.format == "text":
-        # paper notation, "x2 y1" for YX: each row's tokens sorted by (letter, qubit), identity last
-        tokens = np.array([f"{c.lower()}{q}" for c in symmetry._LETTERS for q in range(1, n + 1)], dtype=object)
+        # paper notation, "x2 y1" for YX: each row's tokens sorted by (letter, qubit); I sorts
+        # before X in ASCII, so a row's identity tokens lead and are dropped
+        tokens = np.array([f"{c}{q}" for c in "xyz" for q in range(1, n + 1)], dtype=object)
         for idx, gen in enumerate(basis, start=1):
-            keys = np.sort(gen._letters * np.intp(n) + np.arange(n), axis=1)[:, : n - gen.type_vector.n_i]
-            orbit = " + ".join(map(" ".join, tokens[keys].tolist()))
+            keys = np.sort(gen._letters * np.intp(n) + np.arange(n), axis=1)[:, gen.type_vector.n_i :]
+            orbit = " + ".join(map(" ".join, tokens[keys - ord("X") * n].tolist()))
             print(f"{idx}: {gen.label} = {orbit}")
         return 0
-    ascii_letters = np.frombuffer(symmetry._LETTERS.encode(), dtype=np.uint8)
     generators = []
     for idx, gen in enumerate(basis, start=1):
         tv = gen.type_vector
-        words = ascii_letters[gen._letters].view(f"S{n}").ravel().astype(str)  # one word per row
+        words = gen._letters.view(f"S{n}").ravel().astype(str)  # one word per row
         generators.append(
             {"index": idx, "label": gen.label, "type": [tv.n_x, tv.n_y, tv.n_z, tv.n_i], "orbit": words.tolist()}
         )

@@ -169,8 +169,9 @@ class PauliSum:
     """Formal complex-linear combination of Pauli strings over n >= 1 qubits, ``n`` stored as an ``int``.
 
     ``terms`` maps (x, z) pairs of integer masks, stored as ``int``s, to numbers (not bools) as a
-    read-only mapping; any other key or value is a ``ValueError``.  Canonical form stores no
-    coefficient below the pruning epsilon.  Sums are immutable and hashable.
+    read-only mapping; any other key or value is a ``ValueError``.  The constructor keeps every
+    term it is given; ``from_strings`` and ``commutator`` drop coefficients below ``PRUNE_EPS``.
+    Sums are immutable and hashable.
     """
 
     n: int

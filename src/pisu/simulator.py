@@ -50,36 +50,31 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .pauli import check_qubit_cap
-from .synthesis import Circuit, Gate, _angle, _per_distinct_gate
+from .synthesis import GATE_KINDS, ROTATION_KINDS, Circuit, Gate, _angle, _per_distinct_gate
 
 
 class UnboundParameterError(ValueError):
     """A rotation gate references a parameter with no bound value."""
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.diag([1.0 + 0j, 1j])
-_SDG = np.diag([1.0 + 0j, -1j])
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_FIXED_MATRICES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.diag([1.0 + 0j, 1j]),
+    "Sdg": np.diag([1.0 + 0j, -1j]),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
 
 
 def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     """2x2 (or 4x4 for CNOT) matrix of a gate kind; rotations need a finite angle."""
-    if kind == "H":
-        return _H.copy()
-    if kind == "S":
-        return _S.copy()
-    if kind == "Sdg":
-        return _SDG.copy()
-    if kind == "CNOT":
-        return _CNOT.copy()
+    if kind not in ROTATION_KINDS:
+        if kind not in GATE_KINDS:  # a tuple: an unhashable kind is unknown too
+            raise ValueError(f"unknown gate kind {kind!r}")
+        return _FIXED_MATRICES[kind].copy()
     if angle is None:
         raise UnboundParameterError(f"{kind} needs an angle")
     angle = _angle("angle", angle)
@@ -88,17 +83,7 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
     if kind == "RY":
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "RZ":
-        return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def _gate_angle(gate: Gate, params: Mapping[str, float]) -> float | None:
-    if gate.param is None:
-        return None
-    if gate.param not in params:
-        raise UnboundParameterError(f"parameter {gate.param!r} has no bound value")
-    return params[gate.param]
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
 
 
 # complex entries per column panel: 2^16 x 16 bytes is 1 MiB, so a panel and
@@ -138,7 +123,9 @@ def _gate_ops(c: Circuit) -> list[tuple]:
             return ("cnot", q, gate.qubits[1] - 1)
         if gate.kind in ("S", "Sdg"):
             return ("scale", whole[:q] + (1,), 1j if gate.kind == "S" else -1j)
-        angle = _gate_angle(gate, c.params)  # a checked float: Circuit stores no other
+        angle = c.params.get(gate.param)  # a checked float: Circuit stores no other
+        if angle is None and gate.param is not None:
+            raise UnboundParameterError(f"parameter {gate.param!r} has no bound value")
         key = (gate.kind, q, None if angle is None else angle.hex())  # hex keeps -0.0 apart from 0.0
         resolved = by_angle.get(key)
         if resolved is None:

@@ -5,9 +5,10 @@ vector (letter-count signature); each element is the sum of all distinct
 letter arrangements of that type, its orbit.
 
 Orbits.  A generator builds its orbit once, as a read-only ``(S, n)`` uint8
-array of letter codes X=0, Y=1, Z=2, I=3 (``_LETTERS``): X, Y and Z in turn
-are placed on every combination of each row's still-free positions, and one
-sort puts the rows in lexicographic X < Y < Z < I order.  The generator
+array: X, Y and Z in turn are placed on every combination of each row's
+still-free positions, one sort puts the rows in lexicographic X < Y < Z < I
+order, and each row is then spelled out in the ASCII letters of its word,
+which ``synthesis``, ``ansatz`` and the CLI read as they are.  The generator
 caches one pair of (x, z) mask arrays taken from it, which ``orbit`` and
 ``as_sum`` read, and ``matrix()`` is ``as_sum.matrix()``; only ``orbit``
 builds ``PauliString`` objects.
@@ -142,9 +143,6 @@ class TypeVector:
         return sum(1 for c in (self.n_x, self.n_y, self.n_z) if c > 0)
 
 
-_LETTERS = "XYZI"  # code k of an orbit letter array is the letter _LETTERS[k]
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetrizedGenerator:
     """One basis element: a type vector plus its expanded permutation orbit.
@@ -167,20 +165,21 @@ class SymmetrizedGenerator:
 
     @cached_property
     def _letters(self) -> np.ndarray:
-        """The orbit as a read-only ``(S, n)`` uint8 array of letter codes (``_LETTERS``).
+        """The orbit as a read-only ``(S, n)`` uint8 array of ASCII letters, row k the word of ``orbit[k]``.
 
-        Rows ascend as base-4 numbers with qubit 1 the most significant
-        digit, which is lexicographic order in X < Y < Z < I.
+        Rows are built and sorted as ranks X=0, Y=1, Z=2, I=3, then spelled
+        out, so they ascend lexicographically in X < Y < Z < I, qubit 1 first.
         """
         tv = self.type_vector
-        words = np.full((1, tv.n), 3, dtype=np.uint8)
-        for code, count in enumerate((tv.n_x, tv.n_y, tv.n_z)):
+        ranks = np.full((1, tv.n), 3, dtype=np.uint8)
+        for rank, count in enumerate((tv.n_x, tv.n_y, tv.n_z)):
             if count:
-                free = (words == 3).nonzero()[1].reshape(len(words), -1)  # each row's, ascending
+                free = (ranks == 3).nonzero()[1].reshape(len(ranks), -1)  # each row's, ascending
                 combos = np.array(list(itertools.combinations(range(free.shape[1]), count)))
-                words = words.repeat(len(combos), axis=0)
-                words[np.arange(len(words))[:, None], free[:, combos].reshape(len(words), count)] = code
-        words = words[np.lexsort(words.T[::-1])]  # the last key, column 0, sorts first
+                ranks = ranks.repeat(len(combos), axis=0)
+                ranks[np.arange(len(ranks))[:, None], free[:, combos].reshape(len(ranks), count)] = rank
+        ranks = ranks[np.lexsort(ranks.T[::-1])]  # the last key, column 0, sorts first
+        words = np.frombuffer(b"XYZI", dtype=np.uint8)[ranks]
         words.flags.writeable = False
         return words
 
@@ -189,7 +188,7 @@ class SymmetrizedGenerator:
         """The orbit's ``PauliString`` (x, z) masks, rows as in ``_letters``; ``orbit`` and ``as_sum`` read them."""
         letters, n = self._letters, self.n
         weights = np.array([1 << q for q in range(n)], dtype=np.int64 if n < 63 else object)
-        return (letters < 2) @ weights, ((letters == 1) | (letters == 2)) @ weights  # X or Y; Y or Z
+        return ((letters == ord("X")) | (letters == ord("Y"))) @ weights, (letters >= ord("Y")) @ weights
 
     @cached_property
     def orbit(self) -> tuple[PauliString, ...]:
@@ -396,15 +395,16 @@ def project_onto_basis(
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Outcome of exhaustive pairwise-bracket verification.
-
-    ``max_residual`` is exact, so ``passed`` is ``max_residual == 0.0``.
-    """
+    """Outcome of exhaustive pairwise-bracket verification."""
 
     n: int
     pairs: int
     max_residual: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Whether every bracket lies in the span: ``max_residual`` is exact, so that is ``max_residual == 0.0``."""
+        return bool(self.max_residual == 0.0)  # a plain bool for to_json, also for a numpy residual
 
     def to_dict(self) -> dict:
         return {"n": self.n, "pairs": self.pairs, "max_residual": self.max_residual, "pass": self.passed}
@@ -426,7 +426,7 @@ def verify_closure(n: int) -> ClosureReport:
     n = _integer(n, "n must be an int")
     check_qubit_cap(n)
     pairs, worst = _closure_residual(n, enumerate_basis(n))
-    return ClosureReport(n=n, pairs=pairs, max_residual=worst, passed=worst == 0.0)
+    return ClosureReport(n=n, pairs=pairs, max_residual=worst)
 
 
 _PIECE = 1 << 16  # term pairs per counted piece, and bins per window unless one generator has more

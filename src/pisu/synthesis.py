@@ -68,7 +68,7 @@ from typing import Mapping
 import numpy as np
 
 from .pauli import PauliString, _integer, check_qubit_cap
-from .symmetry import _LETTERS, SymmetrizedGenerator
+from .symmetry import SymmetrizedGenerator
 
 GATE_KINDS = ("H", "S", "Sdg", "CNOT", "RX", "RY", "RZ")
 ROTATION_KINDS = ("RX", "RY", "RZ")
@@ -255,43 +255,45 @@ def synth_string(
     """
     if s.coeff != 1:
         raise ValueError(f"string coefficient must be 1, got {s.coeff}")
-    support = s.support()
-    if not support:
+    if not s.support():
         raise ValueError("cannot exponentiate the all-identity string")
-    pivot = support[0] if pivot is None else _integer(pivot, "pivot must be an integer")
-    if not 1 <= pivot <= s.n:
-        raise ValueError(f"pivot {pivot} out of range 1..{s.n}")
-    if s.letter(pivot) == "I":
-        raise ValueError(f"pivot qubit {pivot} carries an identity letter")
-    letters = np.array([[_LETTERS.index(letter) for letter in s.letters]], dtype=np.uint8)
-    gates = _ladder_gates(letters, np.array([pivot - 1]), param_name)
-    return Circuit(s.n, tuple(gates), {param_name: theta})
+    if pivot is not None:
+        pivot = _integer(pivot, "pivot must be an integer")
+        if not 1 <= pivot <= s.n:
+            raise ValueError(f"pivot {pivot} out of range 1..{s.n}")
+        if s.letter(pivot) == "I":
+            raise ValueError(f"pivot qubit {pivot} carries an identity letter")
+    letters = np.frombuffer(s.letters.encode(), dtype=np.uint8).reshape(1, s.n)
+    return Circuit(s.n, tuple(_ladder_gates(letters, param_name, pivot)), {param_name: theta})
 
 
 # A ladder gate is an integer id: _ONE_QUBIT[k] on 0-based qubit q is k*n + q,
-# and CNOT(p, t) is 4n + p*n + t.  _WRAP_IDS[0 or 1, code] is the k of the
-# opening or closing basis change of letter code Y or Z (X takes none).
+# and CNOT(p, t) is 4n + p*n + t.  _WRAP_IDS[0 or 1, letter - ord("Y")] is the
+# k of the opening or closing basis change of a Y or Z letter (X takes none).
 _ONE_QUBIT = ("Sdg", "S", "H", "RX")
-_WRAP_IDS = np.array(
-    [[_ONE_QUBIT.index(_WRAPPERS[c][end]) if _WRAPPERS[c] else -1 for c in _LETTERS[:3]] for end in (0, 1)]
-)
+_WRAP_IDS = np.array([[_ONE_QUBIT.index(_WRAPPERS[letter][end]) for letter in "YZ"] for end in (0, 1)])
 
 
-def _ladder_gates(letters: np.ndarray, pivots: np.ndarray, name: str) -> list[Gate]:
+def _ladder_gates(letters: np.ndarray, name: str, pivot: int | None = None) -> list[Gate]:
     """The gates of one string exponential per row of ``letters``, in row order.
 
-    ``letters`` is an ``(S, n)`` array of letter codes (``_LETTERS``) whose
-    rows share their numbers of identity and of Y-or-Z letters, as one
-    orbit's strings do; ``pivots`` holds each row's 0-based pivot, a qubit
-    off the identity.  Every RX takes the parameter ``name``.
+    ``letters`` is an ``(S, n)`` uint8 array of ASCII letters whose rows
+    share their numbers of identity and of Y-or-Z letters, as one orbit's
+    strings do, and have at least one letter off the identity.  Each row
+    pivots on its lowest qubit off the identity, or on the 1-based qubit
+    ``pivot`` where the row is not idle on it.  Every RX takes the
+    parameter ``name``.
     """
     rows, n = letters.shape
-    wrap = (letters == 1) | (letters == 2)
+    support = letters != ord("I")
+    pivots = support.argmax(axis=1)
+    if pivot is not None:
+        pivots[support[:, pivot - 1]] = pivot - 1
+    wrap = letters >= ord("Y")
     shape = (rows, np.count_nonzero(wrap[0]))
     # each row's Y/Z qubits, ascending, and the ids of their opening and closing gates
     wrapped = wrap.nonzero()[1].reshape(shape)
-    ends = _WRAP_IDS[:, letters[wrap].reshape(shape)] * n + wrapped
-    support = letters != 3
+    ends = _WRAP_IDS[:, letters[wrap].reshape(shape) - ord("Y")] * n + wrapped
     support[np.arange(rows), pivots] = False
     targets = support.nonzero()[1].reshape(rows, np.count_nonzero(support[0]))
     fan = (4 + pivots[:, None]) * n + targets
@@ -358,11 +360,7 @@ def synth_generator(
     else:
         # first-order product formula: k passes over the orbit at theta / k
         angle, name = theta / plan.steps, f"{param_name}_step"
-    letters = g._letters
-    pivots = (letters != 3).argmax(axis=1)  # each string's lowest support qubit
-    if plan.pivot:  # or the plan's pivot, where the string is not idle on it
-        pivots[letters[:, plan.pivot - 1] != 3] = plan.pivot - 1
-    one_pass = _ladder_gates(letters, pivots, name)
+    one_pass = _ladder_gates(g._letters, name, plan.pivot)
     # ladder qubits lie in 1..n, and angle went through _angle
     return _unchecked(Circuit, g.n, tuple(one_pass) * plan.steps, MappingProxyType({name: angle}))
 
@@ -407,8 +405,10 @@ def cnot_count(c: Circuit) -> int:
 
 
 def naive_cnot_budget(n: int) -> int:
-    """Reference curve 2n * sum_{k=1}^{n} (n-k)^3 for whole-group construction."""
+    """Reference curve 2n * sum_{k=1}^{n} (n-k)^3 for whole-group construction; ``n`` is an integer >= 1."""
     n = _integer(n, "n must be an integer")
+    if n < 1:
+        raise ValueError("need at least one qubit")
     return 2 * n * sum((n - k) ** 3 for k in range(1, n + 1))
 
 

@@ -557,10 +557,14 @@ def test_memory_beyond_the_result_is_two_panel_buffers_per_worker(monkeypatch, t
     assert isinstance(mapping, mmap.mmap) and len(mapping) == 16 * 4**10
 
 
-@pytest.mark.parametrize("kind", ["T", "rx", "cx"])
+@pytest.mark.parametrize("kind", ["T", "rx", "cx", "X", pytest.param(["H"], id="unhashable")])
 def test_gate_matrix_rejects_an_unknown_kind(kind):
     with pytest.raises(ValueError) as info:
         gate_matrix(kind, 0.5)
+    assert str(info.value) == f"unknown gate kind {kind!r}"
+    with pytest.raises(ValueError) as info:  # the kind is checked before the missing angle
+        gate_matrix(kind)
+    assert not isinstance(info.value, UnboundParameterError)
     assert str(info.value) == f"unknown gate kind {kind!r}"
 
 

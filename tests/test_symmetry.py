@@ -151,6 +151,12 @@ def test_orbit_equals_the_recursive_oracle():
             assert gen._letters.shape == (gen.orbit_size(), n) and not gen._letters.flags.writeable
 
 
+def test_orbit_rows_hold_their_letters():
+    for n in range(1, 7):
+        for gen in enumerate_basis(n):
+            assert gen._letters.view(f"S{n}").ravel().tolist() == [s.letters.encode() for s in gen.orbit], gen
+
+
 def test_orbit_masks_beyond_64_qubits():
     # qubit 64 and up do not fit an int64 mask; the masks are Python ints
     tv = TypeVector(1, 0, 1, 68)
@@ -945,6 +951,8 @@ def test_integer_like_arguments_act_as_ints():
                      "label 'ZZZ' is not the type's label 'XXI'", id="label"),
         pytest.param(lambda: enumerate_basis(0), "need at least one qubit", id="basis"),
         pytest.param(lambda: dim_pisu(0), "need at least one qubit", id="dim"),
+        pytest.param(lambda: naive_cnot_budget(0), "need at least one qubit", id="naive_cnot_budget-0"),
+        pytest.param(lambda: naive_cnot_budget(-3), "need at least one qubit", id="naive_cnot_budget-negative"),
         pytest.param(lambda: swap_invariance_defect(np.eye(4), 3), "matrix shape (4, 4) does not match n=3",
                      id="defect"),
         pytest.param(lambda: project_onto_basis(PauliSum.from_strings([PauliString.from_letters("X")]),
@@ -1007,6 +1015,17 @@ def test_verify_closure_passes_iff_the_residual_is_exactly_zero():
     with mock.patch.object(symmetry, "_closure_residual", return_value=(36, 5e-324)):
         report = verify_closure(2)
     assert report.passed is False and report.to_dict()["pass"] is False
+
+
+def test_closure_report_derives_its_verdict_from_the_residual():
+    failed = symmetry.ClosureReport(3, 6, 1.0)
+    assert failed.passed is False and failed.to_json() == '{"max_residual": 1.0, "n": 3, "pairs": 6, "pass": false}'
+    assert symmetry.ClosureReport(3, 6, 0.0).passed is True
+    assert symmetry.ClosureReport(3, 6, np.float64(0.0)).to_json().endswith('"pass": true}')
+    with pytest.raises(TypeError):
+        symmetry.ClosureReport(3, 6, 1.0, True)
+    with pytest.raises(TypeError):
+        symmetry.ClosureReport(3, 6, 1.0, passed=True)
 
 
 @pytest.mark.parametrize(
