@@ -2,23 +2,29 @@
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
 2 usage error.  The PISU_MAX_QUBITS environment variable overrides the
-dense-matrix qubit cap (default 12).
+dense-matrix qubit cap (default 12).  Commands that need ``synthesis``,
+``simulator`` or ``ansatz`` import them when they run, so ``dim``,
+``basis`` and ``closure`` load only ``pauli`` and ``symmetry``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ansatz as ansatz_mod
-from . import simulator, symmetry, synthesis
+from . import symmetry
 from .pauli import check_qubit_cap
 from .symmetry import TypeVector
+
+if TYPE_CHECKING:
+    from . import synthesis
 
 
 def _number(kind, bound: str | None = None):
@@ -124,6 +130,8 @@ def _mode_count(text: str, form: str) -> int:
 
 
 def _parse_mode(text: str) -> synthesis.SynthesisPlan:
+    from . import synthesis
+
     if text == "exact":
         return synthesis.SynthesisPlan("exact-product")
     if text.startswith("trotter:"):
@@ -132,6 +140,8 @@ def _parse_mode(text: str) -> synthesis.SynthesisPlan:
 
 
 def _emit_circuit(c: synthesis.Circuit, fmt: str) -> None:
+    from . import synthesis
+
     if fmt == "qasm":
         sys.stdout.write(synthesis.circuit_to_qasm(c))
     else:
@@ -139,6 +149,8 @@ def _emit_circuit(c: synthesis.Circuit, fmt: str) -> None:
 
 
 def _cmd_synth(args) -> int:
+    from . import synthesis
+
     tv = _parse_type(args.type, args.qubits)
     gen = symmetry.SymmetrizedGenerator(tv, tv.label)
     plan = _parse_mode(args.mode)
@@ -150,6 +162,8 @@ def _cmd_synth(args) -> int:
 
 
 def _load_circuit(path: str) -> synthesis.Circuit:
+    from . import synthesis
+
     text = Path(path).read_text()
     if path.endswith(".qasm"):
         return synthesis.circuit_from_qasm(text)
@@ -157,6 +171,8 @@ def _load_circuit(path: str) -> synthesis.Circuit:
 
 
 def _cmd_verify(args) -> int:
+    from . import simulator
+
     circuit = _load_circuit(args.circuit)
     u = simulator.circuit_unitary(circuit)
     defect = symmetry.swap_invariance_defect(u, circuit.n)
@@ -175,11 +191,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ansatz(args) -> int:
-    base = ansatz_mod.base_variational_circuit(args.qubits, seed=args.seed)
-    choice = ansatz_mod.SymmetrizationChoice(args.choice, args.choice)
+    from . import ansatz, simulator, synthesis
+
+    base = ansatz.base_variational_circuit(args.qubits, seed=args.seed)
+    choice = ansatz.SymmetrizationChoice(args.choice, args.choice)
     rng = np.random.default_rng(args.seed + 1)
     if args.mode == "full":
-        circuit = ansatz_mod.symmetrize_fully(
+        circuit = ansatz.symmetrize_fully(
             base, choice=choice, angle=float(rng.uniform(0, 2 * np.pi))
         )
         u = simulator.circuit_unitary(circuit)
@@ -187,8 +205,8 @@ def _cmd_ansatz(args) -> int:
         report = {"mode": "full", "max_transposition_defect": defect, "invariant": defect < args.tol}
     elif args.mode.startswith("blocks:"):
         blocks = _mode_count(args.mode, "blocks:<b>")
-        circuit = ansatz_mod.symmetrize_by_extension(base, blocks, choice)
-        bs = ansatz_mod.BlockStructure.for_extension(args.qubits, blocks)
+        circuit = ansatz.symmetrize_by_extension(base, blocks, choice)
+        bs = ansatz.BlockStructure.for_extension(args.qubits, blocks)
         u = simulator.circuit_unitary(circuit)
         defects = []
         for a in range(1, blocks + 1):
@@ -216,6 +234,8 @@ def _cmd_ansatz(args) -> int:
 
 
 def _cmd_count_cnots(args) -> int:
+    from . import synthesis
+
     symmetry.dim_pisu(args.qubits)  # refuses n < 1 before any line is printed
     total = 0
     for tv in symmetry.type_vectors(args.qubits):  # one generator at a time, so memory does not grow with n
@@ -236,6 +256,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pisu",

@@ -28,7 +28,7 @@ from pisu import (
     synth_generator,
 )
 from pisu import symmetry, synthesis
-from pisu.cli import main
+from pisu.cli import build_parser, main
 
 import oracles
 
@@ -429,6 +429,18 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "basis")[0] == 2  # missing required flag
     assert run_cli(capsys)[0] == 2
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_built(capsys):
+    # main parses with one parser per process; an error must not change what the next call reads or prints
+    assert build_parser() is build_parser()
+    code, out, err = run_cli(capsys, "synth", "--qubits", "2")
+    assert code == 2 and out == "" and "the following arguments are required: --type, --theta" in err
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(["synth", "--qubits", "2"])
+    assert capsys.readouterr().err == err
+    assert run_cli(capsys, "dim", "--qubits", "2") == (0, "formula: 9, enumerated: 9\n", "")
+    assert run_cli(capsys, "--help")[1] == build_parser.__wrapped__().format_help()
 
 
 def test_synth_non_finite_theta_exits_two(capsys):

@@ -1,9 +1,13 @@
 """The public names of pisu, and those the benchmark reaches through them."""
 
+import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pisu
 import pisu.cli  # noqa: F401  (the benchmark drives the CLI as ``p.cli``)
@@ -30,6 +34,61 @@ def test_public_names_are_pinned():
     assert len(PUBLIC) == 47
     assert sorted(pisu.__all__) == PUBLIC
     assert all(hasattr(pisu, name) for name in PUBLIC)
+
+
+def _fresh(code: str):
+    """Run ``code`` in a new interpreter that imports pisu from src; return its last line as JSON."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'pisu')))"
+
+
+def test_import_pisu_loads_no_submodule_and_no_numpy():
+    code = "import json, sys, pisu; print(json.dumps(sorted(m for m in sys.modules if m.startswith(('pisu.', 'numpy')))))"
+    assert _fresh(code) == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["closure", "--qubits", "3"], []),
+        (["dim", "--qubits", "2"], []),
+        (["basis", "--qubits", "2"], []),
+        (["verify", "--circuit", "{dir}/c.json"], ["pisu.simulator", "pisu.synthesis"]),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    (tmp_path / "c.json").write_text(pisu.circuit_to_json(pisu.synth_generator(pisu.enumerate_basis(2)[0], 0.3)))
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    code = f"import pisu.cli; assert pisu.cli.main({argv!r}) == 0\n{LOADED}"
+    assert _fresh(code) == sorted(["pisu", "pisu.cli", "pisu.pauli", "pisu.symmetry", *loaded])
+
+
+def test_lazy_names_list_bind_and_refuse_like_eager_ones():
+    code = """import json, pisu
+listed = dir(pisu)
+star = {}
+exec("from pisu import *", star)
+try:
+    pisu.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+kept = [name for name in pisu.__all__ if name in vars(pisu)]
+print(json.dumps({"dir": listed, "star": sorted(set(star) - {"__builtins__"}), "kept": kept, "missing": missing}))
+"""
+    got = _fresh(code)
+    assert set(PUBLIC) | {"ansatz", "cli", "pauli", "simulator", "symmetry", "synthesis"} <= set(got["dir"])
+    assert got["star"] == sorted(got["kept"]) == PUBLIC
+    assert got["missing"] == "module 'pisu' has no attribute 'no_such_name'"
+    assert not hasattr(pisu, "no_such_name")
 
 
 def test_every_name_the_benchmark_uses_exists():
