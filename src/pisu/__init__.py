@@ -31,9 +31,8 @@ _NAMES = {
         "gate_matrix", "unitarity_defect",
     ),
     "ansatz": (
-        "BlockStructure", "NonAbelianEntanglerError", "SymmetrizationChoice",
-        "base_variational_circuit", "naive_full_augmentation", "symmetrize_by_extension",
-        "symmetrize_fully",
+        "BlockStructure", "SymmetrizationChoice", "base_variational_circuit",
+        "naive_full_augmentation", "symmetrize_by_extension", "symmetrize_fully",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

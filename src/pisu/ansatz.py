@@ -10,25 +10,18 @@ augmentation) with a synthesized invariant generator.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import _integer
-from .symmetry import SymmetrizedGenerator, TypeVector, transpositions
+from .symmetry import SymmetrizedGenerator, TypeVector
 from .synthesis import Circuit, Gate, SynthesisPlan, _ladder_gates, commuting_orbit, synth_generator
 
 # product-formula steps of a non-commuting replacement entangler
 REPLACEMENT_TROTTER_STEPS = 8
-
-
-class NonAbelianEntanglerError(ValueError):
-    """CNOT augmentation produced a non-commuting gate group.
-
-    This is the obstruction that rules out naive augmentation when the
-    required swaps act within the entangler's own qubit cycle.
-    """
 
 
 @dataclass(frozen=True)
@@ -142,57 +135,10 @@ def _parse_base(c: Circuit) -> tuple[tuple[Gate, ...], ...]:
         for q, g in enumerate(layer, start=1):
             if g.kind != kind or g.qubits != (q, q % n + 1)[:width]:
                 raise ValueError(f"not a base variational circuit ({what} malformed)")
+    for g in layers[0] + layers[1]:
+        if g.param not in c.params:
+            raise ValueError(f"not a base variational circuit (parameter {g.param!r} unbound)")
     return layers
-
-
-def cnots_commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Symbolic CNOT commutation: gates clash iff one's target is the other's control."""
-    return a[1] != b[0] and b[1] != a[0]
-
-
-def augment_entangler(
-    cnots: list[tuple[int, int]],
-    swaps: tuple[tuple[int, int], ...],
-    *,
-    require_abelian: bool = True,
-) -> list[list[tuple[int, int]]]:
-    """Close each CNOT under a set of qubit transpositions.
-
-    Returns one group per input CNOT: the original plus every image under
-    the group generated by the swaps, deterministically ordered.  With
-    ``require_abelian`` the gates within each group must pairwise commute
-    (then the group's internal order is irrelevant and conjugation by any
-    generated swap fixes the group's product); a violation raises
-    NonAbelianEntanglerError instead of silently emitting a broken layer.
-    """
-
-    def apply(pair: tuple[int, int], swap: tuple[int, int]) -> tuple[int, int]:
-        i, j = swap
-        relabel = {i: j, j: i}
-        return (relabel.get(pair[0], pair[0]), relabel.get(pair[1], pair[1]))
-
-    groups = []
-    for base in cnots:
-        group = {base}
-        frontier = [base]
-        while frontier:
-            pair = frontier.pop()
-            for swap in swaps:
-                image = apply(pair, swap)
-                if image not in group:
-                    group.add(image)
-                    frontier.append(image)
-        ordered = sorted(group)
-        if require_abelian:
-            for idx, p in enumerate(ordered):
-                for q in ordered[idx + 1 :]:
-                    if not cnots_commute(p, q):
-                        raise NonAbelianEntanglerError(
-                            f"augmented CNOT group of {base} contains the "
-                            f"non-commuting pair {p}, {q}"
-                        )
-        groups.append(ordered)
-    return groups
 
 
 def _rotation(
@@ -217,10 +163,16 @@ def symmetrize_by_extension(
     """Replicate a base circuit across interchangeable blocks.
 
     Rotation layers are tied (same parameter in every block copy) or coupled
-    (one multi-qubit rotation across the copies) per the choice; the
-    entangling layer gains every CNOT image under the block swaps so that
-    exchanging whole blocks maps the circuit onto itself.  Tied layers keep
-    the base circuit's parameter count regardless of the block count.
+    (one multi-qubit rotation across the copies) per the choice; each base
+    CNOT(c, t) becomes every CNOT from a block copy of c to a block copy of t,
+    its orbit under the block swaps, so that exchanging whole blocks maps the
+    circuit onto itself.  Tied layers keep the base circuit's parameter count
+    regardless of the block count.
+
+    Each such group is abelian, so its order is immaterial and every block
+    exchange fixes its product: all its controls sit at c's position within
+    a block and all its targets at t's, the two positions differ, and so no
+    gate's target is another's control.
     """
     blocks = _integer(blocks, "blocks must be an integer")
     if blocks < 2:
@@ -231,18 +183,14 @@ def symmetrize_by_extension(
     gates: list[Gate] = []
     params: dict[str, float] = {}
 
+    copies = {q: tuple(bs.qubit(k, q) for k in range(1, blocks + 1)) for q in range(1, c.n + 1)}
     for layer, mode in ((rx, choice.x_layer), (ry, choice.y_layer)):
         for g in layer:
-            copies = tuple(bs.qubit(k, g.qubits[0]) for k in range(1, blocks + 1))
-            gates.extend(_rotation(bs.n, g, copies, mode, g.param))
+            gates.extend(_rotation(bs.n, g, copies[g.qubits[0]], mode, g.param))
             params[g.param] = c.params[g.param]
-
-    # closing each base CNOT under the per-position block swaps reaches every
-    # block copy plus the cross-block images
-    base_cnots = [(g.qubits[0], g.qubits[1]) for g in ent]
-    for group in augment_entangler(base_cnots, bs.swap_pairs):
-        gates.extend(Gate("CNOT", pair) for pair in group)
-
+    for g in ent:
+        control, target = (copies[q] for q in g.qubits)
+        gates.extend(Gate("CNOT", pair) for pair in itertools.product(control, target))
     return Circuit(bs.n, tuple(gates), params)
 
 
@@ -296,19 +244,17 @@ def naive_full_augmentation(c: Circuit) -> Circuit:
     """The counterexample circuit: tie the rotations but keep the cyclic
     entangler, augmented with its images under all qubit swaps.
 
-    The augmented gate set is not abelian, so the result fails the
-    transposition-invariance check; this is built guard-off on purpose to
-    demonstrate the obstruction.
+    Those images are every CNOT between two distinct qubits, in sorted order.
+    The set is not abelian (CNOT(1, 2) and CNOT(2, 1) clash), so the result
+    fails the transposition-invariance check: the obstruction that rules out
+    naive augmentation.
     """
-    rx, ry, ent = _parse_base(c)
+    rx, ry, _ = _parse_base(c)
     n = c.n
     gates: list[Gate] = []
     params: dict[str, float] = {}
     for layer, tied_name in ((rx, "alpha_1"), (ry, "beta_1")):
         gates.extend(_rotation(n, layer[0], tuple(range(1, n + 1)), "tie", tied_name))
         params[tied_name] = c.params[layer[0].param]
-    base_cnots = [(g.qubits[0], g.qubits[1]) for g in ent]
-    groups = augment_entangler(base_cnots, transpositions(n), require_abelian=False)
-    merged = sorted(set(pair for group in groups for pair in group))
-    gates.extend(Gate("CNOT", pair) for pair in merged)
+    gates.extend(Gate("CNOT", pair) for pair in itertools.permutations(range(1, n + 1), 2))
     return Circuit(n, tuple(gates), params)

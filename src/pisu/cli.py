@@ -197,6 +197,7 @@ def _cmd_ansatz(args) -> int:
     choice = ansatz.SymmetrizationChoice(args.choice, args.choice)
     rng = np.random.default_rng(args.seed + 1)
     if args.mode == "full":
+        check_qubit_cap(args.qubits)  # before the circuit is built, not when it is simulated
         circuit = ansatz.symmetrize_fully(
             base, choice=choice, angle=float(rng.uniform(0, 2 * np.pi))
         )
@@ -205,6 +206,7 @@ def _cmd_ansatz(args) -> int:
         report = {"mode": "full", "max_transposition_defect": defect, "invariant": defect < args.tol}
     elif args.mode.startswith("blocks:"):
         blocks = _mode_count(args.mode, "blocks:<b>")
+        check_qubit_cap(args.qubits * blocks)
         circuit = ansatz.symmetrize_by_extension(base, blocks, choice)
         bs = ansatz.BlockStructure.for_extension(args.qubits, blocks)
         u = simulator.circuit_unitary(circuit)

@@ -41,6 +41,9 @@ orbit and every circuit must equal theirs, order and Gate objects included.
 ``paper_notation`` or ``letters``, as the command did before it rendered the
 orbit letter arrays, and ``transposed_permutation_defect`` is
 ``permutation_defect`` as one transposed difference of the whole unitary.
+``cnot_closure`` closes a CNOT under qubit transpositions breadth first, as
+the ansatz recipes did before they wrote each entangler orbit in closed form,
+and ``cnots_commute`` is the symbolic rule for whether two CNOTs commute.
 """
 
 import functools
@@ -596,3 +599,23 @@ def transposed_permutation_defect(u, perm):
     n = len(perm)
     t = u.reshape((2,) * (2 * n))
     return float(np.abs(t.transpose([*perm, *(n + k for k in perm)]) - t).max())
+
+
+def cnots_commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Symbolic CNOT commutation: gates clash iff one's target is the other's control."""
+    return a[1] != b[0] and b[1] != a[0]
+
+
+def cnot_closure(base: tuple[int, int], swaps) -> list[tuple[int, int]]:
+    """Every image of one CNOT under the group the qubit transpositions ``swaps``
+    generate, found breadth first and sorted."""
+    group, frontier = {base}, [base]
+    while frontier:
+        pair = frontier.pop()
+        for i, j in swaps:
+            relabel = {i: j, j: i}
+            image = (relabel.get(pair[0], pair[0]), relabel.get(pair[1], pair[1]))
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return sorted(group)

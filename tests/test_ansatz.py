@@ -7,7 +7,6 @@ from pisu import (
     BlockStructure,
     Circuit,
     Gate,
-    NonAbelianEntanglerError,
     PauliString,
     SymmetrizationChoice,
     SymmetrizedGenerator,
@@ -25,7 +24,7 @@ from pisu import (
     synth_string,
     transpositions,
 )
-from pisu.ansatz import _rotation, augment_entangler, cnots_commute
+from pisu.ansatz import _rotation
 
 import oracles
 
@@ -159,12 +158,35 @@ def test_cnot_commutation_rule_matches_matrices():
     for a, b in pairs:
         ma = oracles.cnot_full(*a, 4)
         mb = oracles.cnot_full(*b, 4)
-        assert cnots_commute(a, b) == (np.abs(ma @ mb - mb @ ma).max() < 1e-14), (a, b)
+        assert oracles.cnots_commute(a, b) == (np.abs(ma @ mb - mb @ ma).max() < 1e-14), (a, b)
 
 
-def test_augment_entangler_guard_trips():
-    with pytest.raises(NonAbelianEntanglerError):
-        augment_entangler([(1, 2)], ((1, 2),))
+def _entangler_groups(n, blocks):
+    """The tied extension's CNOT layer, one group of blocks**2 gates per base CNOT."""
+    gates = symmetrize_by_extension(base_variational_circuit(n), blocks).gates[2 * n * blocks :]
+    assert all(g.kind == "CNOT" for g in gates)
+    size = blocks**2
+    return [[g.qubits for g in gates[k : k + size]] for k in range(0, len(gates), size)]
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_extension_entangler_is_the_block_swap_closure(n, blocks):
+    swaps = BlockStructure.for_extension(n, blocks).swap_pairs
+    want = [oracles.cnot_closure((q, q % n + 1), swaps) for q in range(1, n + 1)]
+    groups = _entangler_groups(n, blocks)
+    assert groups == want
+    for group in groups:  # so the group's order is immaterial and block exchanges fix it
+        assert all(oracles.cnots_commute(a, b) for a in group for b in group)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_naive_entangler_is_the_transposition_closure(n):
+    layer = [g.qubits for g in naive_full_augmentation(base_variational_circuit(n)).gates[2 * n :]]
+    closures = (oracles.cnot_closure((q, q % n + 1), transpositions(n)) for q in range(1, n + 1))
+    assert layer == sorted(set().union(*closures))
+    # the obstruction: the layer is not abelian, so its order matters
+    assert not all(oracles.cnots_commute(a, b) for a in layer for b in layer)
 
 
 def test_fully_symmetrized_invariance():
@@ -230,13 +252,6 @@ def test_naive_augmentation_fails_invariance():
     assert swap_invariance_defect(u, 3) > 1e-2
 
 
-def test_naive_augmentation_is_nonabelian():
-    base = base_variational_circuit(3, seed=4)
-    cnots = [(g.qubits[0], g.qubits[1]) for g in base.gates if g.kind == "CNOT"]
-    with pytest.raises(NonAbelianEntanglerError):
-        augment_entangler(cnots, transpositions(3))
-
-
 def test_recipes_compose_with_generator_circuits():
     rng = np.random.default_rng(79)
     base = base_variational_circuit(3, seed=4)
@@ -293,6 +308,12 @@ def test_rotation_layers_rotate_about_their_own_letter(x_layer, y_layer):
     assert np.abs(got - want).max() < 1e-10
 
 
+def _unbound(n, *names):
+    """The base circuit with ``names`` unbound, or every parameter if none is named."""
+    c = base_variational_circuit(n)
+    return Circuit(n, c.gates, {k: v for k, v in c.params.items() if names and k not in names})
+
+
 def _rotation_layers_swapped(n):
     c = base_variational_circuit(n)
     return Circuit(n, c.gates[n : 2 * n] + c.gates[:n] + c.gates[2 * n :], c.params)
@@ -310,6 +331,14 @@ def _rotation_layers_swapped(n):
                      "choice must be 'tie' or 'couple', got 'braid'", id="choice"),
         pytest.param(lambda: symmetrize_by_extension(_rotation_layers_swapped(2), 2),
                      "not a base variational circuit (RX layer malformed)", id="layer"),
+        pytest.param(lambda: symmetrize_by_extension(_unbound(3), 2),
+                     "not a base variational circuit (parameter 'alpha_1' unbound)", id="unbound-extension"),
+        pytest.param(lambda: symmetrize_fully(_unbound(3)),
+                     "not a base variational circuit (parameter 'alpha_1' unbound)", id="unbound-fully"),
+        pytest.param(lambda: naive_full_augmentation(_unbound(3)),
+                     "not a base variational circuit (parameter 'alpha_1' unbound)", id="unbound-naive"),
+        pytest.param(lambda: symmetrize_fully(_unbound(3, "beta_2")),
+                     "not a base variational circuit (parameter 'beta_2' unbound)", id="unbound-beta"),
     ],
 )
 def test_recipes_reject_bad_structure(build, message):

@@ -327,6 +327,34 @@ def test_ansatz_bad_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "qubits, mode, width",
+    [("4", "blocks:4", 16), ("4", "blocks:1000", 4000), ("13", "full", 13), ("2000", "full", 2000)],
+)
+def test_ansatz_meets_the_qubit_cap_before_building(capsys, monkeypatch, qubits, mode, width):
+    from pisu import ansatz
+
+    monkeypatch.delenv("PISU_MAX_QUBITS", raising=False)
+    with contextlib.ExitStack() as stack:
+        for name in ("symmetrize_by_extension", "symmetrize_fully"):
+            stack.enter_context(mock.patch.object(ansatz, name, side_effect=AssertionError(name)))
+        code, out, err = run_cli(capsys, "ansatz", "--qubits", qubits, "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err == f"error: n={width} qubits exceeds the cap of 12 (set PISU_MAX_QUBITS to raise it)\n"
+
+
+@pytest.mark.parametrize(
+    "qubits, mode, message",
+    [("1", "full", "the base circuit needs at least two qubits"),
+     ("13", "blocks:0", "extension needs at least two blocks"),
+     ("6", "blocks:1", "extension needs at least two blocks"),
+     ("4", "blocks:-3", "extension needs at least two blocks")],
+)
+def test_ansatz_other_faults_keep_their_errors(capsys, qubits, mode, message):
+    code, out, err = run_cli(capsys, "ansatz", "--qubits", qubits, "--mode", mode)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_count_cnots(capsys):
     code, out, _ = run_cli(capsys, "count-cnots", "--qubits", "2")
     assert code == 0

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "BlockStructure", "Circuit", "ClosureReport", "ComparisonResult", "Gate",
-    "NonAbelianEntanglerError", "NonCommutingOrbitError", "PauliString", "PauliSum",
+    "NonCommutingOrbitError", "PauliString", "PauliSum",
     "QubitLimitError", "SymmetrizationChoice", "SymmetrizedGenerator", "SynthesisPlan",
     "TypeVector", "UnboundParameterError", "__version__", "base_variational_circuit",
     "circuit_from_json", "circuit_from_qasm", "circuit_to_json", "circuit_to_qasm",
@@ -31,7 +31,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 46
     assert sorted(pisu.__all__) == PUBLIC
     assert all(hasattr(pisu, name) for name in PUBLIC)
 
